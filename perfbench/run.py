@@ -26,12 +26,14 @@ import statistics
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 OUT_DIR = ROOT / ".perfbench_out"
 SETUP_RUNS = 12  # fresh interpreters timed per run, spread over the run
+CALIBRATIONS = 12  # calibration loops timed before, and again after, each verify pass
 
 sys.path.insert(0, str(ROOT))
 from perfbench import layers, workloads  # noqa: E402
@@ -106,6 +108,27 @@ def _eval_pass(calls):
     return lat, out
 
 
+def _calibration():
+    """Fixed pure-Python work that does not touch geomfree: a rational sum
+    and a float loop, the mix of a verify pass. About 0.3 ms."""
+    x, s = Fraction(0), 0.0
+    for k in range(1, 40):
+        x += Fraction(1, k * k)
+    for i in range(3000):
+        s += i * 0.5 * 1.0001
+    return x, s
+
+
+def _time_calibrations(n):
+    clock = time.perf_counter_ns
+    out = []
+    for _ in range(n):
+        t0 = clock()
+        _calibration()
+        out.append(clock() - t0)
+    return out
+
+
 def _verify_pass(main, argv):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -123,6 +146,7 @@ class EvalWorkload:
         self.functions = {"sin": geomfree.sin_eval, "cos": geomfree.cos_eval,
                           "arcsin": geomfree.arcsin_newton}
         self.reference = None  # results of the untimed first pass
+        self.lowest = None
 
     def make_pass(self, wrap=None):
         fns = {k: wrap(f, f"geomfree.{f.__name__}") if wrap else f
@@ -131,6 +155,15 @@ class EvalWorkload:
 
     def warm_up(self):
         self.reference = self.make_pass()()[1]
+
+    def measure(self, run_pass):
+        """Run one timed pass; keep each operation's lowest latency."""
+        lat, out = run_pass()
+        self.lowest = lat if self.lowest is None else list(map(min, self.lowest, lat))
+        return out
+
+    def latencies(self):
+        return self.lowest
 
     def keep(self, out):
         """Indices whose result differs from the first pass."""
@@ -152,6 +185,8 @@ class VerifyWorkload:
         self.main = cli.main
         self.argv = workloads.verify_argv(seed)
         self.reference = None
+        self.timed = []  # (pass ns, median calibration ns around the pass)
+        self.fastest_calibration = math.inf
 
     def make_pass(self, wrap=None):
         main = wrap(self.main, "geomfree.cli.main") if wrap else self.main
@@ -159,6 +194,29 @@ class VerifyWorkload:
 
     def warm_up(self):
         self.reference = self.make_pass()()[1]
+
+    def measure(self, run_pass):
+        """Run one timed pass between two sets of calibration loops."""
+        before = _time_calibrations(CALIBRATIONS)
+        lat, out = run_pass()
+        after = _time_calibrations(CALIBRATIONS)
+        self.timed.append((lat[0], statistics.median(before + after)))
+        self.fastest_calibration = min(self.fastest_calibration, *before, *after)
+        return out
+
+    def latencies(self):
+        """A pass's time scaled to the fastest calibration of the run.
+
+        A pass takes 0.2 s, and the shared machine's speed changes by up to
+        a factor of two over such spans, so no pass runs at full speed
+        throughout. The calibration loops around a pass measure the speed
+        the machine gave it; the fastest calibration of the run measures
+        full speed. The median of the scaled passes is reported.
+        """
+        return [statistics.median(t * self.fastest_calibration / c for t, c in self.timed)]
+
+    def raw_median_ns(self):
+        return statistics.median(t for t, _ in self.timed)
 
     def keep(self, out):
         return out
@@ -181,11 +239,13 @@ def timed_run(args, geomfree, wl):
     wl.warm_up()
     run_pass = wl.make_pass()
     # Each pass runs every operation once, on the CPUs in turn. The machine
-    # is shared: other work slows every call by up to a third, for seconds
-    # at a time. An operation's latency is its lowest over the passes,
-    # which such bursts cannot lower. The set-up runs are spread over the
-    # whole run for the same reason; their median is reported.
-    lowest, kept, setups = None, [], []
+    # is shared: other work slows every call by up to a half, for seconds
+    # at a time. On eval-* an operation's latency is its lowest over the
+    # passes, which such bursts cannot lower; a verify pass is scaled by
+    # calibration loops instead (VerifyWorkload.latencies). The set-up runs
+    # are spread over the whole run for the same reason; their median is
+    # reported.
+    kept, setups = [], []
     setup_every = args.seconds / SETUP_RUNS
     start = time.perf_counter()
     while True:
@@ -193,10 +253,9 @@ def timed_run(args, geomfree, wl):
             setup_due = start + len(setups) * setup_every
             if len(setups) < SETUP_RUNS and time.perf_counter() >= setup_due:
                 setups.append(time_setup(setup_cmd))
-            lat, out = run_pass()
-        lowest = lat if lowest is None else list(map(min, lowest, lat))
+            out = wl.measure(run_pass)
         kept.append(wl.keep(out))
-        del lat, out
+        del out
         if (time.perf_counter() >= start + args.seconds and len(kept) >= 4 * len(cpus)
                 and len(setups) == SETUP_RUNS):
             break
@@ -204,9 +263,10 @@ def timed_run(args, geomfree, wl):
     peak_rss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     attempted, failed, acc = wl.verdict(kept)
 
-    rate = len(lowest) / (sum(lowest) / 1e9)
-    p50 = _percentile(lowest, 50) / 1e3
-    p99 = _percentile(lowest, 99) / 1e3
+    lat = wl.latencies()
+    rate = len(lat) / (sum(lat) / 1e9)
+    p50 = _percentile(lat, 50) / 1e3
+    p99 = _percentile(lat, 99) / 1e3
     metrics = {
         "ops_per_s": rate,
         "op_p50_us": p50,
@@ -214,18 +274,24 @@ def timed_run(args, geomfree, wl):
         "peak_rss_mib": peak_rss_mib,
         "setup_s": setup_s,
     }
-    lines = [f"  samples          {len(kept)} passes x {len(lowest)} operations, "
-             f"alternating over CPUs {cpus}; each operation's lowest latency"]
     if isinstance(wl, EvalWorkload):
-        lines += [
+        lines = [
+            f"  samples          {len(kept)} passes x {len(lat)} operations, "
+            f"alternating over CPUs {cpus}; each operation's lowest latency",
             f"  evals_per_s      {rate:.1f} 1/s",
             f"  eval_p50_us      {p50:.3f} us",
-            f"  eval_p99_us      {p99:.3f} us  (over {len(lowest)} inputs)",
+            f"  eval_p99_us      {p99:.3f} us  (over {len(lat)} inputs)",
             f"  bound_p50_ulp    {acc['bound_p50_ulp']:.4g} ulp  (tol <= 1e-15)",
             f"  err_max_ulp      {acc['err_max_ulp']:.4g} ulp  (tol <= 1e-15)",
         ]
     else:
-        lines += [f"  verify_s         {p50 / 1e6:.4f} s"]
+        lines = [
+            f"  samples          {len(kept)} passes, alternating over CPUs {cpus}; "
+            f"median pass scaled to the fastest of {2 * CALIBRATIONS * len(kept)} "
+            f"calibration loops ({wl.fastest_calibration / 1e3:.1f} us)",
+            f"  verify_s         {p50 / 1e6:.4f} s  (unscaled median "
+            f"{wl.raw_median_ns() / 1e9:.4f} s)",
+        ]
     lines += [
         f"  fail_ratio       {failed / attempted:.6g} ratio  ({failed} of {attempted})",
         f"  peak_rss_mib     {peak_rss_mib:.2f} MiB",

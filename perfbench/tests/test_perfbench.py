@@ -17,7 +17,7 @@ sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 
 import geomfree  # noqa: E402
 from geomfree import series_kernel  # noqa: E402
-from perfbench import oracle, workloads  # noqa: E402
+from perfbench import oracle, run, workloads  # noqa: E402
 from perfbench.tracer import Tracer  # noqa: E402
 
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -105,6 +105,14 @@ def test_verify_checker_counts_failed_and_changed_checks():
     report["checks"][1]["detail"]["bound"] = 2.0
     assert oracle.verify_failures(json.dumps(report), 1, ref) == 2
     assert oracle.verify_failures("Traceback", 2, ref) == 2
+
+
+def test_verify_pass_is_scaled_to_the_fastest_calibration():
+    wl = run.VerifyWorkload(geomfree, 1)
+    wl.timed = [(100, 10), (300, 20), (200, 10)]
+    wl.fastest_calibration = 5
+    assert wl.latencies() == [75.0]
+    assert wl.raw_median_ns() == 200
 
 
 def test_tracer_reads_a_missing_boundary_as_absent():
