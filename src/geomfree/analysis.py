@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass, field
 
 from .constants import shared_table
-from .errors import DomainError, InvalidTolerance, StepTooLarge
-from .series_kernel import CertifiedValue, cos_eval, sin_eval
+from .errors import DomainError, StepTooLarge
+from .series_kernel import CertifiedValue, _check_tol, cos_eval, sin_eval
 
 _U = 2.0 ** -53
 _SQRT_HALF = 0.7071067811865476  # float nearest sqrt(1/2)
@@ -77,8 +77,7 @@ def arcsin_newton(x, tol):
     reflection arcsin x = sign(x) (Q - arcsin sqrt(1 - x^2)) keeps the
     Newton step conditioned.
     """
-    if not (tol > 0.0) or not math.isfinite(tol):
-        raise InvalidTolerance(f"tolerance must be positive and finite, got {tol!r}")
+    _check_tol(tol)
     x = float(x)
     if not math.isfinite(x):
         raise DomainError(f"argument must be finite, got {x!r}")
@@ -154,8 +153,7 @@ def arcsin_quadrature(x, tol=1e-10):
     removes the endpoint singularity; x = +-1 is therefore an ordinary
     evaluation, reproducing +-pi/2.
     """
-    if not (tol > 0.0):
-        raise InvalidTolerance(f"tolerance must be positive, got {tol!r}")
+    _check_tol(tol)
     x = float(x)
     if not math.isfinite(x):
         raise DomainError(f"argument must be finite, got {x!r}")
@@ -179,8 +177,7 @@ def quarter_circle_area(tol=1e-10):
     The same u = sqrt(1 - x^2) substitution turns the outer piece into
     the regular integral of u^2/sqrt(1 - u^2) over [0, sqrt(2)/2].
     """
-    if not (tol > 0.0):
-        raise InvalidTolerance(f"tolerance must be positive, got {tol!r}")
+    _check_tol(tol)
     counter = _Counter()
 
     def circle(t):

@@ -214,11 +214,11 @@ def numeric_checks(samples, seed):
 
 
 def cmd_verify(args):
-    if args.degree > 100:
-        print("error: --degree must be <= 100", file=sys.stderr)
+    if not 0 <= args.degree <= 100:
+        print("error: --degree must be between 0 and 100", file=sys.stderr)
         return 2
-    if args.samples > 1_000_000:
-        print("error: --samples must be <= 1e6", file=sys.stderr)
+    if not 1 <= args.samples <= 1_000_000:
+        print("error: --samples must be between 1 and 1e6", file=sys.stderr)
         return 2
     checks = []
     if args.suite in ("exact", "all"):

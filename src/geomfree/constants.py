@@ -5,17 +5,17 @@ exact rational arithmetic: a sign is accepted only when the partial sum's
 distance from zero exceeds the alternating-series remainder bound, with
 the series order doubled until decisive.  A Newton polish then refines Q
 far past binary64, and the polished value is re-certified by two more
-exact sign checks on a tiny bracket.  The polished rational also yields a
-double-double representation of the full period 4Q for range reduction.
+exact sign checks on a tiny bracket.  The polished rational q_exact is what
+the sine/cosine kernel splits for its range reduction; it also yields a
+double-double representation of the full period 4Q.
 """
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidTolerance, ToleranceTooTight
-from .series_kernel import cos_eval_exact, sin_eval_exact
+from .series_kernel import _check_tol, cos_eval_exact, sin_eval_exact
 
 _MAX_TERMS = 100          # series-degree budget: 2*100 = degree 200
 _POLISH_BITS = 200        # dyadic rounding between Newton polish steps
@@ -27,8 +27,8 @@ class ConstantsTable:
     """Q, pi, the sin/cos values at multiples of Q, and certification data.
 
     q_multiples holds exact small integers, not floats: (k, sin kQ, cos kQ)
-    for k = 0..4.  four_q_dd is the double-double period used by range
-    reduction, with |hi + lo - 4Q| <= four_q_err certified.
+    for k = 0..4.  four_q_dd is the double-double period, with
+    |hi + lo - 4Q| <= four_q_err certified.
     """
 
     q: float
@@ -121,8 +121,7 @@ def find_q(tol):
     the midpoint and the result is re-certified on brackets of radius
     tol/2 and 1e-30.
     """
-    if not (tol > 0.0) or not math.isfinite(tol):
-        raise InvalidTolerance(f"tolerance must be positive and finite, got {tol!r}")
+    _check_tol(tol)
     if tol < 1e-15:
         raise InvalidTolerance("find_q supports tolerances down to 1e-15")
 

@@ -1,13 +1,11 @@
-"""Error-free float transforms and minimal double-double arithmetic.
+"""Error-free float transforms and double-double arithmetic.
 
-A double-double is an unevaluated pair (hi, lo) with hi = fl(hi + lo),
-carrying roughly 106 bits of precision.  two_sum is Knuth's exact
-addition; two_prod uses Dekker's splitting (no FMA required).  Only the
-handful of operations needed for range reduction and series summation
-are provided.
+two_sum is Knuth's exact addition and two_prod is Dekker's exact product
+(splitting, no FMA required); the sine/cosine kernel uses both.  dd_add
+and dd_mul build double-double arithmetic on them: a pair (hi, lo) with
+hi = fl(hi + lo), roughly 106 bits.  Nothing in the package calls those
+two; perfbench times them as the cost of a double-double step.
 """
-
-from fractions import Fraction
 
 _SPLITTER = 134217729.0  # 2**27 + 1
 
@@ -27,17 +25,15 @@ def fast_two_sum(a, b):
     return s, e
 
 
-def _split(a):
-    t = _SPLITTER * a
-    hi = t - (t - a)
-    return hi, a - hi
-
-
 def two_prod(a, b):
     """Exact multiplication: returns (p, e) with p = fl(a*b), p + e = a*b."""
     p = a * b
-    ah, al = _split(a)
-    bh, bl = _split(b)
+    t = _SPLITTER * a  # Dekker's split of a and b into 26-bit halves
+    ah = t - (t - a)
+    al = a - ah
+    t = _SPLITTER * b
+    bh = t - (t - b)
+    bl = b - bh
     e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
     return p, e
 
@@ -50,19 +46,9 @@ def dd_add(x, y):
     return fast_two_sum(sh, sl + tl)
 
 
-def dd_neg(x):
-    return (-x[0], -x[1])
-
-
 def dd_mul(x, y):
     """Double-double product; relative error below 7*2**-106."""
     ph, pl = two_prod(x[0], y[0])
     pl += x[0] * y[1] + x[1] * y[0]
     return fast_two_sum(ph, pl)
 
-
-def dd_from_fraction(fr):
-    """Round an exact rational to the nearest double-double pair."""
-    hi = float(fr)
-    lo = float(fr - Fraction(hi))
-    return hi, lo

@@ -1,11 +1,24 @@
 """Certified floating-point sine/cosine from their defining power series.
 
-Evaluation pipeline: reduce |x| modulo the full period (double-double
-constant from the constants module), pick the truncation order from the
-requested tolerance, then run a Horner scheme in double-double
-arithmetic.  The returned CertifiedValue carries a proven absolute error
-bound: first-omitted-term remainder (valid once the alternating terms
-decrease) + range-reduction error + a final-rounding allowance.
+Evaluation pipeline:
+
+1. Reduce mod Q.  |x| below Q/2 is used as is (k = 0).  Otherwise k is the
+   integer nearest |x|/Q and r = |x| - kQ comes from a Cody-Waite split of
+   the certified Q into Q1 + Q2 + Q3 (27, 27 and 53 bits), carried as a
+   float pair (r_hi, r_lo).
+2. Pick the quadrant.  With j = k mod 4, sin(jQ + r) is +-sin r or +-cos r
+   by the exact Q-multiples table; cos x is sin(x + Q).  The sign of x is
+   applied last, so sin(-x) == -sin(x) bit for bit.
+3. Evaluate in floats.  Terms follow t <- -t*z/den with z = r_hi**2 and stop
+   at the first term at most min(tol/2, 2**-54 |leading term|), which keeps
+   results accurate relative to their size.  Only the leading part is
+   error-free (cosine's 1 - z/2 through two_prod), r_lo enters as a
+   first-order correction, and one math.fsum adds the terms.
+4. Bound.  The returned CertifiedValue's absolute bound is the first
+   omitted term (the terms alternate and shrink) + the reduction error
+   (k times the certified error of Q1 + Q2 + Q3, plus its roundings) + the
+   derived rounding of the float terms + one rounding of the result.  The
+   derivation sits above _eval.
 
 No platform trigonometric function appears anywhere in this call graph.
 """
@@ -14,16 +27,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .doubledouble import dd_add, dd_from_fraction, dd_mul, two_prod
+from .doubledouble import two_prod, two_sum
 from .errors import DomainError, InvalidTolerance
 
 _U = 2.0 ** -53          # unit roundoff of binary64
-_MAX_ARG = 1.0e8         # beyond this, reduction accuracy is no longer certified
-_SMALL_ARG = 3.0         # below this, no reduction is needed (< half period)
-_MAX_TERMS = 32          # nonzero series terms; plenty for |reduced| <= pi
-# absolute slop covering double-double accumulation and coefficient
-# conversion residue; the true total is below 1e-29 for |reduced| <= pi
-_DD_SLOP = 1.0e-27
+_HALF_U = 2.0 ** -54
+_TINY = 2.0 ** -1074     # smallest subnormal
+_MAX_ARG = 1.0e8         # keeps k < 2**26, which the reduction's exact products need
 
 
 @dataclass(frozen=True)
@@ -67,7 +77,8 @@ class CertifiedValue:
         b = (abs(self.value) * other.abs_error_bound
              + abs(other.value) * self.abs_error_bound
              + self.abs_error_bound * other.abs_error_bound
-             + _U * abs(v))
+             + _U * abs(v)
+             + _TINY)  # a product below the normal range loses up to _TINY / 2
         return CertifiedValue(v, b)
 
     __rmul__ = __mul__
@@ -111,111 +122,153 @@ def ode_coefficients(count):
     return SeriesCoefficients(tuple(c))
 
 
-def _sin_coeff(n):
-    return Fraction((-1) ** n, math.factorial(2 * n + 1))
-
-
-def _cos_coeff(n):
-    return Fraction((-1) ** n, math.factorial(2 * n))
-
-
-_SIN_DD = tuple(dd_from_fraction(_sin_coeff(n)) for n in range(_MAX_TERMS + 1))
-_COS_DD = tuple(dd_from_fraction(_cos_coeff(n)) for n in range(_MAX_TERMS + 1))
-
-
 def _check_tol(tol):
-    if not (tol > 0.0) or not math.isfinite(tol):
+    """The one tolerance rule of the package: positive and finite."""
+    if not 0.0 < tol < math.inf:
         raise InvalidTolerance(f"tolerance must be positive and finite, got {tol!r}")
 
 
-def _reduce(ax):
-    """Map ax >= 0 into roughly [-half period, half period].
+def _round_to_bits(v, bits):
+    """The float nearest the rational v with at most `bits` significant bits."""
+    e = math.frexp(float(v))[1]
+    return math.ldexp(round(v * Fraction(2) ** (bits - e)), e - bits)
 
-    Returns (r_dd, reduction_error): the reduced argument as a
-    double-double and a certified bound on |(hi+lo) - (ax mod period)|.
-    The subtraction ax - k*period is exact (Sterbenz) in its leading
-    term; the only real error sources are the period constant itself and
-    the final double-double additions.
+
+_reduction = None  # bound once, on first use, by _bind_reduction
+
+
+def _bind_reduction():
+    """Derive the reduction constants from the shared table and bind them.
+
+    Q is split Cody-Waite style into Q1 + Q2 + Q3 from the certified
+    q_exact: Q1 and Q2 carry 27 bits each, Q3 is the rest rounded to a
+    float.  k_err bounds |Q1 + Q2 + Q3 - Q| per unit of k.  quadrants[j]
+    says how sin(jQ + r) = sin(jQ) cos r + cos(jQ) sin r reduces, from the
+    exact Q-multiples table: (whether it is the cosine series, its sign).
     """
-    if ax <= _SMALL_ARG:
-        return (ax, 0.0), 0.0
-    from . import constants  # deferred: constants builds on the exact evaluators
+    global _reduction
+    from .constants import shared_table  # deferred: constants builds on the exact evaluators
 
-    tbl = constants.shared_table()
-    hi, lo = tbl.four_q_dd
-    k = float(math.floor(ax / hi + 0.5))
-    if k == 0.0:
-        return (ax, 0.0), 0.0
-    p, pe = two_prod(k, hi)
-    d = ax - p  # exact: p/2 <= ax <= 2p holds for every k >= 1
-    q, qe = two_prod(k, lo)
-    r = dd_add((d, 0.0), (-pe, 0.0))
-    r = dd_add(r, (-q, -qe))
-    red_err = k * tbl.four_q_err + 1.0e-29
-    return r, red_err
-
-
-def _plan_terms(r_abs, tol, odd):
-    """Number of nonzero terms to keep and the first omitted term.
-
-    Stops at the first k >= 1 with t_k <= tol/2 *and* the omitted terms
-    decreasing from t_k on (the alternating-series remainder is only
-    valid from that point).  t_k is the k-th nonzero term magnitude.
-    """
-    z = r_abs * r_abs
-    half = 0.5 * tol
-    t = r_abs if odd else 1.0  # t_0
-    k = 0
-    while True:
-        den = (2 * k + 2) * (2 * k + 3) if odd else (2 * k + 1) * (2 * k + 2)
-        if k >= 1 and t <= half and z <= den:
-            return k, t
-        if k >= _MAX_TERMS:
-            return k, t  # honest (larger) bound; tol was below what is achievable
-        t = t * z / den
-        k += 1
+    tbl = shared_table()
+    q = tbl.q_exact
+    q1 = _round_to_bits(q, 27)
+    q2 = _round_to_bits(q - Fraction(q1), 27)
+    q3 = float(q - Fraction(q1) - Fraction(q2))
+    split = abs(Fraction(q1) + Fraction(q2) + Fraction(q3) - q)
+    # rounded up past the float conversions of split and refined_radius
+    k_err = (float(split) + tbl.refined_radius) * (1.0 + 2.0 ** -49)
+    half_q = math.nextafter(float(q / 2), 0.0)  # below Q/2: q_exact is within 1e-30 of Q
+    quadrants = tuple((s != 0, s or c) for _, s, c in tbl.q_multiples[:4])
+    _reduction = (half_q, 1.0 / tbl.q, q1, q2, q3, k_err, quadrants)
+    return _reduction
 
 
-def _horner_dd(r_dd, coeff_table, n_terms, odd):
-    z = dd_mul(r_dd, r_dd)
-    s = coeff_table[n_terms - 1]
-    for j in range(n_terms - 2, -1, -1):
-        s = dd_add(coeff_table[j], dd_mul(z, s))
-    if odd:
-        s = dd_mul(r_dd, s)
-    return s[0]
+# Denominators of the term recurrence t_n = -t_{n-1} z / den_n with z = r**2:
+# (2n)(2n+1) for sine, (2n-1)(2n) for cosine, n >= 1.  With |r| < 1 every term
+# from n = 90 on is below half the smallest subnormal, so the stop test of
+# _eval (t <= stop, stop >= 0) is met before either table runs out.
+_SIN_DEN = tuple(float(2 * n * (2 * n + 1)) for n in range(1, 100))
+_COS_DEN = tuple(float((2 * n - 1) * 2 * n) for n in range(1, 100))
+
+# Error bound of _eval.  u = 2**-53; |r| <= 0.7854 (k is nearest |x|/Q up
+# to 2e-8), so z <= 0.6169.  r_hi + r_lo is the reduced argument, with
+# |r_lo| <= u|r_hi|; the series runs on r_hi, and r_lo enters as a
+# first-order correction.
+#
+# - Truncation: terms alternate and shrink from the first omitted one on
+#   (z < den), so the remainder is at most |t_N|; its float value is within
+#   a relative 3Nu of the true term.
+# - Term rounding: a kept sine term t_n carries 3n roundings (z, the product,
+#   the quotient), t_n/t_{n-1} <= z/20 from n = 2 on, so the total is
+#   3u|t_1|/(1 - z/20)**2 <= 3.2u|t_1| <= 0.55u |r_hi| z.  Cosine keeps
+#   1 - (zh + zl)/2 exact (two_prod); t_n for n >= 2 carries 3n - 2
+#   roundings and shrinks by z/30, so the total is <= 4.2u|t_2| <= 0.11u z.
+# - Correction: sine uses r_lo (1 - z/2), which is off from
+#   sin(r_hi + r_lo) - sin(r_hi) by <= |r_lo| (z**2/24 + 3u) + r_lo**2/2
+#   <= 0.016|r_lo|; cosine uses -r_lo r_hi, off by
+#   <= |r_lo| (|r_hi|**3/6 + u) + r_lo**2/2 <= 0.081|r_lo|.
+# - Reduction: sin and cos are 1-Lipschitz, so the reduced argument's error
+#   passes through unchanged: k k_err for the split of Q plus the two
+#   roundings of the reduction, u(|k Q3| + |e - k Q3|).
+# - Result: math.fsum rounds the exact sum of the terms once, <= u|value|.
+# - Underflow: an operation that lands below the normal range adds up to
+#   _TINY / 2 outright.  There are at most 3N + 14 such losses, counting an
+#   error in z once for each term it enters; 256 _TINY covers N < 100.
+# - The bound's own float sum loses at most a relative 8u, and the truncation
+#   term 3Nu; the factor 1 + 2**-40 covers both.
+_SIN = (_SIN_DEN, 0.55 * _U, 0.016)
+_COS = (_COS_DEN, 0.11 * _U, 0.081)
+_UNDERFLOW = 256 * _TINY
+_ROUND_UP = 1.0 + 2.0 ** -40
 
 
-def _eval_series(x, tol, odd):
+def _eval(x, tol, shift):
+    """sin(x) for shift 0, cos(x) = sin(x + Q) for shift 1."""
     _check_tol(tol)
     x = float(x)
-    if not math.isfinite(x) or abs(x) > _MAX_ARG:
-        raise DomainError(f"|x| must be <= {_MAX_ARG:g} and finite, got {x!r}")
-    sign = math.copysign(1.0, x) if odd else 1.0
     ax = abs(x)
+    if not ax <= _MAX_ARG:
+        raise DomainError(f"|x| must be <= {_MAX_ARG:g} and finite, got {x!r}")
     if ax == 0.0:
-        return CertifiedValue(sign * 0.0, 0.0) if odd else CertifiedValue(1.0, 0.0)
-    r_dd, red_err = _reduce(ax)
-    n, t_omitted = _plan_terms(abs(r_dd[0]), tol, odd)
-    val = _horner_dd(r_dd, _SIN_DD if odd else _COS_DD, n, odd)
-    bound = t_omitted * (1.0 + 1.0e-12) + red_err + 2.0 * _U * abs(val) + _DD_SLOP
-    return CertifiedValue(sign * val if odd else val, bound)
+        return CertifiedValue(x if shift == 0 else 1.0, 0.0)
+    half_q, inv_q, q1, q2, q3, k_err, quadrants = _reduction or _bind_reduction()
+    if ax <= half_q:
+        r, r_lo, red_err, j = ax, 0.0, 0.0, shift
+    else:
+        ki = int(ax * inv_q + 0.5)
+        k = float(ki)
+        t = ax - k * q1  # exact: k*q1 is exact and within a factor 2 of ax
+        w = k * q2       # exact: 26 + 27 bits
+        s, e = two_sum(t, -w)
+        p = k * q3
+        lo = e - p
+        r, r_lo = two_sum(s, lo)
+        red_err = k * k_err + _U * (abs(p) + abs(lo))
+        j = (ki + shift) & 3
+    use_cos, sign = quadrants[j]
+    if use_cos:
+        z, zl = two_prod(r, r)
+        t = lead = 1.0
+        terms = [1.0, -0.5 * zl, -r_lo * r]
+        dens, c_rnd, c_lo = _COS
+    else:
+        z = r * r
+        t = r
+        lead = abs(r)
+        terms = [r, r_lo * (1.0 - 0.5 * z)]
+        dens, c_rnd, c_lo = _SIN
+    stop = 0.5 * tol
+    if stop > _HALF_U * lead:
+        stop = _HALF_U * lead
+    for den in dens:
+        t = -t * z / den
+        if -stop <= t <= stop:
+            break
+        terms.append(t)
+    val = math.fsum(terms)
+    bound = (abs(t) + c_rnd * lead * z + c_lo * abs(r_lo) + red_err
+             + _U * abs(val) + _UNDERFLOW) * _ROUND_UP
+    if shift == 0 and x < 0.0:
+        sign = -sign
+    return CertifiedValue(val if sign > 0 else -val, bound)
 
 
 def sin_eval(x, tol):
-    """Certified sine: Horner on the reduced argument, remainder-bounded.
+    """Certified sine: quadrant reduction mod Q, then the float series.
 
-    Raises DomainError for |x| > 1e8 (the reduction can no longer be
-    certified to sub-tolerance accuracy) and InvalidTolerance for
-    tol <= 0.  Requests below a few ulp of the result are satisfied
-    best-effort: the honest, larger bound is reported.
+    Raises DomainError for |x| > 1e8 (the reduction is certified only
+    below) and InvalidTolerance unless 0 < tol < inf.  The series runs
+    until its first omitted term is below min(tol/2, 2**-54 * |leading
+    term|), so results are accurate relative to their size even at loose
+    tol; requests below an ulp or so are satisfied best-effort, and the
+    honest, larger bound is reported.
     """
-    return _eval_series(x, tol, odd=True)
+    return _eval(x, tol, 0)
 
 
 def cos_eval(x, tol):
-    """Certified cosine; same contract as sin_eval over the even series."""
-    return _eval_series(x, tol, odd=False)
+    """Certified cosine; same contract as sin_eval, via cos x = sin(x + Q)."""
+    return _eval(x, tol, 1)
 
 
 def _eval_series_exact(x, terms, odd):

@@ -1,0 +1,40 @@
+"""The input contract: one tolerance rule everywhere, and CLI usage errors
+that end in exit code 2 with a one-line message."""
+
+import math
+
+import pytest
+
+from geomfree.analysis import arcsin_newton, arcsin_quadrature, quarter_circle_area
+from geomfree.cli import main
+from geomfree.constants import find_q
+from geomfree.errors import InvalidTolerance
+from geomfree.series_kernel import cos_eval, sin_eval
+
+ENTRY_POINTS = {
+    "sin_eval": lambda tol: sin_eval(0.5, tol),
+    "cos_eval": lambda tol: cos_eval(0.5, tol),
+    "arcsin_newton": lambda tol: arcsin_newton(0.5, tol),
+    "arcsin_quadrature": lambda tol: arcsin_quadrature(0.5, tol),
+    "quarter_circle_area": quarter_circle_area,
+    "find_q": find_q,
+}
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-10])
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_every_tolerance_is_positive_and_finite(name, tol):
+    with pytest.raises(InvalidTolerance):
+        ENTRY_POINTS[name](tol)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--degree", "-1"],
+    ["verify", "--suite", "numeric", "--samples", "0"],
+    ["verify", "--samples", "-5"],
+])
+def test_bad_verify_arguments_exit_two_with_one_line(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1

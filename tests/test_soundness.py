@@ -1,0 +1,128 @@
+"""Soundness of the certified kernel against an independent oracle.
+
+mpmath at 300 bits gives the truth; the package never imports it.  Every
+certified result must satisfy |value - truth| <= abs_error_bound over the
+whole input contract: subnormals, |x| up to 1e8, the doubles nearest the
+multiples of Q (where sin or cos is nearly zero), and tolerances from
+1e-17 to 1e-1.
+"""
+
+import math
+import random
+
+import mpmath
+import pytest
+
+from geomfree.series_kernel import CertifiedValue, cos_eval, sin_eval
+
+PREC_BITS = 300
+MAX_ARG = 1.0e8
+K_MAX = int(MAX_ARG / 1.5707963267948966)
+FUNCTIONS = ((sin_eval, mpmath.sin), (cos_eval, mpmath.cos))
+
+
+def _truth(fn, x):
+    with mpmath.workprec(PREC_BITS):
+        return fn(mpmath.mpf(x))
+
+
+def _excess(evaluate, truth_fn, x, tol):
+    """|value - truth| - abs_error_bound (<= 0 when the certificate holds)."""
+    cv = evaluate(x, tol)
+    with mpmath.workprec(PREC_BITS):
+        err = abs(mpmath.mpf(cv.value) - truth_fn(mpmath.mpf(x)))
+        return err - mpmath.mpf(cv.abs_error_bound)
+
+
+def _near_multiple_of_q(k, steps):
+    """The double `steps` ulps away from the double nearest k*Q."""
+    with mpmath.workprec(PREC_BITS):
+        x = float(k * mpmath.pi / 2)
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+def _tol(rng):
+    return 10.0 ** rng.uniform(-17.0, -1.0)
+
+
+def _cases():
+    rng = random.Random(20261017)
+    cases = []
+    # log-uniform magnitudes from the smallest subnormal to 1e8, both signs
+    for _ in range(2000):
+        x = min(2.0 ** rng.uniform(-1074.0, math.log2(MAX_ARG)), MAX_ARG)
+        cases.append((rng.choice((-1.0, 1.0)) * x, _tol(rng)))
+    # subnormals and the edges of the normal range
+    for x in (5e-324, 1e-320, 2.0 ** -1030, 2.2250738585072009e-308,
+              2.2250738585072014e-308, 1e-300):
+        cases.append((x, 1e-15))
+        cases.append((-x, _tol(rng)))
+    # the doubles nearest k*Q, +-3 ulps, k log-uniform up to 1e8/Q
+    for _ in range(2000):
+        k = round(2.0 ** rng.uniform(0.0, math.log2(K_MAX)))
+        x = _near_multiple_of_q(k, rng.randint(-3, 3))
+        cases.append((x, rng.choice((1e-15, _tol(rng)))))
+    for k in (1, 2, 3, 4, K_MAX):
+        for steps in range(-3, 4):
+            cases.append((_near_multiple_of_q(k, steps), 1e-15))
+    # around Q/2, where reduction starts
+    for steps in range(-3, 4):
+        cases.append((_near_multiple_of_q(0.5, steps), 1e-15))
+    # the largest argument and the loosest and tightest tolerances
+    cases += [(MAX_ARG, 1e-15), (-MAX_ARG, 1e-17), (3.0, 1e-1), (3.0, 1e-17)]
+    return cases
+
+
+CASES = _cases()
+
+
+@pytest.mark.parametrize("evaluate,truth_fn", FUNCTIONS, ids=("sin", "cos"))
+def test_bound_holds_over_the_input_contract(evaluate, truth_fn):
+    violations = [(x, tol) for x, tol in CASES if _excess(evaluate, truth_fn, x, tol) > 0]
+    assert violations == []
+
+
+@pytest.mark.parametrize("evaluate,truth_fn", FUNCTIONS, ids=("sin", "cos"))
+def test_tight_results_within_one_ulp_and_bound_within_two(evaluate, truth_fn):
+    rng = random.Random(7)
+    for _ in range(1000):
+        x = rng.uniform(-math.pi, math.pi)
+        cv = evaluate(x, 1e-15)
+        truth = _truth(truth_fn, x)
+        ulp = math.ulp(float(truth))
+        with mpmath.workprec(PREC_BITS):
+            assert abs(mpmath.mpf(cv.value) - truth) <= ulp
+        assert cv.abs_error_bound <= 2.0 * ulp
+
+
+def test_sin_of_small_argument_is_relatively_accurate():
+    # one term of the series would give 1e-5 itself, 1.7e-11 off in
+    # relative terms, yet within an absolute tol of 1e-15
+    cv = sin_eval(1e-5, 1e-15)
+    truth = _truth(mpmath.sin, 1e-5)
+    with mpmath.workprec(PREC_BITS):
+        assert abs(mpmath.mpf(cv.value) - truth) <= math.ulp(float(truth))
+    assert cv.abs_error_bound <= 2.0 * math.ulp(float(truth))
+
+
+def test_cos_next_to_its_zero_is_relatively_accurate():
+    with mpmath.workprec(PREC_BITS):
+        fl_q = float(mpmath.pi / 2)
+    cv = cos_eval(fl_q, 1e-15)
+    truth = _truth(mpmath.cos, fl_q)
+    with mpmath.workprec(PREC_BITS):
+        assert abs(mpmath.mpf(cv.value) - truth) <= math.ulp(float(truth))
+    # the bound is k times the certified radius of Q (1e-30) and more, so
+    # only relative to the result, not in ulps
+    assert cv.abs_error_bound <= 1e-13 * abs(float(truth))
+
+
+def test_product_that_underflows_keeps_a_bound():
+    p = CertifiedValue(1e-200, 0.0) * CertifiedValue(1e-200, 0.0)
+    assert p.value == 0.0
+    # the true product, 1e-400, must lie within the bound
+    assert p.abs_error_bound > 0.0
+    with mpmath.workprec(PREC_BITS):
+        assert mpmath.mpf("1e-400") <= mpmath.mpf(p.abs_error_bound)
