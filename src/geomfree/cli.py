@@ -67,13 +67,17 @@ def cmd_constants(args):
             "q": tbl.q,
             "pi": tbl.pi,
             "bracket_radius": tbl.certified_bound,
+            "refined_radius": tbl.refined_radius,
+            "bisection_iterations": tbl.bisection_iterations,
             "q_multiples": [list(row) for row in tbl.q_multiples],
         })
         return 0
     d = args.digits
     print(f"Q  = {tbl.q:.{d}f}")
     print(f"pi = {tbl.pi:.{d}f}")
-    print(f"certified bracket radius = {tbl.certified_bound:.3g}")
+    print(f"certified bracket radius = {tbl.certified_bound:.3g}"
+          f" ({tbl.bisection_iterations} bisection steps)")
+    print(f"refined radius of q_exact = {tbl.refined_radius:.3g}")
     print("k   sin kQ   cos kQ")
     for k, s, c in tbl.q_multiples:
         print(f"{k}   {s:6d}   {c:6d}")

@@ -1,13 +1,16 @@
 """Constructive derivation of Q (first positive zero of cosine) and pi = 2Q.
 
 Q is found by bisection on [0, 2].  Every sign decision is certified in
-exact rational arithmetic: a sign is accepted only when the partial sum's
-distance from zero exceeds the alternating-series remainder bound, with
-the series order doubled until decisive.  A Newton polish then refines Q
-far past binary64, and the polished value is re-certified by two more
-exact sign checks on a tiny bracket.  The polished rational q_exact is what
-the sine/cosine kernel splits for its range reduction; it also yields a
-double-double representation of the full period 4Q.
+exact rational arithmetic by cos_eval_exact, whose partial sum runs on
+integers over one common denominator: a sign is accepted only when the
+partial sum's distance from zero exceeds the alternating-series remainder
+bound, with the series order doubled until decisive.  A Newton polish then
+refines Q to a 2**-200 dyadic, far past binary64, and the polished value is
+re-certified by two more exact sign checks on a bracket of radius 1e-50
+(refined_radius; bisection_iterations counts the bisection steps).  The
+polished rational q_exact is what the sine/cosine kernel splits for its
+range reduction; it also yields a double-double representation of the full
+period 4Q.
 """
 
 import functools
@@ -19,7 +22,7 @@ from .series_kernel import _check_tol, cos_eval_exact, sin_eval_exact
 
 _MAX_TERMS = 100          # series-degree budget: 2*100 = degree 200
 _POLISH_BITS = 200        # dyadic rounding between Newton polish steps
-_REFINE_RADIUS = Fraction(1, 10 ** 30)
+_REFINE_RADIUS = Fraction(1, 10 ** 50)
 
 
 @dataclass(frozen=True)
@@ -43,13 +46,13 @@ class ConstantsTable:
     bisection_iterations: int
 
 
-def _sign_or_zero(x, terms_start=8):
+def _sign_or_zero(x):
     """Certified sign of cos at an exact rational point, or 0 if the degree
     budget runs out before |partial sum| > remainder bound."""
     x = Fraction(x)
     if x == 0:
         return 1
-    terms = terms_start
+    terms = 8
     while terms <= _MAX_TERMS:
         s, b = cos_eval_exact(x, terms)
         if abs(s) > b:
@@ -58,13 +61,13 @@ def _sign_or_zero(x, terms_start=8):
     return 0
 
 
-def _certified_sign(x, terms_start=8):
+def _certified_sign(x):
     """Sign of cos at an exact rational point, certified by remainder bounds.
 
     Accepts a sign only when |partial sum| > bound; otherwise doubles the
     term count.  Raises ToleranceTooTight on exceeding the degree budget.
     """
-    sign = _sign_or_zero(x, terms_start)
+    sign = _sign_or_zero(x)
     if sign == 0:
         raise ToleranceTooTight(
             f"cos sign at {float(x)} not decidable within degree {2 * _MAX_TERMS}")
@@ -119,7 +122,7 @@ def find_q(tol):
     by certified sin-positivity samples), so the bracketed zero is the
     least positive one.  A Newton polish in exact arithmetic then refines
     the midpoint and the result is re-certified on brackets of radius
-    tol/2 and 1e-30.
+    tol/2 and 1e-50.
     """
     _check_tol(tol)
     if tol < 1e-15:

@@ -325,17 +325,18 @@ def verify_sine_sum_split(n_max):
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    D = 2 * n_max + 1
+    a = truncated_sin(D).coefficient
+    c = truncated_cos(D).coefficient
     failures = []
     for n in range(n_max + 1):
         d = 2 * n + 1
         part1, part2 = sine_sum_split(n)
-        sin_x = uni_to_bi(truncated_sin(d), 0, d)
-        cos_y = uni_to_bi(truncated_cos(d), 1, d)
-        cos_x = uni_to_bi(truncated_cos(d), 0, d)
-        sin_y = uni_to_bi(truncated_sin(d), 1, d)
-        conv_sc = cauchy_product(sin_x, cos_y, d).homogeneous_part(d)
-        conv_cs = cauchy_product(cos_x, sin_y, d).homogeneous_part(d)
-        term = substitute_sum(truncated_sin(d), d).homogeneous_part(d)
+        # degree-d parts only: the convolution terms a_i c_(d-i) x^i y^(d-i)
+        # of sin x cos y and cos x sin y, and the binomial row of sin's x^d
+        conv_sc = BiPoly(d, {(i, d - i): a(i) * c(d - i) for i in range(d + 1)})
+        conv_cs = BiPoly(d, {(i, d - i): c(i) * a(d - i) for i in range(d + 1)})
+        term = BiPoly(d, {(d - i, i): a(d) * b for i, b in enumerate(_pascal_row(d))})
         if part1 != conv_sc or part2 != conv_cs or part1 + part2 != term:
             failures.append(n)
     return CheckResult(

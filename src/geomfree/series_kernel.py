@@ -157,7 +157,7 @@ def _bind_reduction():
     split = abs(Fraction(q1) + Fraction(q2) + Fraction(q3) - q)
     # rounded up past the float conversions of split and refined_radius
     k_err = (float(split) + tbl.refined_radius) * (1.0 + 2.0 ** -49)
-    half_q = math.nextafter(float(q / 2), 0.0)  # below Q/2: q_exact is within 1e-30 of Q
+    half_q = math.nextafter(float(q / 2), 0.0)  # below Q/2: q_exact is within 1e-50 of Q
     quadrants = tuple((s != 0, s or c) for _, s, c in tbl.q_multiples[:4])
     _reduction = (half_q, 1.0 / tbl.q, q1, q2, q3, k_err, quadrants)
     return _reduction
@@ -272,27 +272,34 @@ def cos_eval(x, tol):
 
 
 def _eval_series_exact(x, terms, odd):
+    """(sum of the first m terms, |term m|) of the sine (odd) or cosine series.
+
+    With x = p/q, P = p**2, S = q**2, o = 1 for sine and 0 for cosine, and
+    d_n = (2n+o-1)(2n+o), term n is x**o (-P)**n / (S**n d_1 ... d_n).  The
+    sum runs on integers, by Horner from the top: num/den <- 1 - P num/(S d_n
+    den), and is reduced to lowest terms once, at the end.  |term m| is
+    |x|**(2m+o) / (2m+o)!; p and q are coprime, so its reduction needs only
+    the gcd with the factorial.
+    """
     x = Fraction(x)
-    if abs(x) > 4:
+    p, q = x.numerator, x.denominator
+    if abs(p) > 4 * q:
         raise DomainError("exact series evaluation requires |x| <= 4")
     if terms < 1:
         raise ValueError("terms must be >= 1")
-    x2 = x * x
+    o = 1 if odd else 0
+    P, S = p * p, q * q
     m = terms
     # extend until the omitted terms decrease, so the first-omitted-term
     # remainder bound actually applies
-    while True:
-        den = (2 * m + 2) * (2 * m + 3) if odd else (2 * m + 1) * (2 * m + 2)
-        if x2 <= den:
-            break
+    while P > S * (2 * m + o + 1) * (2 * m + o + 2):
         m += 1
-    s = Fraction(0)
-    t = x if odd else Fraction(1)
-    for n in range(m):
-        s += t
-        den = (2 * n + 2) * (2 * n + 3) if odd else (2 * n + 1) * (2 * n + 2)
-        t = -t * x2 / den
-    return s, abs(t)
+    num = den = 1
+    for n in range(m - 1, 0, -1):
+        den *= S * (2 * n + o - 1) * (2 * n + o)
+        num = den - P * num
+    p_o, q_o = (p, q) if odd else (1, 1)
+    return Fraction(p_o * num, q_o * den), abs(x) ** (2 * m + o) / math.factorial(2 * m + o)
 
 
 def sin_eval_exact(x, terms):

@@ -74,6 +74,17 @@ class TestConstants:
         rc, _, err = run_cli(capsys, "constants", "--digits", "40")
         assert rc == 2
 
+    def test_certificate_shown(self, capsys):
+        rc, out, _ = run_cli(capsys, "constants")
+        assert rc == 0
+        assert "45 bisection steps" in out
+        assert "refined radius of q_exact = 1e-50" in out
+        rc, out, _ = run_cli(capsys, "constants", "--format", "json")
+        assert rc == 0
+        payload = json.loads(out)
+        assert payload["bisection_iterations"] == 45
+        assert payload["refined_radius"] == 1e-50
+
 
 class TestVerify:
     def test_exact_suite(self, capsys):

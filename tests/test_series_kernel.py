@@ -17,7 +17,7 @@ from geomfree.series_kernel import (
     sin_eval_exact,
 )
 
-from oracles import COS_2, SIN_1, cos_oracle, sin_oracle
+from oracles import COS_2, SIN_1, cos_enclosure, cos_oracle, sin_enclosure, sin_oracle
 
 
 class TestOdeCoefficients:
@@ -192,6 +192,44 @@ class TestExactEvaluators:
     def test_terms_must_be_positive(self):
         with pytest.raises(ValueError):
             cos_eval_exact(1, 0)
+
+
+def _terms_used(x, terms, odd):
+    """The count the exact evaluators sum: `terms`, raised until x**2 is at
+    most the next term's denominator, so the omitted terms decrease."""
+    o = 1 if odd else 0
+    while x * x > (2 * terms + o + 1) * (2 * terms + o + 2):
+        terms += 1
+    return terms
+
+
+class TestExactEvaluatorsAgainstOracle:
+    """The integer partial sums equal the oracle's per-term Fraction sums."""
+
+    def test_value_and_bound_equal_the_oracle(self):
+        rng = random.Random(2026)
+        xs = [Fraction(0), Fraction(4), Fraction(-4), Fraction(1, 3), Fraction(-7, 2)]
+        for _ in range(40):
+            xs.append(Fraction(rng.randint(-400, 400), rng.randint(1, 100)))
+            xs.append(Fraction(rng.randint(-(4 << 200), 4 << 200), 1 << 200))
+            xs.append(Fraction(rng.uniform(-4.0, 4.0)))
+        for x in (x for x in xs if abs(x) <= 4):
+            for terms in (1, 2, rng.randint(3, 20), rng.randint(21, 60), 60):
+                for exact, oracle, odd in ((sin_eval_exact, sin_enclosure, True),
+                                           (cos_eval_exact, cos_enclosure, False)):
+                    value, bound = exact(x, terms)
+                    assert type(value) is Fraction and type(bound) is Fraction
+                    assert (value, bound) == oracle(x, _terms_used(x, terms, odd))
+
+    def test_auto_extension_matches_the_oracle(self):
+        # one cosine term at x = 4 would omit x**2/2 while the next ratio,
+        # 16/(3*4), exceeds 1; the evaluator sums 2 terms (16 <= 5*6).
+        # Sine's first ratio is at most 16/(4*5), so it never extends here.
+        assert _terms_used(Fraction(4), 1, odd=False) == 2
+        assert _terms_used(Fraction(4), 1, odd=True) == 1
+        for x in (Fraction(4), Fraction(-4), Fraction(7, 2)):
+            assert cos_eval_exact(x, 1) == cos_enclosure(x, 2)
+            assert cos_eval_exact(x, 1) != cos_enclosure(x, 1)
 
 
 class TestCertifiedValue:

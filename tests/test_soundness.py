@@ -119,6 +119,18 @@ def test_cos_next_to_its_zero_is_relatively_accurate():
     assert cv.abs_error_bound <= 1e-13 * abs(float(truth))
 
 
+def test_bound_next_to_the_zero_of_cos_is_within_two_ulp():
+    # the bound there is the split of Q plus its certified radius (1e-50),
+    # both far below the 6.1e-17 result's ulp
+    with mpmath.workprec(PREC_BITS):
+        fl_q = float(mpmath.pi / 2)
+    cv = cos_eval(fl_q, 1e-15)
+    truth = _truth(mpmath.cos, fl_q)
+    assert cv.abs_error_bound <= 2.0 * math.ulp(float(truth))
+    with mpmath.workprec(PREC_BITS):
+        assert abs(mpmath.mpf(cv.value) - truth) <= mpmath.mpf(cv.abs_error_bound)
+
+
 def test_product_that_underflows_keeps_a_bound():
     p = CertifiedValue(1e-200, 0.0) * CertifiedValue(1e-200, 0.0)
     assert p.value == 0.0
