@@ -5,7 +5,15 @@ arcsin is built two independent ways: Newton iteration on sin y = x
 (well-conditioned for |x| <= sqrt(2)/2, reflected through Q - arcsin of
 the complementary leg otherwise), and adaptive Simpson quadrature of
 1/sqrt(1 - t^2) with the endpoint singularity removed by the exact
-substitution u = sqrt(1 - t^2) past the sqrt(2)/2 split.  The ODE oracle
+substitution u = sqrt(1 - t^2) past the sqrt(2)/2 split.
+
+The Newton steps run on floats, and one certified sin_eval at the end
+bounds the result.  By the mean value theorem, |y - arcsin a| =
+|sin y - a| / cos xi for some xi between y and arcsin a.  Sine rises on
+[0, Q], and cos = sqrt(1 - sin^2) there, so with m = max(a, sin y + its
+bound) < 1 the residual is divided by sqrt((1-m)(1+m)), rounded down
+(see _newton_core).  The quadrature's est_error adds a roundoff floor to
+the Richardson estimate, and its tolerance stops at 1e-15.  The ODE oracle
 integrates f'' = -f with classical RK4 and tracks the conserved quantity
 f^2 + f'^2.
 """
@@ -14,12 +22,13 @@ import math
 from dataclasses import dataclass, field
 
 from .constants import shared_table
-from .errors import DomainError, StepTooLarge
-from .series_kernel import CertifiedValue, _check_tol, cos_eval, sin_eval
+from .errors import DomainError, InvalidTolerance, StepTooLarge
+from .series_kernel import CertifiedValue, _check_tol, _sin_value, cos_eval, sin_eval
 
 _U = 2.0 ** -53
 _SQRT_HALF = 0.7071067811865476  # float nearest sqrt(1/2)
 _MAX_DEPTH = 40
+_MIN_QUAD_TOL = 1e-15
 
 
 @dataclass
@@ -41,21 +50,57 @@ def _check_unit_interval(x):
         raise DomainError(f"argument must lie in [-1, 1], got {x!r}")
 
 
-def _comp_sqrt(ax):
-    # sqrt(1 - ax^2) as (1-ax)(1+ax); 1-ax is exact for ax in [1/2, 1]
-    return math.sqrt((1.0 - ax) * (1.0 + ax))
+def _comp_sqrt(t):
+    """sqrt(1 - t^2) as sqrt((1-t)(1+t)); 1-t is exact for |t| in [1/2, 1]."""
+    return math.sqrt((1.0 - t) * (1.0 + t))
 
 
 def _newton_core(a, tol):
     """Solve sin y = a for a in [0, ~0.708]; returns a CertifiedValue.
 
-    cos y >= 0.7 on the whole iteration range, so the residual
-    |sin y - a| converts to a bound on |y - arcsin a| via the mean value
-    theorem with constant 1/0.7.
+    The Newton steps run on floats, from y0 = a + a^3/6 + 3a^5/40 (the
+    arcsin series to three terms), with sin y from the value-only series
+    and cos y = sqrt(1 - sin^2 y), which holds because cos >= 0 on [0, Q].
+    sin is concave there and y0 lies below arcsin a, so the steps rise
+    toward the root; they converge in at most four.
+
+    Only the final residual is certified, by one sin_eval: s = sin y
+    within s.abs_error_bound.  By the mean value theorem
+    |y - arcsin a| = |sin y - a| / cos xi for some xi between y and
+    arcsin a.  When 0 <= y <= fl(Q)/2, y and arcsin a, hence xi, lie in
+    [0, Q], where sin is increasing and cos = sqrt(1 - sin^2), so
+    sin xi <= m = max(a, s.value + s.abs_error_bound), and
+    cos xi >= sqrt((1-m)(1+m)) once m < 1.  On this branch m <= ~0.7072,
+    so the constant 1/sqrt((1-m)(1+m)) is at most ~1.415, never above the
+    1/0.7 of the certified iteration, which runs instead if the
+    precondition fails (at a = fl(sqrt(2)/2), whose y rounds past fl(Q)/2).
     """
     if a == 0.0:
         return CertifiedValue(0.0, 0.0)
     inner = min(tol, 1e-16)
+    a2 = a * a
+    y = a + a * a2 * (1.0 / 6.0 + 0.075 * a2)
+    for _ in range(8):
+        s = _sin_value(y)
+        dy = (s - a) / _comp_sqrt(s)
+        y -= dy
+        if abs(dy) <= 4.0 * _U * y:
+            break
+    s = sin_eval(y, inner)
+    m = max(a, s.value + s.abs_error_bound)
+    if not (0.0 <= y <= 0.5 * shared_table().q and m < 1.0):
+        return _certified_newton(a, inner)
+    # the square root rounded down; the bound's three roundings rounded up
+    cos_lo = _comp_sqrt(m) * (1.0 - 4.0 * _U)
+    bound = (abs(s.value - a) + s.abs_error_bound) / cos_lo * (1.0 + 4.0 * _U)
+    return CertifiedValue(y, bound)
+
+
+def _certified_newton(a, inner):
+    """Newton on sin y = a from y = a with certified sin and cos at every
+    step.  cos y >= 0.7 on the whole iteration range, so the residual
+    |sin y - a| converts to a bound on |y - arcsin a| with constant 1/0.7.
+    """
     y = a
     for _ in range(12):
         s = sin_eval(y, inner)
@@ -99,19 +144,40 @@ def arcsin_newton(x, tol):
 
 
 class _Counter:
-    __slots__ = ("n",)
+    __slots__ = ("n", "depth")
 
     def __init__(self):
         self.n = 0
+        self.depth = 0  # deepest accepted panel
+
+
+def _check_quad_tol(tol):
+    _check_tol(tol)
+    if tol < _MIN_QUAD_TOL:
+        raise InvalidTolerance(f"quadrature supports tolerances down to {_MIN_QUAD_TOL:g}, got {tol!r}")
+
+
+def _quad_result(value, est, counter):
+    """The QuadratureResult with a roundoff floor added to est_error.
+
+    An integrand value is within 4.5u (the roundings under the square root,
+    the root, the division, and u*u in the area's outer piece), a panel's
+    weighted sum and its Richardson correction add 7u, the tail's endpoint
+    sqrt(1 - x^2) 2.5u, and every level of pairwise sums, head + tail
+    included, u.  All the integrands are positive, so the rounding is at
+    most (14 + depth) u |value|.
+    """
+    floor = (14 + counter.depth) * _U * abs(value)
+    return QuadratureResult(value, est + floor, max(counter.n, 1))
 
 
 def _adaptive_simpson(f, a, b, tol, counter):
     """Standard adaptive Simpson with Richardson correction.
 
     Returns (value, est_error); est_error accumulates |S2 - S1|/15 over
-    accepted panels.  Recursion depth is capped; the integrands here are
-    regular, so the cap is never the binding constraint at sane
-    tolerances.
+    accepted panels, and counter.depth records the deepest of them.
+    Recursion depth is capped; the integrands here are regular, so the cap
+    is never the binding constraint at the tolerances accepted.
     """
     def feval(t):
         counter.n += 1
@@ -126,6 +192,8 @@ def _adaptive_simpson(f, a, b, tol, counter):
         right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         delta = left + right - whole
         if depth >= _MAX_DEPTH or abs(delta) <= 15.0 * tol:
+            if depth > counter.depth:
+                counter.depth = depth
             return left + right + delta / 15.0, abs(delta) / 15.0
         lv, le = recurse(a, fa, lm, flm, m, fm, left, tol / 2.0, depth + 1)
         rv, re = recurse(m, fm, rm, frm, b, fb, right, tol / 2.0, depth + 1)
@@ -142,7 +210,7 @@ def _adaptive_simpson(f, a, b, tol, counter):
 
 
 def _recip_circle(t):
-    return 1.0 / math.sqrt((1.0 - t) * (1.0 + t))
+    return 1.0 / _comp_sqrt(t)
 
 
 def arcsin_quadrature(x, tol=1e-10):
@@ -151,13 +219,18 @@ def arcsin_quadrature(x, tol=1e-10):
     Past the sqrt(2)/2 split the tail integral is transformed by
     u = sqrt(1 - t^2), which maps it onto the regular head interval and
     removes the endpoint singularity; x = +-1 is therefore an ordinary
-    evaluation, reproducing +-pi/2.
+    evaluation, reproducing +-pi/2.  Raises InvalidTolerance for tol below
+    1e-15, where the rounding of the sums outgrows the truncation error.
     """
-    _check_tol(tol)
+    _check_quad_tol(tol)
     x = float(x)
     if not math.isfinite(x):
         raise DomainError(f"argument must be finite, got {x!r}")
     _check_unit_interval(x)
+    return _arcsin_integral(x, tol)
+
+
+def _arcsin_integral(x, tol):
     sign = math.copysign(1.0, x)
     ax = abs(x)
     counter = _Counter()
@@ -168,7 +241,7 @@ def arcsin_quadrature(x, tol=1e-10):
         u_b = _comp_sqrt(ax)
         tail, e2 = _adaptive_simpson(_recip_circle, u_b, _SQRT_HALF, tol / 2.0, counter)
         value, est = head + tail, e1 + e2
-    return QuadratureResult(sign * value, est, max(counter.n, 1))
+    return _quad_result(sign * value, est, counter)
 
 
 def quarter_circle_area(tol=1e-10):
@@ -177,18 +250,15 @@ def quarter_circle_area(tol=1e-10):
     The same u = sqrt(1 - x^2) substitution turns the outer piece into
     the regular integral of u^2/sqrt(1 - u^2) over [0, sqrt(2)/2].
     """
-    _check_tol(tol)
+    _check_quad_tol(tol)
     counter = _Counter()
 
-    def circle(t):
-        return math.sqrt((1.0 - t) * (1.0 + t))
-
     def outer(u):
-        return u * u / math.sqrt((1.0 - u) * (1.0 + u))
+        return u * u / _comp_sqrt(u)
 
-    head, e1 = _adaptive_simpson(circle, 0.0, _SQRT_HALF, tol / 2.0, counter)
+    head, e1 = _adaptive_simpson(_comp_sqrt, 0.0, _SQRT_HALF, tol / 2.0, counter)
     tail, e2 = _adaptive_simpson(outer, 0.0, _SQRT_HALF, tol / 2.0, counter)
-    return QuadratureResult(head + tail, e1 + e2, counter.n)
+    return _quad_result(head + tail, e1 + e2, counter)
 
 
 def arcsin_derivative_check(grid, h):
@@ -206,7 +276,7 @@ def arcsin_derivative_check(grid, h):
         hi = arcsin_newton(x + h, 1e-15).value
         lo = arcsin_newton(x - h, 1e-15).value
         diff = (hi - lo) / (2.0 * h)
-        ref = 1.0 / math.sqrt((1.0 - x) * (1.0 + x))
+        ref = 1.0 / _comp_sqrt(x)
         worst = max(worst, abs(diff - ref))
     return worst
 
@@ -214,11 +284,12 @@ def arcsin_derivative_check(grid, h):
 def arc_length(a, b, tol=1e-10):
     """Arc length of y = sqrt(1 - x^2) from x=a to x=b, via the identity
     sqrt(1 + (dy/dx)^2) = 1/sqrt(1 - x^2): equals arcsin b - arcsin a."""
+    _check_quad_tol(tol)
     a, b = float(a), float(b)
     if not (-1.0 <= a <= b <= 1.0):
         raise DomainError(f"need -1 <= a <= b <= 1, got a={a!r}, b={b!r}")
-    ga = arcsin_quadrature(a, tol / 2.0)
-    gb = arcsin_quadrature(b, tol / 2.0)
+    ga = _arcsin_integral(a, tol / 2.0)
+    gb = _arcsin_integral(b, tol / 2.0)
     value = gb.value - ga.value
     est = ga.est_error + gb.est_error + _U * abs(value)
     return QuadratureResult(value, est, ga.evaluations + gb.evaluations)

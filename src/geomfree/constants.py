@@ -1,10 +1,10 @@
 """Constructive derivation of Q (first positive zero of cosine) and pi = 2Q.
 
 Q is found by bisection on [0, 2].  Every sign decision is certified in
-exact rational arithmetic by cos_eval_exact, whose partial sum runs on
-integers over one common denominator: a sign is accepted only when the
-partial sum's distance from zero exceeds the alternating-series remainder
-bound, with the series order doubled until decisive.  A Newton polish then
+exact rational arithmetic by _certified_sign, which sums the cosine series
+forward on integers over one common denominator and stops at the first
+partial sum whose distance from zero exceeds the alternating-series
+remainder bound.  A Newton polish (on cos_eval_exact/sin_eval_exact) then
 refines Q to a 2**-200 dyadic, far past binary64, and the polished value is
 re-certified by two more exact sign checks on a bracket of radius 1e-50
 (refined_radius; bisection_iterations counts the bisection steps).  The
@@ -46,32 +46,31 @@ class ConstantsTable:
     bisection_iterations: int
 
 
-def _sign_or_zero(x):
-    """Certified sign of cos at an exact rational point, or 0 if the degree
-    budget runs out before |partial sum| > remainder bound."""
-    x = Fraction(x)
-    if x == 0:
-        return 1
-    terms = 8
-    while terms <= _MAX_TERMS:
-        s, b = cos_eval_exact(x, terms)
-        if abs(s) > b:
-            return 1 if s > 0 else -1
-        terms *= 2
-    return 0
-
-
-def _certified_sign(x):
+def _certified_sign(x, or_zero=False):
     """Sign of cos at an exact rational point, certified by remainder bounds.
 
-    Accepts a sign only when |partial sum| > bound; otherwise doubles the
-    term count.  Raises ToleranceTooTight on exceeding the degree budget.
+    With x = p/q, P = p**2 and S = q**2, the partial sums of the cosine
+    series run forward on integers over the common denominator
+    D_n = S**n (2n)!: num <- num S (2n-1)(2n) + (-P)**n.  Before term n is
+    added, the sign of the sum so far is accepted once the terms shrink
+    from term n on and |partial sum| exceeds |term n| = P**n / D_n, the
+    alternating-series remainder bound; no partial sum is discarded.  Past
+    _MAX_TERMS terms it returns 0 if or_zero, else raises
+    ToleranceTooTight.
     """
-    sign = _sign_or_zero(x)
-    if sign == 0:
-        raise ToleranceTooTight(
-            f"cos sign at {float(x)} not decidable within degree {2 * _MAX_TERMS}")
-    return sign
+    x = Fraction(x)
+    P, S = x.numerator ** 2, x.denominator ** 2
+    num = power = 1
+    for n in range(1, _MAX_TERMS + 1):
+        step = S * (2 * n - 1) * (2 * n)
+        power *= P
+        if P <= S * (2 * n + 1) * (2 * n + 2) and abs(num) * step > power:
+            return 1 if num > 0 else -1
+        num = num * step + (power if n % 2 == 0 else -power)
+    if or_zero:
+        return 0
+    raise ToleranceTooTight(
+        f"cos sign at {float(x)} not decidable within degree {2 * _MAX_TERMS}")
 
 
 def _certified_sin_positive(x):
@@ -149,7 +148,8 @@ def find_q(tol):
     # re-certify: tiny bracket around the polished value, widening past any
     # indecisive point
     refined = _REFINE_RADIUS
-    while _sign_or_zero(y - refined) <= 0 or _sign_or_zero(y + refined) >= 0:
+    while (_certified_sign(y - refined, or_zero=True) <= 0
+           or _certified_sign(y + refined, or_zero=True) >= 0):
         refined *= 1024
         if refined > (hi - lo):
             y = (lo + hi) / 2
@@ -158,8 +158,8 @@ def find_q(tol):
 
     # certified bracket of radius tol/2 centered on the reported value
     half_tol = Fraction(tol) / 2
-    if (y + half_tol <= 4 and _sign_or_zero(y - half_tol) > 0
-            and _sign_or_zero(y + half_tol) < 0):
+    if (y + half_tol <= 4 and _certified_sign(y - half_tol, or_zero=True) > 0
+            and _certified_sign(y + half_tol, or_zero=True) < 0):
         certified_bound = tol / 2
     else:
         certified_bound = float(hi - lo)

@@ -17,9 +17,7 @@ The timestamp is the only non-deterministic field; everything else is
 byte-stable for a fixed seed and arguments.
 """
 
-import json
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 
 SCHEMA_VERSION = "1"
 
@@ -46,6 +44,8 @@ class CheckResult:
 
 def build_report(checks):
     """Assemble the full report dict from a list of CheckResult."""
+    from datetime import datetime, timezone  # deferred: most imports never build a report
+
     entries = [c.to_dict() for c in checks]
     passed = sum(1 for c in entries if c["pass"])
     return {
@@ -61,6 +61,8 @@ def build_report(checks):
 
 
 def report_to_json(report):
+    import json  # deferred, as datetime in build_report
+
     return json.dumps(report, indent=2, sort_keys=True)
 
 

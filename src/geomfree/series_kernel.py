@@ -202,6 +202,23 @@ _UNDERFLOW = 256 * _TINY
 _ROUND_UP = 1.0 + 2.0 ** -40
 
 
+def _series_sum(terms, t, z, dens, stop):
+    """Append the terms t <- -t*z/den to `terms` while |t| > stop; return
+    (math.fsum(terms), the first omitted term)."""
+    for den in dens:
+        t = -t * z / den
+        if -stop <= t <= stop:
+            break
+        terms.append(t)
+    return math.fsum(terms), t
+
+
+def _sin_value(r):
+    """sin r for 0 <= r <= Q/2 by the series of _eval, value only: no
+    reduction, no bound.  Accurate to about an ulp."""
+    return _series_sum([r], r, r * r, _SIN_DEN, _HALF_U * r)[0]
+
+
 def _eval(x, tol, shift):
     """sin(x) for shift 0, cos(x) = sin(x + Q) for shift 1."""
     _check_tol(tol)
@@ -240,12 +257,7 @@ def _eval(x, tol, shift):
     stop = 0.5 * tol
     if stop > _HALF_U * lead:
         stop = _HALF_U * lead
-    for den in dens:
-        t = -t * z / den
-        if -stop <= t <= stop:
-            break
-        terms.append(t)
-    val = math.fsum(terms)
+    val, t = _series_sum(terms, t, z, dens, stop)
     bound = (abs(t) + c_rnd * lead * z + c_lo * abs(r_lo) + red_err
              + _U * abs(val) + _UNDERFLOW) * _ROUND_UP
     if shift == 0 and x < 0.0:

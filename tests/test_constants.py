@@ -1,6 +1,7 @@
 """Tests for the certified derivation of Q and pi."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -132,3 +133,17 @@ class TestRangeReductionConstants:
         r = Fraction(tbl.refined_radius)
         assert cos_sign_oracle(tbl.q_exact - r) > 0
         assert cos_sign_oracle(tbl.q_exact + r) < 0
+
+
+class TestIncrementalSign:
+    def test_agrees_with_the_fixed_order_oracle(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            x = Fraction(rng.randrange(1, 2 ** 40), 2 ** 39)  # in (0, 2)
+            if abs(x - Fraction(Q_REF)) > Fraction(1, 10 ** 6):
+                assert _certified_sign(x) == cos_sign_oracle(x)
+
+    def test_undecidable_point_gives_zero_when_asked(self, monkeypatch):
+        from geomfree import constants as constants_mod
+        monkeypatch.setattr(constants_mod, "_MAX_TERMS", 8)
+        assert _certified_sign(shared_table().q, or_zero=True) == 0

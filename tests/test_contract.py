@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from geomfree.analysis import arcsin_newton, arcsin_quadrature, quarter_circle_area
+from geomfree.analysis import arc_length, arcsin_newton, arcsin_quadrature, quarter_circle_area
 from geomfree.cli import main
 from geomfree.constants import find_q
 from geomfree.errors import InvalidTolerance
@@ -38,3 +38,14 @@ def test_bad_verify_arguments_exit_two_with_one_line(capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("integrate", [
+    lambda tol: arcsin_quadrature(0.9, tol),
+    quarter_circle_area,
+    lambda tol: arc_length(-0.5, 0.5, tol),
+], ids=("arcsin_quadrature", "quarter_circle_area", "arc_length"))
+def test_quadrature_rejects_tolerances_below_its_rounding(integrate):
+    with pytest.raises(InvalidTolerance):
+        integrate(1e-16)
+    assert integrate(1e-15).est_error > 0.0

@@ -4,15 +4,21 @@ mpmath at 300 bits gives the truth; the package never imports it.  Every
 certified result must satisfy |value - truth| <= abs_error_bound over the
 whole input contract: subnormals, |x| up to 1e8, the doubles nearest the
 multiples of Q (where sin or cos is nearly zero), and tolerances from
-1e-17 to 1e-1.
+1e-17 to 1e-1.  arcsin_newton and unit_circle_point are held to the same
+rule over [-1, 1], both arcsin branches and the sqrt(2)/2 boundary
+between them.
 """
 
 import math
 import random
+import statistics
 
 import mpmath
 import pytest
 
+from geomfree import analysis
+from geomfree.analysis import arcsin_newton, arcsin_quadrature, unit_circle_point
+from geomfree.constants import shared_table
 from geomfree.series_kernel import CertifiedValue, cos_eval, sin_eval
 
 PREC_BITS = 300
@@ -138,3 +144,92 @@ def test_product_that_underflows_keeps_a_bound():
     assert p.abs_error_bound > 0.0
     with mpmath.workprec(PREC_BITS):
         assert mpmath.mpf("1e-400") <= mpmath.mpf(p.abs_error_bound)
+
+
+# --- arcsin_newton and unit_circle_point --------------------------------
+
+SQRT_HALF = 0.7071067811865476
+
+
+def _steps(x, steps):
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+def _arcsin_cases():
+    rng = random.Random(20261018)
+    cases = [(rng.uniform(-1.0, 1.0), _tol(rng)) for _ in range(4000)]
+    # +-3 ulps around +-sqrt(2)/2, where the reflected branch begins
+    for sign in (-1.0, 1.0):
+        for steps in range(-3, 4):
+            cases.append((sign * _steps(SQRT_HALF, steps), _tol(rng)))
+    for x in (1.0, -1.0, 0.0, 5e-324, -5e-324, 1e-320, 2.2250738585072014e-308,
+              1e-300, -1e-300):
+        cases.append((x, 1e-15))
+        cases.append((x, _tol(rng)))
+    cases += [(0.5, 1e-17), (0.5, 1e-1), (0.9, 1e-17), (0.9, 1e-1)]
+    return cases
+
+
+ARCSIN_CASES = _arcsin_cases()
+
+
+def _ulp_error(value, truth):
+    with mpmath.workprec(PREC_BITS):
+        err = abs(mpmath.mpf(value) - truth)
+    return err, float(err) / math.ulp(float(truth))
+
+
+def test_arcsin_bound_holds_and_stays_within_ulps():
+    violations, worst, bounds = [], 0.0, []
+    for x, tol in ARCSIN_CASES:
+        cv = arcsin_newton(x, tol)
+        truth = _truth(mpmath.asin, x)
+        err, err_ulp = _ulp_error(cv.value, truth)
+        if err > cv.abs_error_bound:
+            violations.append((x, tol))
+        worst = max(worst, err_ulp)
+        if truth != 0:
+            bounds.append(cv.abs_error_bound / math.ulp(float(truth)))
+    assert violations == []
+    assert worst <= 3.0
+    assert statistics.median(bounds) <= 2.0
+
+
+def test_unit_circle_point_reproduces_the_point():
+    q_err = shared_table().q_float_err
+    for a, _ in ARCSIN_CASES:
+        cs, sn, s = unit_circle_point(a)
+        inv = arcsin_newton(a, 1e-14)
+        s_err = inv.abs_error_bound + q_err + 2.0 ** -53 * abs(s)
+        with mpmath.workprec(PREC_BITS):
+            ma = mpmath.mpf(a)
+            assert abs(mpmath.mpf(s) - mpmath.acos(ma)) <= s_err
+            # cos and sin are 1-Lipschitz; each kernel bound is <= 4u here
+            assert abs(mpmath.mpf(cs) - ma) <= s_err + 2.0 ** -51
+            assert abs(mpmath.mpf(sn) - mpmath.sqrt(1 - ma * ma)) <= s_err + 2.0 ** -51
+
+
+def test_arcsin_makes_one_certified_sine_call(monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(analysis, "sin_eval", counting("sin", sin_eval))
+    monkeypatch.setattr(analysis, "cos_eval", counting("cos", cos_eval))
+    for x in (0.1, 0.3, -0.5, 0.7, 0.9, -0.99):  # both branches
+        calls.clear()
+        arcsin_newton(x, 1e-15)
+        assert calls == ["sin"], x
+
+
+def test_quadrature_estimate_covers_its_true_error():
+    res = arcsin_quadrature(0.9, 1e-15)
+    truth = _truth(mpmath.asin, 0.9)
+    with mpmath.workprec(PREC_BITS):
+        assert abs(mpmath.mpf(res.value) - truth) <= mpmath.mpf(res.est_error)
