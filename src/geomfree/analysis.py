@@ -22,8 +22,9 @@ import math
 from dataclasses import dataclass, field
 
 from .constants import shared_table
-from .errors import DomainError, InvalidTolerance, StepTooLarge
-from .series_kernel import CertifiedValue, _check_tol, _sin_value, cos_eval, sin_eval
+from .errors import DomainError, StepTooLarge
+from .series_kernel import (CertifiedValue, _check_tol, _check_tol_floor, _sin_value, cos_eval,
+                            sin_eval)
 
 _U = 2.0 ** -53
 _SQRT_HALF = 0.7071067811865476  # float nearest sqrt(1/2)
@@ -67,17 +68,17 @@ def _newton_core(a, tol):
     Only the final residual is certified, by one sin_eval: s = sin y
     within s.abs_error_bound.  By the mean value theorem
     |y - arcsin a| = |sin y - a| / cos xi for some xi between y and
-    arcsin a.  When 0 <= y <= fl(Q)/2, y and arcsin a, hence xi, lie in
-    [0, Q], where sin is increasing and cos = sqrt(1 - sin^2), so
+    arcsin a.  Here arcsin a <= 0.786, so when 0 <= y <= 1.5 (< Q) xi lies
+    in [0, Q], where sin is increasing and cos = sqrt(1 - sin^2); then
     sin xi <= m = max(a, s.value + s.abs_error_bound), and
     cos xi >= sqrt((1-m)(1+m)) once m < 1.  On this branch m <= ~0.7072,
-    so the constant 1/sqrt((1-m)(1+m)) is at most ~1.415, never above the
-    1/0.7 of the certified iteration, which runs instead if the
-    precondition fails (at a = fl(sqrt(2)/2), whose y rounds past fl(Q)/2).
+    so the constant 1/sqrt((1-m)(1+m)) is at most ~1.415.  Newton rising
+    from below keeps y near arcsin a, so the check of 0 <= y <= 1.5 and
+    m < 1 never fails; if it did, the bound would not hold, and an
+    AssertionError is raised instead of returning it.
     """
     if a == 0.0:
         return CertifiedValue(0.0, 0.0)
-    inner = min(tol, 1e-16)
     a2 = a * a
     y = a + a * a2 * (1.0 / 6.0 + 0.075 * a2)
     for _ in range(8):
@@ -86,32 +87,13 @@ def _newton_core(a, tol):
         y -= dy
         if abs(dy) <= 4.0 * _U * y:
             break
-    s = sin_eval(y, inner)
+    s = sin_eval(y, min(tol, 1e-16))
     m = max(a, s.value + s.abs_error_bound)
-    if not (0.0 <= y <= 0.5 * shared_table().q and m < 1.0):
-        return _certified_newton(a, inner)
+    if not (0.0 <= y <= 1.5 and m < 1.0):
+        raise AssertionError(f"arcsin Newton left [0, Q] at a={a!r}: y={y!r}, m={m!r}")
     # the square root rounded down; the bound's three roundings rounded up
     cos_lo = _comp_sqrt(m) * (1.0 - 4.0 * _U)
     bound = (abs(s.value - a) + s.abs_error_bound) / cos_lo * (1.0 + 4.0 * _U)
-    return CertifiedValue(y, bound)
-
-
-def _certified_newton(a, inner):
-    """Newton on sin y = a from y = a with certified sin and cos at every
-    step.  cos y >= 0.7 on the whole iteration range, so the residual
-    |sin y - a| converts to a bound on |y - arcsin a| with constant 1/0.7.
-    """
-    y = a
-    for _ in range(12):
-        s = sin_eval(y, inner)
-        c = cos_eval(y, inner)
-        dy = (s.value - a) / c.value
-        y -= dy
-        if abs(dy) <= 4.0 * _U * abs(y):
-            break
-    s = sin_eval(y, inner)
-    resid = abs(s.value - a) + s.abs_error_bound
-    bound = resid / 0.7 + _U * abs(y)
     return CertifiedValue(y, bound)
 
 
@@ -149,12 +131,6 @@ class _Counter:
     def __init__(self):
         self.n = 0
         self.depth = 0  # deepest accepted panel
-
-
-def _check_quad_tol(tol):
-    _check_tol(tol)
-    if tol < _MIN_QUAD_TOL:
-        raise InvalidTolerance(f"quadrature supports tolerances down to {_MIN_QUAD_TOL:g}, got {tol!r}")
 
 
 def _quad_result(value, est, counter):
@@ -222,15 +198,11 @@ def arcsin_quadrature(x, tol=1e-10):
     evaluation, reproducing +-pi/2.  Raises InvalidTolerance for tol below
     1e-15, where the rounding of the sums outgrows the truncation error.
     """
-    _check_quad_tol(tol)
+    _check_tol_floor(tol, _MIN_QUAD_TOL, "quadrature")
     x = float(x)
     if not math.isfinite(x):
         raise DomainError(f"argument must be finite, got {x!r}")
     _check_unit_interval(x)
-    return _arcsin_integral(x, tol)
-
-
-def _arcsin_integral(x, tol):
     sign = math.copysign(1.0, x)
     ax = abs(x)
     counter = _Counter()
@@ -250,7 +222,7 @@ def quarter_circle_area(tol=1e-10):
     The same u = sqrt(1 - x^2) substitution turns the outer piece into
     the regular integral of u^2/sqrt(1 - u^2) over [0, sqrt(2)/2].
     """
-    _check_quad_tol(tol)
+    _check_tol_floor(tol, _MIN_QUAD_TOL, "quadrature")
     counter = _Counter()
 
     def outer(u):
@@ -283,13 +255,14 @@ def arcsin_derivative_check(grid, h):
 
 def arc_length(a, b, tol=1e-10):
     """Arc length of y = sqrt(1 - x^2) from x=a to x=b, via the identity
-    sqrt(1 + (dy/dx)^2) = 1/sqrt(1 - x^2): equals arcsin b - arcsin a."""
-    _check_quad_tol(tol)
+    sqrt(1 + (dy/dx)^2) = 1/sqrt(1 - x^2): equals arcsin b - arcsin a.
+    Each end gets tol/2, so tol stops at twice the quadrature's 1e-15."""
+    _check_tol_floor(tol, 2.0 * _MIN_QUAD_TOL, "arc_length")
     a, b = float(a), float(b)
     if not (-1.0 <= a <= b <= 1.0):
         raise DomainError(f"need -1 <= a <= b <= 1, got a={a!r}, b={b!r}")
-    ga = _arcsin_integral(a, tol / 2.0)
-    gb = _arcsin_integral(b, tol / 2.0)
+    ga = arcsin_quadrature(a, tol / 2.0)
+    gb = arcsin_quadrature(b, tol / 2.0)
     value = gb.value - ga.value
     est = ga.est_error + gb.est_error + _U * abs(value)
     return QuadratureResult(value, est, ga.evaluations + gb.evaluations)

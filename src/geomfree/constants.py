@@ -1,7 +1,7 @@
 """Constructive derivation of Q (first positive zero of cosine) and pi = 2Q.
 
 Q is found by bisection on [0, 2].  Every sign decision is certified in
-exact rational arithmetic by _certified_sign, which sums the cosine series
+exact rational arithmetic by one cos_eval_exact call, whose sum runs
 forward on integers over one common denominator and stops at the first
 partial sum whose distance from zero exceeds the alternating-series
 remainder bound.  A Newton polish (on cos_eval_exact/sin_eval_exact) then
@@ -17,8 +17,8 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidTolerance, ToleranceTooTight
-from .series_kernel import _check_tol, cos_eval_exact, sin_eval_exact
+from .errors import ToleranceTooTight
+from .series_kernel import _check_tol_floor, cos_eval_exact, sin_eval_exact
 
 _MAX_TERMS = 100          # series-degree budget: 2*100 = degree 200
 _POLISH_BITS = 200        # dyadic rounding between Newton polish steps
@@ -49,24 +49,14 @@ class ConstantsTable:
 def _certified_sign(x, or_zero=False):
     """Sign of cos at an exact rational point, certified by remainder bounds.
 
-    With x = p/q, P = p**2 and S = q**2, the partial sums of the cosine
-    series run forward on integers over the common denominator
-    D_n = S**n (2n)!: num <- num S (2n-1)(2n) + (-P)**n.  Before term n is
-    added, the sign of the sum so far is accepted once the terms shrink
-    from term n on and |partial sum| exceeds |term n| = P**n / D_n, the
-    alternating-series remainder bound; no partial sum is discarded.  Past
-    _MAX_TERMS terms it returns 0 if or_zero, else raises
-    ToleranceTooTight.
+    One exact cosine sum stops at its first partial sum, of at most
+    _MAX_TERMS terms, whose magnitude exceeds the alternating-series
+    remainder bound; no partial sum is discarded.  If none does, returns 0
+    if or_zero, else raises ToleranceTooTight.
     """
-    x = Fraction(x)
-    P, S = x.numerator ** 2, x.denominator ** 2
-    num = power = 1
-    for n in range(1, _MAX_TERMS + 1):
-        step = S * (2 * n - 1) * (2 * n)
-        power *= P
-        if P <= S * (2 * n + 1) * (2 * n + 2) and abs(num) * step > power:
-            return 1 if num > 0 else -1
-        num = num * step + (power if n % 2 == 0 else -power)
+    s, b = cos_eval_exact(x, _MAX_TERMS, until_sign=True)
+    if abs(s) > b:
+        return 1 if s > 0 else -1
     if or_zero:
         return 0
     raise ToleranceTooTight(
@@ -123,9 +113,7 @@ def find_q(tol):
     the midpoint and the result is re-certified on brackets of radius
     tol/2 and 1e-50.
     """
-    _check_tol(tol)
-    if tol < 1e-15:
-        raise InvalidTolerance("find_q supports tolerances down to 1e-15")
+    _check_tol_floor(tol, 1e-15, "find_q")
 
     lo, hi, iterations, _history = _certified_bisection(tol)
 

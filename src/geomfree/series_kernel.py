@@ -128,6 +128,13 @@ def _check_tol(tol):
         raise InvalidTolerance(f"tolerance must be positive and finite, got {tol!r}")
 
 
+def _check_tol_floor(tol, floor, what):
+    """_check_tol, and the floor below which `what` cannot meet tol."""
+    _check_tol(tol)
+    if tol < floor:
+        raise InvalidTolerance(f"{what} supports tolerances down to {floor:g}, got {tol!r}")
+
+
 def _round_to_bits(v, bits):
     """The float nearest the rational v with at most `bits` significant bits."""
     e = math.frexp(float(v))[1]
@@ -202,21 +209,20 @@ _UNDERFLOW = 256 * _TINY
 _ROUND_UP = 1.0 + 2.0 ** -40
 
 
-def _series_sum(terms, t, z, dens, stop):
-    """Append the terms t <- -t*z/den to `terms` while |t| > stop; return
-    (math.fsum(terms), the first omitted term)."""
-    for den in dens:
+def _sin_value(r):
+    """sin r for 0 <= r <= Q/2 by the sine series of _eval, value only: no
+    reduction, no bound.  Accurate to about an ulp.  The term loop is
+    _eval's, written out here so that _eval itself makes no extra call."""
+    z = r * r
+    stop = _HALF_U * r
+    t = r
+    terms = [r]
+    for den in _SIN_DEN:
         t = -t * z / den
         if -stop <= t <= stop:
             break
         terms.append(t)
-    return math.fsum(terms), t
-
-
-def _sin_value(r):
-    """sin r for 0 <= r <= Q/2 by the series of _eval, value only: no
-    reduction, no bound.  Accurate to about an ulp."""
-    return _series_sum([r], r, r * r, _SIN_DEN, _HALF_U * r)[0]
+    return math.fsum(terms)
 
 
 def _eval(x, tol, shift):
@@ -257,7 +263,12 @@ def _eval(x, tol, shift):
     stop = 0.5 * tol
     if stop > _HALF_U * lead:
         stop = _HALF_U * lead
-    val, t = _series_sum(terms, t, z, dens, stop)
+    for den in dens:
+        t = -t * z / den
+        if -stop <= t <= stop:
+            break
+        terms.append(t)
+    val = math.fsum(terms)
     bound = (abs(t) + c_rnd * lead * z + c_lo * abs(r_lo) + red_err
              + _U * abs(val) + _UNDERFLOW) * _ROUND_UP
     if shift == 0 and x < 0.0:
@@ -283,15 +294,19 @@ def cos_eval(x, tol):
     return _eval(x, tol, 1)
 
 
-def _eval_series_exact(x, terms, odd):
+def _eval_series_exact(x, terms, odd, until_sign=False):
     """(sum of the first m terms, |term m|) of the sine (odd) or cosine series.
 
     With x = p/q, P = p**2, S = q**2, o = 1 for sine and 0 for cosine, and
-    d_n = (2n+o-1)(2n+o), term n is x**o (-P)**n / (S**n d_1 ... d_n).  The
-    sum runs on integers, by Horner from the top: num/den <- 1 - P num/(S d_n
-    den), and is reduced to lowest terms once, at the end.  |term m| is
-    |x|**(2m+o) / (2m+o)!; p and q are coprime, so its reduction needs only
-    the gcd with the factorial.
+    d_n = (2n+o-1)(2n+o), term n is x**o (-P)**n / D_n, D_n = S**n d_1 ... d_n.
+    The sum runs forward on integers over the common denominator,
+    num <- num S d_n + (-P)**n, and is reduced to lowest terms once, at the
+    end.  m is `terms`, raised until the omitted terms decrease
+    (P <= S d_(m+1)), so that |term m| bounds the remainder.  With until_sign
+    the sum stops earlier, at the first such m whose partial sum exceeds
+    |term m| in magnitude: the series then has the partial sum's sign, and
+    no partial sum is discarded.  |term m| is |x|**(2m+o) / (2m+o)!; p and q
+    are coprime, so its reduction needs only the gcd with the factorial.
     """
     x = Fraction(x)
     p, q = x.numerator, x.denominator
@@ -301,30 +316,35 @@ def _eval_series_exact(x, terms, odd):
         raise ValueError("terms must be >= 1")
     o = 1 if odd else 0
     P, S = p * p, q * q
-    m = terms
-    # extend until the omitted terms decrease, so the first-omitted-term
-    # remainder bound actually applies
-    while P > S * (2 * m + o + 1) * (2 * m + o + 2):
-        m += 1
-    num = den = 1
-    for n in range(m - 1, 0, -1):
-        den *= S * (2 * n + o - 1) * (2 * n + o)
-        num = den - P * num
+    num = power = 1  # num / D_(n-1) is the sum of terms 0 .. n-1; power -> P**n
+    n = 1
+    step = S * (o + 1) * (o + 2)  # S d_n = D_n / D_(n-1)
+    while True:
+        power *= P
+        nxt = S * (2 * n + o + 1) * (2 * n + o + 2)
+        if P <= nxt and (n >= terms or until_sign and abs(num) * step > power):
+            break
+        num = num * step + (power if n % 2 == 0 else -power)
+        step = nxt
+        n += 1
+    den = S ** (n - 1) * math.factorial(2 * n + o - 2)
     p_o, q_o = (p, q) if odd else (1, 1)
-    return Fraction(p_o * num, q_o * den), abs(x) ** (2 * m + o) / math.factorial(2 * m + o)
+    return Fraction(p_o * num, q_o * den), abs(x) ** (2 * n + o) / math.factorial(2 * n + o)
 
 
-def sin_eval_exact(x, terms):
+def sin_eval_exact(x, terms, until_sign=False):
     """Exact partial sum of `terms` nonzero sine terms plus the remainder
     bound |first omitted term|.
 
     If the omitted terms are not yet decreasing at the requested
     truncation, more terms are added internally so the bound is valid.
-    Returns a pair of exact rationals (value, bound).
+    With until_sign, the sum stops at the first valid truncation of at most
+    that many terms whose |partial sum| exceeds the bound, which then
+    certifies the sign.  Returns a pair of exact rationals (value, bound).
     """
-    return _eval_series_exact(x, terms, odd=True)
+    return _eval_series_exact(x, terms, True, until_sign)
 
 
-def cos_eval_exact(x, terms):
+def cos_eval_exact(x, terms, until_sign=False):
     """Exact cosine partial sum; identical contract to sin_eval_exact."""
-    return _eval_series_exact(x, terms, odd=False)
+    return _eval_series_exact(x, terms, False, until_sign)

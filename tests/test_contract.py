@@ -43,7 +43,7 @@ def test_bad_verify_arguments_exit_two_with_one_line(capsys, argv):
 @pytest.mark.parametrize("integrate", [
     lambda tol: arcsin_quadrature(0.9, tol),
     quarter_circle_area,
-    lambda tol: arc_length(-0.5, 0.5, tol),
+    lambda tol: arc_length(-0.5, 0.5, 2.0 * tol),  # tol/2 at each end
 ], ids=("arcsin_quadrature", "quarter_circle_area", "arc_length"))
 def test_quadrature_rejects_tolerances_below_its_rounding(integrate):
     with pytest.raises(InvalidTolerance):

@@ -231,6 +231,21 @@ class TestExactEvaluatorsAgainstOracle:
             assert cos_eval_exact(x, 1) == cos_enclosure(x, 2)
             assert cos_eval_exact(x, 1) != cos_enclosure(x, 1)
 
+    def test_until_sign_stops_at_the_first_decisive_sum(self):
+        # the first valid truncation whose |sum| exceeds its bound, else the
+        # full request; points next to pi/2 and pi need many terms
+        rng = random.Random(7)
+        xs = [Fraction(0), Fraction(4), Fraction(-4), Fraction(355, 226), Fraction(355, 113)]
+        xs += [Fraction(rng.randint(-(4 << 60), 4 << 60), 1 << 60) for _ in range(40)]
+        for x in xs:
+            for exact, oracle, odd in ((sin_eval_exact, sin_enclosure, True),
+                                       (cos_eval_exact, cos_enclosure, False)):
+                for terms in (1, 3, 30):
+                    m = _terms_used(x, 1, odd)
+                    while m < terms and not abs(oracle(x, m)[0]) > oracle(x, m)[1]:
+                        m = _terms_used(x, m + 1, odd)
+                    assert exact(x, terms, until_sign=True) == oracle(x, m)
+
 
 class TestCertifiedValue:
     def test_invariant_rejects_negative_bound(self):
