@@ -6,6 +6,7 @@ schema_version "1" is documented in report.py and the README.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -224,15 +225,21 @@ def cmd_verify(args):
     if not 1 <= args.samples <= 1_000_000:
         print("error: --samples must be between 1 and 1e6", file=sys.stderr)
         return 2
-    checks = []
-    if args.suite in ("exact", "all"):
-        checks.extend(exact_checks(args.degree))
-    if args.suite in ("numeric", "all"):
-        checks.extend(numeric_checks(args.samples, args.seed))
-    rep = report.build_report(checks)
-    report.validate_report(rep)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    # open --out before the suites run, so a bad path costs no work
+    try:
+        out = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext()
+    except OSError as exc:
+        print(f"error: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
+        return 2
+    with out as fh:
+        checks = []
+        if args.suite in ("exact", "all"):
+            checks.extend(exact_checks(args.degree))
+        if args.suite in ("numeric", "all"):
+            checks.extend(numeric_checks(args.samples, args.seed))
+        rep = report.build_report(checks)
+        report.validate_report(rep)
+        if fh:
             fh.write(report.report_to_json(rep))
             fh.write("\n")
     if args.format == "json":

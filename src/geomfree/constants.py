@@ -4,13 +4,13 @@ Q is found by bisection on [0, 2].  Every sign decision is certified in
 exact rational arithmetic by one cos_eval_exact call, whose sum runs
 forward on integers over one common denominator and stops at the first
 partial sum whose distance from zero exceeds the alternating-series
-remainder bound.  A Newton polish (on cos_eval_exact/sin_eval_exact) then
-refines Q to a 2**-200 dyadic, far past binary64, and the polished value is
-re-certified by two more exact sign checks on a bracket of radius 1e-50
-(refined_radius; bisection_iterations counts the bisection steps).  The
-polished rational q_exact is what the sine/cosine kernel splits for its
-range reduction; it also yields a double-double representation of the full
-period 4Q.
+remainder bound, returning that sum's sign alone.  A Newton polish (on
+cos_eval_exact/sin_eval_exact) then refines Q to a 2**-200 dyadic, far past
+binary64, and the polished value is re-certified by two more exact sign
+checks on a bracket of radius 1e-50 (refined_radius; bisection_iterations
+counts the bisection steps).  The polished rational q_exact is what the
+sine/cosine kernel splits for its range reduction; it also yields a
+double-double representation of the full period 4Q.
 """
 
 import functools
@@ -51,14 +51,13 @@ def _certified_sign(x, or_zero=False):
 
     One exact cosine sum stops at its first partial sum, of at most
     _MAX_TERMS terms, whose magnitude exceeds the alternating-series
-    remainder bound; no partial sum is discarded.  If none does, returns 0
-    if or_zero, else raises ToleranceTooTight.
+    remainder bound; no partial sum is discarded, and only the sign is
+    returned, so no Fraction is reduced.  If no partial sum decides it,
+    returns 0 if or_zero, else raises ToleranceTooTight.
     """
-    s, b = cos_eval_exact(x, _MAX_TERMS, until_sign=True)
-    if abs(s) > b:
-        return 1 if s > 0 else -1
-    if or_zero:
-        return 0
+    sign = cos_eval_exact(x, _MAX_TERMS, sign_only=True)
+    if sign or or_zero:
+        return sign
     raise ToleranceTooTight(
         f"cos sign at {float(x)} not decidable within degree {2 * _MAX_TERMS}")
 

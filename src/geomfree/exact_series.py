@@ -1,16 +1,39 @@
-"""Exact truncated polynomial algebra over arbitrary-precision rationals.
+"""Exact truncated polynomial algebra on the factorial scale, and the
+coefficient-level proofs built on it.
 
-UniPoly and BiPoly are sparse polynomials truncated at a fixed (total)
-degree cap, with every coefficient an exact rational.  On top of them sit
-the coefficient-level verifications: the Pythagorean identity
-sin^2 + cos^2 = 1 and the sine addition rule sin(x+y) = sin x cos y +
-cos x sin y, both checked with zero residual up to the chosen cap.
+UniPoly and BiPoly are sparse polynomials in x, and in x and y, truncated
+at a fixed (total) degree cap.  Both are one type underneath.  A key is the
+tuple e of exponents, and a polynomial holds integer numerators num[e] over
+one common denominator den, on the scale of exponential generating
+functions: the coefficient of x^e0 (y^e1) is num[e] / (den * e0! (e1!)).
+The representation is canonical (den > 0, gcd(den, every num) = 1, no
+zero entries), so equal polynomials have equal (num, den).  coeffs and
+coefficient() convert to exact Fractions on demand.
+
+On this scale the sine and cosine numerators are +-1 and 0, and the
+operations the proofs need are integer operations:
+
+* a product is a binomial convolution,
+  num[e] = sum over e1 + e2 = e of prod_i C(e_i, e1_i) num1[e1] num2[e2];
+* the substitution x <- x + y spreads num[k] onto every key (k - i, i),
+  because (x + y)^k / k! = sum_i x^(k-i)/(k-i)! * y^i/i!;
+* the derivative in x shifts the x-exponent, since d/dx x^k/k! = x^(k-1)/(k-1)!.
+
+On top sit the verifications of the Pythagorean identity sin^2 + cos^2 = 1
+and of the addition rule sin(x+y) = sin x cos y + cos x sin y, each with
+zero residual in every coefficient up to the chosen cap.  They stay
+independent computations: the Pythagorean check squares both series and
+subtracts one, and the addition rule builds its left side by substitution
+and its right side by convolution.  Neither side is a closed form of the
+other, so the scale changes how fast they run, not what they prove.
 
 No floating point is used anywhere in this module.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, gcd, lcm, prod
+from operator import add
 
 from .report import CheckResult
 
@@ -18,227 +41,184 @@ from .report import CheckResult
 # rationals, always in lowest terms with positive denominator.
 ExactRational = Fraction
 
-_ZERO = Fraction(0)
+
+def _scale(e):
+    """e0! e1! ...: the factorial-scale weight of the monomial with exponents e."""
+    return prod(map(factorial, e))
 
 
-def _pascal_row(n):
-    """Row n of Pascal's triangle, by the additive recurrence (exact ints)."""
-    row = [1]
-    for _ in range(n):
-        row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-    return row
+class _Poly:
+    """Sparse polynomial truncated at total degree `degree_cap`, on the
+    factorial scale (see the module docstring); `arity` variables.
 
-
-class UniPoly:
-    """Univariate polynomial truncated at degree `degree_cap`.
-
-    Coefficients are stored sparsely (absent key means zero) and
-    normalized on construction; equality is coefficient-wise.
+    The constructor takes exact coefficients keyed by int exponents
+    (UniPoly) or exponent pairs (BiPoly); zeros are dropped.
     """
 
-    __slots__ = ("degree_cap", "coeffs")
+    __slots__ = ("degree_cap", "num", "den")
+    arity = None
 
     def __init__(self, degree_cap, coeffs=None):
-        if degree_cap < 0:
+        cap = int(degree_cap)
+        scaled = {}
+        for key, v in (coeffs or {}).items():
+            e = (int(key),) if self.arity == 1 else tuple(map(int, key))
+            if len(e) != self.arity or min(e) < 0 or sum(e) > cap:
+                raise ValueError(f"key {key} outside cap {cap}")
+            scaled[e] = Fraction(v) * _scale(e)
+        den = lcm(*(v.denominator for v in scaled.values()))
+        self._fill(cap, {e: v.numerator * (den // v.denominator) for e, v in scaled.items()}, den)
+
+    def _fill(self, cap, num, den):
+        if cap < 0:
             raise ValueError("degree_cap must be >= 0")
-        self.degree_cap = int(degree_cap)
-        clean = {}
-        for k, v in (coeffs or {}).items():
-            k = int(k)
-            if k < 0 or k > self.degree_cap:
-                raise ValueError(f"exponent {k} outside cap {self.degree_cap}")
-            v = Fraction(v)
-            if v != 0:
-                clean[k] = v
-        self.coeffs = clean
+        num = {e: v for e, v in num.items() if v}
+        g = gcd(den, *num.values()) if den > 1 else 1
+        if g > 1:
+            num = {e: v // g for e, v in num.items()}
+            den //= g
+        self.degree_cap, self.num, self.den = cap, num, den
+
+    @classmethod
+    def _new(cls, cap, num, den=1):
+        """A polynomial from factorial-scale numerators over den > 0."""
+        p = object.__new__(cls)
+        p._fill(cap, num, den)
+        return p
 
     @classmethod
     def zero(cls, degree_cap):
-        return cls(degree_cap, {})
+        return cls(degree_cap)
 
     @classmethod
     def one(cls, degree_cap):
-        return cls(degree_cap, {0: 1})
+        return cls._new(int(degree_cap), {(0,) * cls.arity: 1})
 
-    def coefficient(self, k):
-        return self.coeffs.get(k, _ZERO)
+    def _key(self, e):
+        return e[0] if self.arity == 1 else e
+
+    @property
+    def coeffs(self):
+        """The nonzero coefficients as exact Fractions, keyed as in the constructor."""
+        return {self._key(e): Fraction(v, self.den * _scale(e)) for e, v in self.num.items()}
+
+    def coefficient(self, *e):
+        """The exact coefficient of x^e0 (y^e1)."""
+        v = self.num.get(e)
+        return Fraction(v, self.den * _scale(e)) if v else Fraction(0)
 
     def __eq__(self, other):
-        if not isinstance(other, UniPoly):
+        if type(other) is not type(self):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+        return hash((self.den, frozenset(self.num.items())))
+
+    def _combine(self, other, sign):
+        if type(other) is not type(self):
+            return NotImplemented
+        cap = min(self.degree_cap, other.degree_cap)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        out = {e: a * v for e, v in self.num.items() if sum(e) <= cap}
+        for e, v in other.num.items():
+            if sum(e) <= cap:
+                out[e] = out.get(e, 0) + b * v
+        return self._new(cap, out, den)
 
     def __add__(self, other):
-        cap = min(self.degree_cap, other.degree_cap)
-        out = {}
-        for k in set(self.coeffs) | set(other.coeffs):
-            if k <= cap:
-                out[k] = self.coefficient(k) + other.coefficient(k)
-        return UniPoly(cap, out)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return UniPoly(self.degree_cap, {k: -v for k, v in self.coeffs.items()})
+        return self._new(self.degree_cap, {e: -v for e, v in self.num.items()}, self.den)
 
     def truncate(self, D):
-        return UniPoly(D, {k: v for k, v in self.coeffs.items() if k <= D})
+        return self._new(D, {e: v for e, v in self.num.items() if sum(e) <= D}, self.den)
+
+    def homogeneous_part(self, d):
+        """Terms of total degree exactly d, with cap d."""
+        return self._new(d, {e: v for e, v in self.num.items() if sum(e) == d}, self.den)
 
     def derivative(self):
-        """Term-by-term derivative, cap lowered by one."""
-        cap = max(self.degree_cap - 1, 0)
-        return UniPoly(cap, {k - 1: k * v for k, v in self.coeffs.items() if k >= 1})
+        """Term-by-term derivative in x, cap lowered by one."""
+        return self._new(max(self.degree_cap - 1, 0),
+                         {(e[0] - 1,) + e[1:]: v for e, v in self.num.items() if e[0]}, self.den)
 
     def __repr__(self):
-        return f"UniPoly(cap={self.degree_cap}, {dict(sorted(self.coeffs.items()))})"
+        return f"{type(self).__name__}(cap={self.degree_cap}, {dict(sorted(self.coeffs.items()))})"
 
 
-class BiPoly:
+class UniPoly(_Poly):
+    """Univariate polynomial truncated at degree `degree_cap`; keys are ints."""
+
+    __slots__ = ()
+    arity = 1
+
+
+class BiPoly(_Poly):
     """Bivariate polynomial truncated at *total* degree `degree_cap`.
 
     Keys are exponent pairs (i, j) with i + j <= degree_cap.
     """
 
-    __slots__ = ("degree_cap", "coeffs")
-
-    def __init__(self, degree_cap, coeffs=None):
-        if degree_cap < 0:
-            raise ValueError("degree_cap must be >= 0")
-        self.degree_cap = int(degree_cap)
-        clean = {}
-        for (i, j), v in (coeffs or {}).items():
-            i, j = int(i), int(j)
-            if i < 0 or j < 0 or i + j > self.degree_cap:
-                raise ValueError(f"key {(i, j)} outside cap {self.degree_cap}")
-            v = Fraction(v)
-            if v != 0:
-                clean[(i, j)] = v
-        self.coeffs = clean
-
-    @classmethod
-    def zero(cls, degree_cap):
-        return cls(degree_cap, {})
-
-    @classmethod
-    def one(cls, degree_cap):
-        return cls(degree_cap, {(0, 0): 1})
-
-    def coefficient(self, i, j):
-        return self.coeffs.get((i, j), _ZERO)
-
-    def __eq__(self, other):
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other):
-        cap = min(self.degree_cap, other.degree_cap)
-        out = {}
-        for k in set(self.coeffs) | set(other.coeffs):
-            if k[0] + k[1] <= cap:
-                out[k] = self.coeffs.get(k, _ZERO) + other.coeffs.get(k, _ZERO)
-        return BiPoly(cap, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return BiPoly(self.degree_cap, {k: -v for k, v in self.coeffs.items()})
-
-    def truncate(self, D):
-        return BiPoly(D, {k: v for k, v in self.coeffs.items() if k[0] + k[1] <= D})
-
-    def homogeneous_part(self, d):
-        """Terms of total degree exactly d, as a BiPoly with cap d."""
-        return BiPoly(d, {k: v for k, v in self.coeffs.items() if k[0] + k[1] == d})
-
-    def __repr__(self):
-        return f"BiPoly(cap={self.degree_cap}, {dict(sorted(self.coeffs.items()))})"
+    __slots__ = ()
+    arity = 2
 
 
 def truncated_sin(D):
     """All sine-series terms of degree <= D: sum (-1)^n x^(2n+1)/(2n+1)!."""
-    coeffs = {}
-    n = 0
-    while 2 * n + 1 <= D:
-        coeffs[2 * n + 1] = Fraction((-1) ** n, factorial(2 * n + 1))
-        n += 1
-    return UniPoly(D, coeffs)
+    return UniPoly._new(D, {(k,): (-1) ** (k // 2) for k in range(1, D + 1, 2)})
 
 
 def truncated_cos(D):
     """All cosine-series terms of degree <= D: sum (-1)^n x^(2n)/(2n)!."""
-    coeffs = {}
-    n = 0
-    while 2 * n <= D:
-        coeffs[2 * n] = Fraction((-1) ** n, factorial(2 * n))
-        n += 1
-    return UniPoly(D, coeffs)
+    return UniPoly._new(D, {(k,): (-1) ** (k // 2) for k in range(0, D + 1, 2)})
 
 
 def uni_to_bi(p, var, degree_cap):
     """Embed a UniPoly into a BiPoly on variable 0 (x) or 1 (y)."""
     if var not in (0, 1):
         raise ValueError("var must be 0 or 1")
-    out = {}
-    for k, v in p.coeffs.items():
-        if k <= degree_cap:
-            out[(k, 0) if var == 0 else (0, k)] = v
-    return BiPoly(degree_cap, out)
+    return BiPoly._new(degree_cap, {((k, 0) if var == 0 else (0, k)): v
+                                    for (k,), v in p.num.items() if k <= degree_cap}, p.den)
 
 
 def cauchy_product(p, q, D):
     """Exact product of two same-arity polynomials, truncated at (total)
     degree D.
 
-    For series partial sums this is the discrete-convolution product: the
-    coefficient of each surviving monomial is the finite convolution of
-    the factors' coefficients.
+    For series partial sums this is the discrete-convolution product; on
+    the factorial scale each pair of terms is weighted by the binomial
+    coefficients prod_i C(e_i, e1_i) of its exponents.
     """
-    if isinstance(p, UniPoly) and isinstance(q, UniPoly):
-        out = {}
-        for i, a in p.coeffs.items():
-            for j, b in q.coeffs.items():
-                k = i + j
-                if k <= D:
-                    out[k] = out.get(k, _ZERO) + a * b
-        return UniPoly(D, out)
-    if isinstance(p, BiPoly) and isinstance(q, BiPoly):
-        out = {}
-        for (i1, j1), a in p.coeffs.items():
-            for (i2, j2), b in q.coeffs.items():
-                if i1 + i2 + j1 + j2 <= D:
-                    key = (i1 + i2, j1 + j2)
-                    out[key] = out.get(key, _ZERO) + a * b
-        return BiPoly(D, out)
-    raise TypeError("cauchy_product requires two UniPoly or two BiPoly operands")
+    if type(p) is not type(q) or not isinstance(p, _Poly):
+        raise TypeError("cauchy_product requires two UniPoly or two BiPoly operands")
+    terms = sorted(q.num.items(), key=lambda t: sum(t[0]))
+    degrees = [sum(e) for e, _ in terms]
+    out = {}
+    for e1, a in p.num.items():
+        for e2, b in terms[:bisect_right(degrees, D - sum(e1))]:
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + a * b * prod(map(comb, e, e1))
+    return p._new(D, out, p.den * q.den)
 
 
 def substitute_sum(s, D):
     """Substitute x <- (x + y) into a univariate polynomial.
 
-    Every power (x+y)^k is expanded with exact binomial coefficients;
-    the result is truncated at total degree D.  Requires s.degree_cap >= D
-    so no term below the cap is missing from the input.
+    On the factorial scale (x + y)^k / k! = sum_i x^(k-i)/(k-i)! y^i/i!, so
+    every numerator is copied onto the keys of its total degree; the result
+    is truncated at total degree D.  Requires s.degree_cap >= D so no term
+    below the cap is missing from the input.
     """
     if s.degree_cap < D:
         raise ValueError("input cap must be at least the output cap")
-    out = {}
-    for k, c in s.coeffs.items():
-        if k > D:
-            continue
-        row = _pascal_row(k)
-        for i in range(k + 1):
-            key = (k - i, i)
-            out[key] = out.get(key, _ZERO) + c * row[i]
-    return BiPoly(D, out)
+    return BiPoly._new(D, {(k - i, i): v for (k,), v in s.num.items() if k <= D
+                           for i in range(k + 1)}, s.den)
 
 
 def sine_sum_split(n):
@@ -257,23 +237,17 @@ def sine_sum_split(n):
         raise ValueError("n must be >= 0")
     sign = (-1) ** n
     cap = 2 * n + 1
-    p1, p2 = {}, {}
-    for i in range(n + 1):
-        c = Fraction(sign, factorial(2 * i + 1) * factorial(2 * n - 2 * i))
-        p1[(2 * i + 1, 2 * n - 2 * i)] = c
-        p2[(2 * n - 2 * i, 2 * i + 1)] = c
-    return BiPoly(cap, p1), BiPoly(cap, p2)
+    return (BiPoly._new(cap, {(2 * i + 1, 2 * n - 2 * i): sign for i in range(n + 1)}),
+            BiPoly._new(cap, {(2 * n - 2 * i, 2 * i + 1): sign for i in range(n + 1)}))
 
 
-def _residual_detail(residual_coeffs):
-    if not residual_coeffs:
+def _residual_detail(residual):
+    """The nonzero coefficient of highest total degree, ties to the highest key."""
+    if not residual.num:
         return {"residual": "0", "max_degree_residual": "0"}
-    worst_key = max(residual_coeffs, key=lambda k: (k if isinstance(k, int) else k[0] + k[1]))
-    return {
-        "residual": str(residual_coeffs[worst_key]),
-        "max_degree_residual": str(residual_coeffs[worst_key]),
-        "at": str(worst_key),
-    }
+    worst = max(residual.num, key=lambda e: (sum(e), e))
+    value = str(residual.coefficient(*worst))
+    return {"residual": value, "max_degree_residual": value, "at": str(residual._key(worst))}
 
 
 def verify_pythagorean(D):
@@ -292,8 +266,8 @@ def verify_pythagorean(D):
     return CheckResult(
         name=f"pythagorean_exact_degree_{D}",
         kind="exact",
-        passed=not residual.coeffs,
-        detail=_residual_detail(residual.coeffs),
+        passed=not residual.num,
+        detail=_residual_detail(residual),
         samples=1,
     )
 
@@ -312,8 +286,8 @@ def verify_sine_sum(D):
     return CheckResult(
         name=f"sine_sum_exact_degree_{D}",
         kind="exact",
-        passed=not residual.coeffs,
-        detail=_residual_detail(residual.coeffs),
+        passed=not residual.num,
+        detail=_residual_detail(residual),
         samples=1,
     )
 
@@ -326,17 +300,20 @@ def verify_sine_sum_split(n_max):
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     D = 2 * n_max + 1
-    a = truncated_sin(D).coefficient
-    c = truncated_cos(D).coefficient
+    a = truncated_sin(D).num
+    c = truncated_cos(D).num
     failures = []
     for n in range(n_max + 1):
         d = 2 * n + 1
         part1, part2 = sine_sum_split(n)
-        # degree-d parts only: the convolution terms a_i c_(d-i) x^i y^(d-i)
-        # of sin x cos y and cos x sin y, and the binomial row of sin's x^d
-        conv_sc = BiPoly(d, {(i, d - i): a(i) * c(d - i) for i in range(d + 1)})
-        conv_cs = BiPoly(d, {(i, d - i): c(i) * a(d - i) for i in range(d + 1)})
-        term = BiPoly(d, {(d - i, i): a(d) * b for i, b in enumerate(_pascal_row(d))})
+        # degree-d parts only, as factorial-scale numerators: the convolution
+        # terms a_i c_(d-i) x^i y^(d-i) of sin x cos y and cos x sin y, and
+        # sin's x^d / d! spread over (x + y)^d / d!
+        conv_sc = BiPoly._new(d, {(i, d - i): a.get((i,), 0) * c.get((d - i,), 0)
+                                  for i in range(d + 1)})
+        conv_cs = BiPoly._new(d, {(i, d - i): c.get((i,), 0) * a.get((d - i,), 0)
+                                  for i in range(d + 1)})
+        term = BiPoly._new(d, {(d - i, i): a[(d,)] for i in range(d + 1)})
         if part1 != conv_sc or part2 != conv_cs or part1 + part2 != term:
             failures.append(n)
     return CheckResult(

@@ -294,7 +294,7 @@ def cos_eval(x, tol):
     return _eval(x, tol, 1)
 
 
-def _eval_series_exact(x, terms, odd, until_sign=False):
+def _eval_series_exact(x, terms, odd, until_sign=False, sign_only=False):
     """(sum of the first m terms, |term m|) of the sine (odd) or cosine series.
 
     With x = p/q, P = p**2, S = q**2, o = 1 for sine and 0 for cosine, and
@@ -307,6 +307,9 @@ def _eval_series_exact(x, terms, odd, until_sign=False):
     |term m| in magnitude: the series then has the partial sum's sign, and
     no partial sum is discarded.  |term m| is |x|**(2m+o) / (2m+o)!; p and q
     are coprime, so its reduction needs only the gcd with the factorial.
+    sign_only implies until_sign and returns only the certified sign: that
+    of the partial sum if it exceeds |term m|, else 0.  That comparison,
+    times D_m / |x|**o, is |num| S d_m > P**m, so no Fraction is built.
     """
     x = Fraction(x)
     p, q = x.numerator, x.denominator
@@ -315,6 +318,7 @@ def _eval_series_exact(x, terms, odd, until_sign=False):
     if terms < 1:
         raise ValueError("terms must be >= 1")
     o = 1 if odd else 0
+    until_sign = until_sign or sign_only
     P, S = p * p, q * q
     num = power = 1  # num / D_(n-1) is the sum of terms 0 .. n-1; power -> P**n
     n = 1
@@ -327,8 +331,11 @@ def _eval_series_exact(x, terms, odd, until_sign=False):
         num = num * step + (power if n % 2 == 0 else -power)
         step = nxt
         n += 1
-    den = S ** (n - 1) * math.factorial(2 * n + o - 2)
     p_o, q_o = (p, q) if odd else (1, 1)
+    if sign_only:
+        s = p_o * num
+        return (s > 0) - (s < 0) if abs(num) * step > power else 0
+    den = S ** (n - 1) * math.factorial(2 * n + o - 2)
     return Fraction(p_o * num, q_o * den), abs(x) ** (2 * n + o) / math.factorial(2 * n + o)
 
 
@@ -345,6 +352,10 @@ def sin_eval_exact(x, terms, until_sign=False):
     return _eval_series_exact(x, terms, True, until_sign)
 
 
-def cos_eval_exact(x, terms, until_sign=False):
-    """Exact cosine partial sum; identical contract to sin_eval_exact."""
-    return _eval_series_exact(x, terms, False, until_sign)
+def cos_eval_exact(x, terms, until_sign=False, sign_only=False):
+    """Exact cosine partial sum; identical contract to sin_eval_exact.
+
+    With sign_only, returns only the sign that until_sign certifies (no
+    Fraction is built), or 0 if no truncation within `terms` decides it.
+    """
+    return _eval_series_exact(x, terms, False, until_sign, sign_only)

@@ -2,8 +2,9 @@
 
 Deliberately simple implementations that share no code with the package:
 forward exact-rational summation with the alternating remainder, a
-fixed-order bisection for the cosine zero, and an integer-sqrt-based
-rational square root.  These reproduce the frozen expected values the
+fixed-order bisection for the cosine zero, an integer-sqrt-based
+rational square root, and a schoolbook truncated polynomial algebra on
+plain Fraction dicts.  These reproduce the frozen expected values the
 tests assert against.
 """
 
@@ -95,3 +96,65 @@ def ulps_apart(a, b):
         lo = math.nextafter(lo, math.inf)
         count += 1
     return count
+
+
+# --- reference truncated polynomials ----------------------------------------
+# A polynomial is (cap, {exponent tuple: Fraction}) holding only nonzero
+# coefficients of total degree <= cap, on the ordinary (not factorial)
+# scale.  Products are schoolbook and (x + y)**k is built by repeated
+# multiplication, so no binomial coefficient appears.
+
+def ref_poly(cap, coeffs):
+    assert cap >= 0
+    return cap, {e: Fraction(v) for e, v in coeffs.items() if v and sum(e) <= cap}
+
+
+def ref_add(p, q, sign=1):
+    out = dict(p[1])
+    for e, v in q[1].items():
+        out[e] = out.get(e, 0) + sign * v
+    return ref_poly(min(p[0], q[0]), out)
+
+
+def ref_neg(p):
+    return ref_poly(p[0], {e: -v for e, v in p[1].items()})
+
+
+def ref_truncate(p, cap):
+    return ref_poly(cap, p[1])
+
+
+def ref_homogeneous_part(p, d):
+    return ref_poly(d, {e: v for e, v in p[1].items() if sum(e) == d})
+
+
+def ref_derivative(p):
+    """d/dx, the first variable."""
+    return ref_poly(max(p[0] - 1, 0),
+                    {(e[0] - 1,) + e[1:]: e[0] * v for e, v in p[1].items() if e[0] > 0})
+
+
+def ref_product(p, q, cap):
+    out = {}
+    for e1, a in p[1].items():
+        for e2, b in q[1].items():
+            e = tuple(i + j for i, j in zip(e1, e2))
+            out[e] = out.get(e, 0) + a * b
+    return ref_poly(cap, out)
+
+
+def ref_embed(p, var, cap):
+    """A univariate polynomial as a bivariate one in x (var 0) or y (var 1)."""
+    return ref_poly(cap, {((k, 0) if var == 0 else (0, k)): v for (k,), v in p[1].items()})
+
+
+def ref_substitute_sum(p, cap):
+    """p(x + y), truncated at total degree cap."""
+    x_plus_y = ref_poly(cap, {(1, 0): 1, (0, 1): 1})
+    power = ref_poly(cap, {(0, 0): 1})
+    out = ref_poly(cap, {})
+    for k in range(cap + 1):
+        c = p[1].get((k,), 0)
+        out = ref_add(out, ref_poly(cap, {e: c * v for e, v in power[1].items()}))
+        power = ref_product(power, x_plus_y, cap)
+    return out

@@ -269,3 +269,17 @@ class TestCertifiedValue:
             assert abs(p.value - a_true * b_true) <= p.abs_error_bound * (1 + 1e-12)
             d = a - b
             assert abs(d.value - (a_true - b_true)) <= d.abs_error_bound * (1 + 1e-12)
+
+
+class TestSignOnly:
+    def test_sign_only_is_the_sign_until_sign_certifies(self):
+        # sign_only builds no Fraction; it must decide exactly when the
+        # until_sign pair does, and 0 where that pair leaves the sign open
+        rng = random.Random(11)
+        xs = [Fraction(0), Fraction(4), Fraction(-4), Fraction(355, 226), Fraction(-355, 113)]
+        xs += [Fraction(rng.randint(-(4 << 60), 4 << 60), 1 << 60) for _ in range(40)]
+        for x in xs:
+            for terms in (1, 3, 30):
+                s, b = cos_eval_exact(x, terms, until_sign=True)
+                want = (1 if s > 0 else -1) if abs(s) > b else 0
+                assert cos_eval_exact(x, terms, sign_only=True) == want
