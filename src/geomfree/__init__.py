@@ -30,7 +30,6 @@ from .errors import (
 )
 from .exact_series import (
     BiPoly,
-    ExactRational,
     UniPoly,
     cauchy_product,
     sine_sum_split,
@@ -72,7 +71,6 @@ __all__ = [
     "CheckResult",
     "ConstantsTable",
     "DomainError",
-    "ExactRational",
     "GeomfreeError",
     "IdentityCheck",
     "InvalidTolerance",

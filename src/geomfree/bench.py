@@ -9,7 +9,7 @@ module auditable.
 import math
 import random
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .analysis import arcsin_newton
 from .series_kernel import cos_eval, sin_eval
@@ -27,24 +27,13 @@ _PLATFORM_EVAL = {
 }
 
 
-@dataclass
-class BenchRecord:
+class BenchRecord(NamedTuple):
     function: str
     interval: tuple
     n: int
     max_abs_error_vs_platform: float
     ns_per_eval_self: float
     ns_per_eval_platform: float
-
-    def to_dict(self):
-        return {
-            "function": self.function,
-            "interval": list(self.interval),
-            "n": self.n,
-            "max_abs_error_vs_platform": self.max_abs_error_vs_platform,
-            "ns_per_eval_self": self.ns_per_eval_self,
-            "ns_per_eval_platform": self.ns_per_eval_platform,
-        }
 
 
 def run_bench(n, interval, seed=0, functions=("sin", "cos", "arcsin")):

@@ -63,7 +63,8 @@ def _certified_sign(x, or_zero=False):
 
 
 def _certified_sin_positive(x):
-    s, b = sin_eval_exact(Fraction(x), 12)
+    """sin x > 0, certified by _certified_sign's rule on the sine series."""
+    s, b = sin_eval_exact(x, _MAX_TERMS, until_sign=True)
     return s > b
 
 
@@ -197,14 +198,10 @@ def q_multiples_table():
     )
 
 
-@functools.lru_cache(maxsize=8)
-def _cached_find_q(tol):
-    return find_q(tol)
-
-
+@functools.cache
 def shared_table():
     """The table used across the package; computed once, immutable after."""
-    return _cached_find_q(1e-13)
+    return find_q(1e-13)
 
 
 def pi_value():

@@ -37,10 +37,6 @@ from operator import add
 
 from .report import CheckResult
 
-# Coefficient field for all exact computation: arbitrary-precision signed
-# rationals, always in lowest terms with positive denominator.
-ExactRational = Fraction
-
 
 def _scale(e):
     """e0! e1! ...: the factorial-scale weight of the monomial with exponents e."""

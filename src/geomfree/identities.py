@@ -10,7 +10,7 @@ even where the identity's argument is not exactly representable.
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .constants import shared_table
@@ -19,6 +19,7 @@ from .series_kernel import CertifiedValue, cos_eval, sin_eval
 
 _U = 2.0 ** -53
 _EPS = 2.0 ** -52  # ulp(1)
+_TOL = 1e-15       # tolerance of every certified evaluation in the suite
 
 
 @dataclass
@@ -37,89 +38,99 @@ class IdentityCheck:
         return abs(self.lhs - self.rhs)
 
 
-def _slack(lhs, rhs):
+def _compare(name, lhs, rhs, points):
+    """The IdentityCheck of two CertifiedValues that should be equal."""
+    combined = lhs.abs_error_bound + rhs.abs_error_bound
     # 4 ulp on top of the certified bounds, scaled to the values compared
-    return 4.0 * _EPS * max(1.0, abs(lhs), abs(rhs))
+    slack = 4.0 * _EPS * max(1.0, abs(lhs.value), abs(rhs.value))
+    passed = abs(lhs.value - rhs.value) <= combined + slack
+    return IdentityCheck(name, lhs.value, rhs.value, combined, passed, points)
+
+
+def worst_of(checks):
+    """The first check of largest discrepancy, passed only if all passed."""
+    worst = max(checks, key=lambda c: c.discrepancy)
+    return replace(worst, passed=all(c.passed for c in checks))
 
 
 def _inflate(cv, extra):
     return CertifiedValue(cv.value, cv.abs_error_bound + extra)
 
 
-def _sin_at(arg, tol, arg_err=0.0):
-    return _inflate(sin_eval(arg, tol), _U * abs(arg) + arg_err)
+def _sin_at(arg, arg_err=0.0):
+    return _inflate(sin_eval(arg, _TOL), _U * abs(arg) + arg_err)
 
 
-def _cos_at(arg, tol, arg_err=0.0):
-    return _inflate(cos_eval(arg, tol), _U * abs(arg) + arg_err)
+def _cos_at(arg, arg_err=0.0):
+    return _inflate(cos_eval(arg, _TOL), _U * abs(arg) + arg_err)
 
 
 # --- identity registry -------------------------------------------------
-# Each entry: arity, and a function (sample, tol, table) -> (lhs, rhs)
+# Each entry: arity, and a function (sample, table) -> (lhs, rhs)
 # as CertifiedValues with argument formation already accounted for.
 
-def _sine_difference(sample, tol, tbl):
+def _sine_difference(sample, tbl):
     x, y = sample
-    lhs = _sin_at(x - y, tol)
-    rhs = sin_eval(x, tol) * cos_eval(y, tol) - cos_eval(x, tol) * sin_eval(y, tol)
+    lhs = _sin_at(x - y)
+    rhs = sin_eval(x, _TOL) * cos_eval(y, _TOL) - cos_eval(x, _TOL) * sin_eval(y, _TOL)
     return lhs, rhs
 
 
-def _sine_double_angle(sample, tol, tbl):
+def _sine_double_angle(sample, tbl):
     x = sample
-    lhs = sin_eval(2.0 * x, tol)  # doubling is exact in binary fp
-    rhs = 2.0 * (sin_eval(x, tol) * cos_eval(x, tol))
+    lhs = sin_eval(2.0 * x, _TOL)  # doubling is exact in binary fp
+    rhs = 2.0 * (sin_eval(x, _TOL) * cos_eval(x, _TOL))
     return lhs, rhs
 
 
-def _cofunction_sine(sample, tol, tbl):
+def _cofunction_sine(sample, tbl):
     x = sample
-    lhs = _sin_at(tbl.q - x, tol, arg_err=tbl.q_float_err)
-    rhs = cos_eval(x, tol)
+    lhs = _sin_at(tbl.q - x, arg_err=tbl.q_float_err)
+    rhs = cos_eval(x, _TOL)
     return lhs, rhs
 
 
-def _cofunction_cosine(sample, tol, tbl):
+def _cofunction_cosine(sample, tbl):
     x = sample
-    lhs = _cos_at(tbl.q - x, tol, arg_err=tbl.q_float_err)
-    rhs = sin_eval(x, tol)
+    lhs = _cos_at(tbl.q - x, arg_err=tbl.q_float_err)
+    rhs = sin_eval(x, _TOL)
     return lhs, rhs
 
 
-def _cosine_sum(sample, tol, tbl):
+def _cosine_sum(sample, tbl):
     x, y = sample
-    lhs = _cos_at(x + y, tol)
-    rhs = cos_eval(x, tol) * cos_eval(y, tol) - sin_eval(x, tol) * sin_eval(y, tol)
+    lhs = _cos_at(x + y)
+    rhs = cos_eval(x, _TOL) * cos_eval(y, _TOL) - sin_eval(x, _TOL) * sin_eval(y, _TOL)
     return lhs, rhs
 
 
-def _cosine_difference(sample, tol, tbl):
+def _cosine_difference(sample, tbl):
     x, y = sample
-    lhs = _cos_at(x - y, tol)
-    rhs = cos_eval(x, tol) * cos_eval(y, tol) + sin_eval(x, tol) * sin_eval(y, tol)
+    lhs = _cos_at(x - y)
+    rhs = cos_eval(x, _TOL) * cos_eval(y, _TOL) + sin_eval(x, _TOL) * sin_eval(y, _TOL)
     return lhs, rhs
 
 
-def _cosine_double_angle(sample, tol, tbl):
+def _cosine_double_angle(sample, tbl):
     x = sample
-    lhs = cos_eval(2.0 * x, tol)
-    c = cos_eval(x, tol)
+    lhs = cos_eval(2.0 * x, _TOL)
+    c = cos_eval(x, _TOL)
     rhs = 2.0 * (c * c) - 1.0
     return lhs, rhs
 
 
-def _cosine_squared(sample, tol, tbl):
+def _cosine_squared(sample, tbl):
     x = sample
-    c = cos_eval(x, tol)
+    c = cos_eval(x, _TOL)
     lhs = c * c
-    rhs = 0.5 + 0.5 * cos_eval(2.0 * x, tol)
+    rhs = 0.5 + 0.5 * cos_eval(2.0 * x, _TOL)
     return lhs, rhs
 
 
-def _sine_triple_angle(sample, tol, tbl):
+def _sine_triple_angle(sample, tbl):
     x = sample
-    lhs = _sin_at(3.0 * x, tol)
-    s = sin_eval(x, tol)
+    lhs = _sin_at(3.0 * x)
+    s = sin_eval(x, _TOL)
     rhs = 3.0 * s - 4.0 * (s * s * s)
     return lhs, rhs
 
@@ -147,7 +158,7 @@ def identity_arity(name):
     return _IDENTITIES[name][0]
 
 
-def check_identity(name, samples, tol=1e-15):
+def check_identity(name, samples):
     """Evaluate both sides of a registered identity at every sample.
 
     `samples` holds floats (1-argument identities) or (x, y) pairs.
@@ -166,10 +177,8 @@ def check_identity(name, samples, tol=1e-15):
         else:
             sample = float(sample)
             points = [sample]
-        lhs, rhs = fn(sample, tol, tbl)
-        combined = lhs.abs_error_bound + rhs.abs_error_bound
-        passed = abs(lhs.value - rhs.value) <= combined + _slack(lhs.value, rhs.value)
-        out.append(IdentityCheck(name, lhs.value, rhs.value, combined, passed, points))
+        lhs, rhs = fn(sample, tbl)
+        out.append(_compare(name, lhs, rhs, points))
     return out
 
 
@@ -193,7 +202,7 @@ def default_samples(name, n, seed=0):
     return samples[:n]
 
 
-def check_periodicity(n_samples, tol=1e-15):
+def check_periodicity(n_samples):
     """Shift-by-one-period test on a uniform grid over [-10, 10].
 
     Checks |sin(x + 4Q) - sin(x)| against the combined certified bounds,
@@ -204,23 +213,16 @@ def check_periodicity(n_samples, tol=1e-15):
     four_q, four_q_lo = tbl.four_q_dd
     # |fl(4Q) - 4Q| <= |lo| + dd residual
     shift_err = abs(four_q_lo) + tbl.four_q_err
-    worst = None
-    all_pass = True
+    checks = []
     for i in range(n_samples):
         x = -10.0 + 20.0 * i / max(n_samples - 1, 1)
-        s1 = _sin_at(x + four_q, tol, arg_err=shift_err)
-        s0 = sin_eval(x, tol)
-        c0 = cos_eval(x, tol)
-        m0 = -_sin_at(x - tbl.q, tol, arg_err=tbl.q_float_err)
-        for lhs, rhs in ((s1, s0), (c0, m0)):
-            combined = lhs.abs_error_bound + rhs.abs_error_bound
-            disc = abs(lhs.value - rhs.value)
-            ok = disc <= combined + _slack(lhs.value, rhs.value)
-            all_pass = all_pass and ok
-            if worst is None or disc > worst[0]:
-                worst = (disc, lhs.value, rhs.value, combined, x)
-    _, lv, rv, cb, wx = worst
-    return IdentityCheck("periodicity_4q", lv, rv, cb, all_pass, [wx])
+        s1 = _sin_at(x + four_q, arg_err=shift_err)
+        s0 = sin_eval(x, _TOL)
+        c0 = cos_eval(x, _TOL)
+        m0 = -_sin_at(x - tbl.q, arg_err=tbl.q_float_err)
+        checks.append(_compare("periodicity_4q", s1, s0, [x]))
+        checks.append(_compare("periodicity_4q", c0, m0, [x]))
+    return worst_of(checks)
 
 
 def check_period_minimality(grid_size):
@@ -238,9 +240,9 @@ def check_period_minimality(grid_size):
     all_pass = True
     for j in range(1, grid_size + 1):
         r = q * j / (grid_size + 1)
-        c2 = cos_eval(2.0 * r, 1e-15)
-        s = sin_eval(r, 1e-15)
-        c = cos_eval(r, 1e-15)
+        c2 = cos_eval(2.0 * r, _TOL)
+        s = sin_eval(r, _TOL)
+        c = cos_eval(r, _TOL)
         dist = min(abs(c2.value - 1.0), abs(c2.value + 1.0))
         ok = (dist > c2.abs_error_bound
               and s.value > s.abs_error_bound

@@ -83,10 +83,6 @@ class CertifiedValue:
 
     __rmul__ = __mul__
 
-    @classmethod
-    def exact(cls, v):
-        return cls(float(v), 0.0)
-
 
 def _as_cv(x):
     if isinstance(x, CertifiedValue):
