@@ -19,12 +19,12 @@ f^2 + f'^2.
 """
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .constants import shared_table
 from .errors import DomainError, StepTooLarge
-from .series_kernel import (CertifiedValue, _check_tol, _check_tol_floor, _sin_value, cos_eval,
-                            sin_eval)
+from .series_kernel import (CertifiedValue, _check_tol, _check_tol_floor, _new_cv, _sin_value,
+                            cos_eval, sin_eval)
 
 _U = 2.0 ** -53
 _SQRT_HALF = 0.7071067811865476  # float nearest sqrt(1/2)
@@ -32,18 +32,9 @@ _MAX_DEPTH = 40
 _MIN_QUAD_TOL = 1e-15
 
 
-@dataclass
-class QuadratureResult:
-    value: float
-    est_error: float
-    evaluations: int
-
-
-@dataclass
-class OdeTrajectory:
-    step: float
-    points: list = field(default_factory=list)  # (t, f, f')
-    energy_drift: float = 0.0
+QuadratureResult = namedtuple("QuadratureResult", "value est_error evaluations")
+# points: (t, f, f') along the trajectory
+OdeTrajectory = namedtuple("OdeTrajectory", "step points energy_drift", defaults=((), 0.0))
 
 
 def _check_unit_interval(x):
@@ -57,7 +48,7 @@ def _comp_sqrt(t):
 
 
 def _newton_core(a, tol):
-    """Solve sin y = a for a in [0, ~0.708]; returns a CertifiedValue.
+    """Solve sin y = a for a in [0, ~0.708]; returns (y, its error bound).
 
     The Newton steps run on floats, from y0 = a + a^3/6 + 3a^5/40 (the
     arcsin series to three terms), with sin y from the value-only series
@@ -78,7 +69,7 @@ def _newton_core(a, tol):
     AssertionError is raised instead of returning it.
     """
     if a == 0.0:
-        return CertifiedValue(0.0, 0.0)
+        return 0.0, 0.0
     a2 = a * a
     y = a + a * a2 * (1.0 / 6.0 + 0.075 * a2)
     for _ in range(8):
@@ -94,7 +85,7 @@ def _newton_core(a, tol):
     # the square root rounded down; the bound's three roundings rounded up
     cos_lo = _comp_sqrt(m) * (1.0 - 4.0 * _U)
     bound = (abs(s.value - a) + s.abs_error_bound) / cos_lo * (1.0 + 4.0 * _U)
-    return CertifiedValue(y, bound)
+    return y, bound
 
 
 def arcsin_newton(x, tol):
@@ -109,18 +100,17 @@ def arcsin_newton(x, tol):
     _check_unit_interval(x)
     sign = math.copysign(1.0, x)
     ax = abs(x)
-    tbl = shared_table()
     if ax <= _SQRT_HALF:
-        core = _newton_core(ax, tol)
-        return CertifiedValue(sign * core.value, core.abs_error_bound)
+        y, bound = _newton_core(ax, tol)
+        return _new_cv(CertifiedValue, (sign * y, bound))
+    tbl = shared_table()
     u = _comp_sqrt(ax)
     u_err = 3.0 * _U * u  # two roundings plus the square root's half-ulp
-    core = _newton_core(u, tol)
-    y = tbl.q - core.value
+    v, v_err = _newton_core(u, tol)
+    y = tbl.q - v
     # d arcsin(u)/du = 1/sqrt(1-u^2) = 1/ax <= sqrt(2) on this branch
-    bound = (core.abs_error_bound + tbl.q_float_err
-             + u_err / ax + _U * abs(y))
-    return CertifiedValue(sign * y, bound)
+    bound = v_err + tbl.q_float_err + u_err / ax + _U * abs(y)
+    return _new_cv(CertifiedValue, (sign * y, bound))
 
 
 class _Counter:
@@ -165,7 +155,7 @@ def _adaptive_simpson(f, a, b, tol, counter):
         left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
         right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         delta = left + right - whole
-        if depth >= _MAX_DEPTH or abs(delta) <= 15.0 * tol:
+        if depth >= _MAX_DEPTH or not abs(delta) > 15.0 * tol:  # a NaN delta stops at once
             if depth > counter.depth:
                 counter.depth = depth
             return left + right + delta / 15.0, abs(delta) / 15.0

@@ -283,13 +283,9 @@ def cmd_integrate(args):
 # --- bench --------------------------------------------------------------
 
 def cmd_bench(args):
-    interval = args.interval
-    if interval is None:
-        pi = constants.pi_value()
-        interval = (-pi, pi)
     functions = tuple(f.strip() for f in args.functions.split(",") if f.strip())
     try:
-        records = bench.run_bench(args.n, interval, args.seed, functions)
+        records = bench.run_bench(args.n, args.interval, args.seed, functions)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

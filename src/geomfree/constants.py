@@ -14,7 +14,7 @@ double-double representation of the full period 4Q.
 """
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import ToleranceTooTight
@@ -25,8 +25,13 @@ _POLISH_BITS = 200        # dyadic rounding between Newton polish steps
 _REFINE_RADIUS = Fraction(1, 10 ** 50)
 
 
-@dataclass(frozen=True)
-class ConstantsTable:
+class ConstantsTable(namedtuple("ConstantsTable", (
+        "q", "pi", "q_multiples",
+        "certified_bound",        # radius of the certified bracket around q
+        "q_exact",                # polished Fraction, within refined_radius of Q
+        "refined_radius",
+        "q_float_err",            # |q - Q| bound for the binary64 field
+        "four_q_dd", "four_q_err", "bisection_iterations"))):
     """Q, pi, the sin/cos values at multiples of Q, and certification data.
 
     q_multiples holds exact small integers, not floats: (k, sin kQ, cos kQ)
@@ -34,16 +39,7 @@ class ConstantsTable:
     |hi + lo - 4Q| <= four_q_err certified.
     """
 
-    q: float
-    pi: float
-    q_multiples: tuple
-    certified_bound: float        # radius of the certified bracket around q
-    q_exact: Fraction             # polished rational, within refined_radius of Q
-    refined_radius: float
-    q_float_err: float            # |q - Q| bound for the binary64 field
-    four_q_dd: tuple
-    four_q_err: float
-    bisection_iterations: int
+    __slots__ = ()
 
 
 def _certified_sign(x, or_zero=False):

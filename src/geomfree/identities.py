@@ -10,7 +10,7 @@ even where the identity's argument is not exactly representable.
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from fractions import Fraction
 
 from .constants import shared_table
@@ -22,16 +22,11 @@ _EPS = 2.0 ** -52  # ulp(1)
 _TOL = 1e-15       # tolerance of every certified evaluation in the suite
 
 
-@dataclass
-class IdentityCheck:
+class IdentityCheck(namedtuple("IdentityCheck", "name lhs rhs combined_bound passed sample_points",
+                               defaults=((),))):
     """Result of checking one identity at one (or a worst-case) sample."""
 
-    name: str
-    lhs: float
-    rhs: float
-    combined_bound: float
-    passed: bool
-    sample_points: list = field(default_factory=list)
+    __slots__ = ()
 
     @property
     def discrepancy(self):
@@ -50,7 +45,7 @@ def _compare(name, lhs, rhs, points):
 def worst_of(checks):
     """The first check of largest discrepancy, passed only if all passed."""
     worst = max(checks, key=lambda c: c.discrepancy)
-    return replace(worst, passed=all(c.passed for c in checks))
+    return worst._replace(passed=all(c.passed for c in checks))
 
 
 def _inflate(cv, extra):
@@ -310,19 +305,9 @@ def solve_sine_cubic():
     return roots
 
 
-@dataclass
-class SpecialAngleEntry:
-    label: str
-    angle: float
-    sin_exact: str
-    cos_exact: str
-    sin_value: float
-    cos_value: float
-
-
-@dataclass
-class SpecialAngleTable:
-    entries: list
+SpecialAngleEntry = namedtuple("SpecialAngleEntry",
+                               "label angle sin_exact cos_exact sin_value cos_value")
+SpecialAngleTable = namedtuple("SpecialAngleTable", "entries")
 
 
 def special_angles():

@@ -17,20 +17,19 @@ The timestamp is the only non-deterministic field; everything else is
 byte-stable for a fixed seed and arguments.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 SCHEMA_VERSION = "1"
 
 
-@dataclass
-class CheckResult:
-    """One identity/theorem check: named, kinded, pass/fail, with detail."""
+class CheckResult(namedtuple("CheckResult", "name kind passed detail samples")):
+    """One identity/theorem check: named, kinded ("exact" or "numeric"),
+    pass/fail, with a detail dict (a fresh empty one by default)."""
 
-    name: str
-    kind: str  # "exact" or "numeric"
-    passed: bool
-    detail: dict = field(default_factory=dict)
-    samples: int = 1
+    __slots__ = ()
+
+    def __new__(cls, name, kind, passed, detail=None, samples=1):
+        return super().__new__(cls, name, kind, passed, {} if detail is None else detail, samples)
 
     def to_dict(self):
         return {

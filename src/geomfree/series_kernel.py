@@ -20,11 +20,17 @@ Evaluation pipeline:
    derived rounding of the float terms + one rounding of the result.  The
    derivation sits above _eval.
 
+_eval and analysis.arcsin_newton build their results with the trusted
+constructor _new_cv(CertifiedValue, (value, bound)), which skips the check
+that the bound is finite and >= 0; their bounds are so by construction,
+and nothing else may call it.  CertifiedValue(value, bound) and its
+arithmetic keep the check, because an overflow can make a bound infinite.
+
 No platform trigonometric function appears anywhere in this call graph.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .doubledouble import two_prod, two_sum
@@ -35,22 +41,24 @@ _HALF_U = 2.0 ** -54
 _TINY = 2.0 ** -1074     # smallest subnormal
 _MAX_ARG = 1.0e8         # keeps k < 2**26, which the reduction's exact products need
 
+_new_cv = tuple.__new__  # the trusted constructor (see above): no check of the bound
 
-@dataclass(frozen=True)
-class CertifiedValue:
+
+class CertifiedValue(namedtuple("CertifiedValue", "value abs_error_bound")):
     """A binary64 value paired with a proven absolute error bound.
 
     The true mathematical quantity lies in
     [value - abs_error_bound, value + abs_error_bound] whenever the
-    producing operation's preconditions held.
+    producing operation's preconditions held.  An immutable named tuple:
+    it compares and hashes as the pair (value, abs_error_bound).
     """
 
-    value: float
-    abs_error_bound: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.abs_error_bound >= 0.0 and math.isfinite(self.abs_error_bound)):
+    def __new__(cls, value, abs_error_bound):
+        if not (abs_error_bound >= 0.0 and math.isfinite(abs_error_bound)):
             raise ValueError("abs_error_bound must be finite and >= 0")
+        return _new_cv(cls, (value, abs_error_bound))
 
     # Interval-style propagation; each operation also accounts for its own
     # rounding so chained checks stay honest.
@@ -90,18 +98,15 @@ def _as_cv(x):
     return CertifiedValue(float(x), 0.0)
 
 
-@dataclass(frozen=True)
-class SeriesCoefficients:
+class SeriesCoefficients(tuple):
     """Power-series coefficients c_n generated by the defining recursion
-    (n+2)(n+1) c_{n+2} + c_n = 0 from c_0 = 0, c_1 = 1."""
+    (n+2)(n+1) c_{n+2} + c_n = 0 from c_0 = 0, c_1 = 1; a tuple indexed by n."""
 
-    coeffs: tuple
+    __slots__ = ()
 
-    def __len__(self):
-        return len(self.coeffs)
-
-    def __getitem__(self, n):
-        return self.coeffs[n]
+    @property
+    def coeffs(self):
+        return tuple(self)
 
 
 def ode_coefficients(count):
@@ -115,7 +120,7 @@ def ode_coefficients(count):
     c = [Fraction(0), Fraction(1)]
     for n in range(count - 2):
         c.append(-c[n] / ((n + 2) * (n + 1)))
-    return SeriesCoefficients(tuple(c))
+    return SeriesCoefficients(c)
 
 
 def _check_tol(tol):
@@ -229,7 +234,7 @@ def _eval(x, tol, shift):
     if not ax <= _MAX_ARG:
         raise DomainError(f"|x| must be <= {_MAX_ARG:g} and finite, got {x!r}")
     if ax == 0.0:
-        return CertifiedValue(x if shift == 0 else 1.0, 0.0)
+        return _new_cv(CertifiedValue, (x if shift == 0 else 1.0, 0.0))
     half_q, inv_q, q1, q2, q3, k_err, quadrants = _reduction or _bind_reduction()
     if ax <= half_q:
         r, r_lo, red_err, j = ax, 0.0, 0.0, shift
@@ -269,7 +274,7 @@ def _eval(x, tol, shift):
              + _U * abs(val) + _UNDERFLOW) * _ROUND_UP
     if shift == 0 and x < 0.0:
         sign = -sign
-    return CertifiedValue(val if sign > 0 else -val, bound)
+    return _new_cv(CertifiedValue, (val if sign > 0 else -val, bound))
 
 
 def sin_eval(x, tol):

@@ -7,6 +7,8 @@ import random
 import pytest
 
 from geomfree.analysis import (
+    _adaptive_simpson,
+    _Counter,
     arc_length,
     arcsin_derivative_check,
     arcsin_newton,
@@ -239,3 +241,11 @@ class TestOdeOracle:
     def test_lands_exactly_on_t_end(self):
         tr = ode_oracle(0.0105, 1e-3)
         assert tr.points[-1][0] == 0.0105
+
+
+class TestAdaptiveSimpsonOnNaN:
+    def test_a_nan_integrand_stops_at_the_first_panel(self):
+        counter = _Counter()
+        value, est = _adaptive_simpson(lambda t: math.nan, 0.0, 1.0, 1e-10, counter)
+        assert math.isnan(value) and math.isnan(est)
+        assert counter.n <= 5

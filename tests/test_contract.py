@@ -3,10 +3,14 @@ rejected, CLI usage errors that end in exit code 2 with a one-line message,
 and a public namespace whose every name resolves."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import geomfree
+from geomfree import constants
 from geomfree.analysis import (
     arc_length,
     arcsin_newton,
@@ -17,7 +21,7 @@ from geomfree.analysis import (
 from geomfree.cli import main
 from geomfree.constants import find_q
 from geomfree.errors import DomainError, InvalidTolerance
-from geomfree.series_kernel import cos_eval, sin_eval
+from geomfree.series_kernel import CertifiedValue, cos_eval, sin_eval
 
 ENTRY_POINTS = {
     "sin_eval": lambda tol: sin_eval(0.5, tol),
@@ -92,3 +96,79 @@ def test_every_exported_name_resolves_once():
     assert len(geomfree.__all__) == len(set(geomfree.__all__))
     for name in geomfree.__all__:
         assert hasattr(geomfree, name), name
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--n", "50"],
+    ["bench", "--n", "100", "--functions", "sin,tan"],
+])
+def test_bad_bench_arguments_exit_two_before_any_set_up(capsys, monkeypatch, argv):
+    def no_table():
+        raise AssertionError("the shared table was built for a rejected command")
+
+    monkeypatch.setattr(constants, "shared_table", no_table)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+# --- the result type --------------------------------------------------
+
+RESULTS = {
+    "sin_eval_zero": lambda: sin_eval(0.0, 1e-15),
+    "sin_eval": lambda: sin_eval(0.5, 1e-15),
+    "cos_eval_reduced": lambda: cos_eval(1e6, 1e-15),
+    "arcsin_newton_zero": lambda: arcsin_newton(0.0, 1e-15),
+    "arcsin_newton": lambda: arcsin_newton(-0.3, 1e-15),
+    "arcsin_newton_reflected": lambda: arcsin_newton(0.9, 1e-15),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESULTS))
+def test_results_are_exactly_certified_values(name):
+    cv = RESULTS[name]()
+    assert type(cv) is CertifiedValue
+    assert CertifiedValue(cv.value, cv.abs_error_bound) == cv  # the checked constructor agrees
+
+
+def test_certified_value_is_immutable():
+    cv = sin_eval(0.5, 1e-15)
+    with pytest.raises(AttributeError):
+        cv.value = 0.0
+    with pytest.raises(AttributeError):
+        cv.abs_error_bound = 0.0
+    with pytest.raises(AttributeError):
+        cv.extra = 1
+
+
+def test_certified_value_compares_hashes_and_prints_as_a_pair():
+    a = CertifiedValue(0.5, 1e-17)
+    assert a == CertifiedValue(0.5, 1e-17)
+    assert a != CertifiedValue(0.5, 2e-17)
+    assert a != CertifiedValue(0.25, 1e-17)
+    assert hash(a) == hash(CertifiedValue(0.5, 1e-17)) == hash((0.5, 1e-17))
+    assert len({a, CertifiedValue(0.5, 1e-17)}) == 1
+    assert repr(a) == "CertifiedValue(value=0.5, abs_error_bound=1e-17)"
+    value, bound = a
+    assert (value, bound) == (a.value, a.abs_error_bound) == (0.5, 1e-17)
+
+
+@pytest.mark.parametrize("op", ["add", "mul"])
+def test_certified_arithmetic_rejects_an_overflowed_bound(op):
+    a = CertifiedValue(1e308, 0.0)
+    with pytest.raises(ValueError):
+        a + a if op == "add" else a * a
+
+
+def test_import_leaves_dataclasses_and_inspect_unloaded():
+    src = Path(geomfree.__file__).resolve().parent.parent
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            f"sys.path.insert(0, {str(src)!r})\n"
+            "import geomfree\n"
+            "geomfree.shared_table()\n"
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n")
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
