@@ -41,6 +41,8 @@ def run_bench(n, interval, seed=0, functions=("sin", "cos", "arcsin")):
     """
     if n < 100:
         raise ValueError("n must be >= 100")
+    if not functions:
+        raise ValueError("no function to bench")
     for fn in functions:
         if fn not in _SELF_EVAL:
             raise ValueError(f"unknown function {fn!r}")

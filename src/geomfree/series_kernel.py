@@ -41,7 +41,7 @@ _HALF_U = 2.0 ** -54
 _TINY = 2.0 ** -1074     # smallest subnormal
 _MAX_ARG = 1.0e8         # keeps k < 2**26, which the reduction's exact products need
 
-_new_cv = tuple.__new__  # the trusted constructor (see above): no check of the bound
+_new_cv = tuple.__new__  # the trusted constructor: no check of the bound (module docstring)
 
 
 class CertifiedValue(namedtuple("CertifiedValue", "value abs_error_bound")):
@@ -59,6 +59,10 @@ class CertifiedValue(namedtuple("CertifiedValue", "value abs_error_bound")):
         if not (abs_error_bound >= 0.0 and math.isfinite(abs_error_bound)):
             raise ValueError("abs_error_bound must be finite and >= 0")
         return _new_cv(cls, (value, abs_error_bound))
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through this; keep it checked
+        return cls(*iterable)
 
     # Interval-style propagation; each operation also accounts for its own
     # rounding so chained checks stay honest.

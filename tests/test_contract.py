@@ -1,6 +1,7 @@
 """The input contract: one tolerance rule everywhere, non-finite arguments
-rejected, CLI usage errors that end in exit code 2 with a one-line message,
-and a public namespace whose every name resolves."""
+rejected, CLI usage errors that end in exit code 2 with a one-line message
+(bench's before any set-up), a public namespace whose every name resolves,
+the CertifiedValue result type, and the modules a fresh import loads."""
 
 import math
 import subprocess
@@ -101,6 +102,7 @@ def test_every_exported_name_resolves_once():
 @pytest.mark.parametrize("argv", [
     ["bench", "--n", "50"],
     ["bench", "--n", "100", "--functions", "sin,tan"],
+    ["bench", "--n", "100", "--functions", ","],
 ])
 def test_bad_bench_arguments_exit_two_before_any_set_up(capsys, monkeypatch, argv):
     def no_table():
@@ -140,6 +142,8 @@ def test_certified_value_is_immutable():
         cv.abs_error_bound = 0.0
     with pytest.raises(AttributeError):
         cv.extra = 1
+    with pytest.raises(ValueError):
+        cv._replace(abs_error_bound=-1.0)
 
 
 def test_certified_value_compares_hashes_and_prints_as_a_pair():
