@@ -34,9 +34,9 @@ def _mark(passed):
 
 def cmd_eval(args):
     fns = {
-        "sin": lambda x, tol: series_kernel.sin_eval(x, tol),
-        "cos": lambda x, tol: series_kernel.cos_eval(x, tol),
-        "arcsin": lambda x, tol: analysis.arcsin_newton(x, tol),
+        "sin": series_kernel.sin_eval,
+        "cos": series_kernel.cos_eval,
+        "arcsin": analysis.arcsin_newton,
     }
     cv = fns[args.function](args.x, args.tol)
     if args.format == "json":

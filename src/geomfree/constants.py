@@ -4,13 +4,14 @@ Q is found by bisection on [0, 2].  Every sign decision is certified in
 exact rational arithmetic by one cos_eval_exact call, whose sum runs
 forward on integers over one common denominator and stops at the first
 partial sum whose distance from zero exceeds the alternating-series
-remainder bound, returning that sum's sign alone.  A Newton polish (on
-cos_eval_exact/sin_eval_exact) then refines Q to a 2**-200 dyadic, far past
-binary64, and the polished value is re-certified by two more exact sign
-checks on a bracket of radius 1e-50 (refined_radius; bisection_iterations
-counts the bisection steps).  The polished rational q_exact is what the
-sine/cosine kernel splits for its range reduction; it also yields a
-double-double representation of the full period 4Q.
+remainder bound, returning that sum's sign alone.  A Newton polish that
+uses sin Q = 1 (y <- y + cos y, one exact cosine series per step) refines
+Q to a 2**-200 dyadic, far past binary64; two more exact sign checks
+certify a bracket of radius 1e-50 around it (refined_radius), from which
+certified_bound follows (bisection_iterations counts the bisection steps).
+The polished rational q_exact is what the sine/cosine kernel splits for
+its range reduction; it also yields a double-double representation of the
+full period 4Q.
 """
 
 import functools
@@ -87,12 +88,6 @@ def _certified_bisection(tol):
     return lo, hi, iterations, history
 
 
-def _sin_cos_partial(y, terms=40):
-    s, _ = sin_eval_exact(y, terms)
-    c, _ = cos_eval_exact(y, terms)
-    return s, c
-
-
 def _round_dyadic(y, bits):
     scale = 1 << bits
     return Fraction(round(y * scale), scale)
@@ -106,8 +101,8 @@ def find_q(tol):
     decreasing on (0, 2) (its derivative -sin is negative there, checked
     by certified sin-positivity samples), so the bracketed zero is the
     least positive one.  A Newton polish in exact arithmetic then refines
-    the midpoint and the result is re-certified on brackets of radius
-    tol/2 and 1e-50.
+    the midpoint, two exact sign checks certify a bracket of radius 1e-50
+    around it, and the reported radius tol/2 (or hi - lo) follows from it.
     """
     _check_tol_floor(tol, 1e-15, "find_q")
 
@@ -119,15 +114,13 @@ def find_q(tol):
         if not _certified_sin_positive(point):
             raise AssertionError("sin positivity failed inside the bracket")
 
-    # Newton polish: y <- y + cos(y)/sin(y); quadratic convergence, with
-    # dyadic rounding to keep the rationals small
+    # Newton polish with sin Q = 1: y <- y + cos y maps Q + e to Q + e^3/6 - ...
+    # and increases with fixed point Q, so its iterates stay between the
+    # midpoint and Q; dyadic rounding keeps the rationals small
     y = (lo + hi) / 2
     for _ in range(3):
-        s, c = _sin_cos_partial(y)
-        y = _round_dyadic(y + c / s, _POLISH_BITS)
-
-    if not (lo <= y <= hi):  # paranoia: polish must stay inside the bracket
-        y = (lo + hi) / 2
+        c, _ = cos_eval_exact(y, 40)
+        y = _round_dyadic(y + c, _POLISH_BITS)
 
     # re-certify: tiny bracket around the polished value, widening past any
     # indecisive point
@@ -140,13 +133,9 @@ def find_q(tol):
             refined = (hi - lo) / 2
             break
 
-    # certified bracket of radius tol/2 centered on the reported value
-    half_tol = Fraction(tol) / 2
-    if (y + half_tol <= 4 and _certified_sign(y - half_tol, or_zero=True) > 0
-            and _certified_sign(y + half_tol, or_zero=True) < 0):
-        certified_bound = tol / 2
-    else:
-        certified_bound = float(hi - lo)
+    # |y - Q| <= refined <= hi - lo <= 2, so either radius bounds |y - Q|,
+    # and y -/+ radius stays inside (-Q, 3Q), where cos changes sign only at Q
+    certified_bound = tol / 2 if refined <= Fraction(tol) / 2 <= hi - lo else float(hi - lo)
 
     q_float = float(y)
     q_float_err = float(abs(Fraction(q_float) - y) + refined) * (1.0 + 1e-9)

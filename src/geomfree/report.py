@@ -78,6 +78,8 @@ def validate_report(report):
     if not isinstance(checks, list):
         raise ValueError("checks must be a list")
     for c in checks:
+        if not isinstance(c, dict):
+            raise ValueError("each check must be an object")
         for key in ("name", "kind", "pass", "detail", "samples"):
             if key not in c:
                 raise ValueError(f"check missing key: {key}")
@@ -90,6 +92,8 @@ def validate_report(report):
         if not isinstance(c["samples"], int) or c["samples"] < 0:
             raise ValueError("samples must be a non-negative integer")
     summary = report["summary"]
+    if not isinstance(summary, dict):
+        raise ValueError("summary must be an object")
     n_pass = sum(1 for c in checks if c["pass"])
     if summary.get("total") != len(checks) or summary.get("passed") != n_pass \
             or summary.get("failed") != len(checks) - n_pass:

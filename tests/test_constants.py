@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from geomfree.constants import (
@@ -62,6 +63,22 @@ class TestFindQ:
         tbl = find_q(1e-13)
         cv = sin_eval(tbl.q, 1e-15)
         assert abs(cv.value - 1.0) <= cv.abs_error_bound + tbl.q_float_err
+
+
+class TestPolishedQ:
+    @pytest.mark.parametrize("tol", [1e-15, 1e-13, 1e-10, 1e-5])
+    def test_q_exact_is_the_nearest_2_pow_minus_200_dyadic(self, tol):
+        with mpmath.workprec(400):
+            nearest = int(mpmath.nint(mpmath.pi / 2 * mpmath.mpf(2) ** 200))
+        assert find_q(tol).q_exact == Fraction(nearest, 2 ** 200)
+
+    @pytest.mark.parametrize("tol", [0.1, 1.0, 3.0, 100.0])
+    def test_both_radii_bracket_q_at_loose_tolerances(self, tol):
+        tbl = find_q(tol)
+        for radius in (tbl.refined_radius, tbl.certified_bound):
+            r = Fraction(radius)
+            assert cos_sign_oracle(tbl.q_exact - r) > 0
+            assert cos_sign_oracle(tbl.q_exact + r) < 0
 
 
 class TestBisectionInvariants:

@@ -43,6 +43,19 @@ class TestReportSchema:
         with pytest.raises(ValueError):
             validate_report(rep)
 
+    def test_non_object_check_rejected(self):
+        rep = build_report(self._sample())
+        rep["checks"] = [1]
+        rep["summary"] = {"total": 1, "passed": 0, "failed": 1}
+        with pytest.raises(ValueError):
+            validate_report(rep)
+
+    def test_non_object_summary_rejected(self):
+        rep = build_report(self._sample())
+        rep["summary"] = []
+        with pytest.raises(ValueError):
+            validate_report(rep)
+
     def test_to_dict_uses_pass_key(self):
         d = CheckResult("x", "exact", True, {}, 1).to_dict()
         assert d["pass"] is True and "passed" not in d
