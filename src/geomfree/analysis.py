@@ -23,10 +23,9 @@ from collections import namedtuple
 
 from .constants import shared_table
 from .errors import DomainError, StepTooLarge
-from .series_kernel import (CertifiedValue, _check_tol, _check_tol_floor, _new_cv, _sin_value,
+from .series_kernel import (_U, CertifiedValue, _check_tol, _check_tol_floor, _new_cv, _sin_value,
                             cos_eval, sin_eval)
 
-_U = 2.0 ** -53
 _SQRT_HALF = 0.7071067811865476  # float nearest sqrt(1/2)
 _MAX_DEPTH = 40
 _MIN_QUAD_TOL = 1e-15

@@ -15,8 +15,6 @@ from fractions import Fraction
 from . import analysis, bench, constants, exact_series, identities, report, series_kernel
 from .errors import GeomfreeError
 
-_EPS = 2.0 ** -52
-
 
 def _color_enabled():
     return sys.stdout.isatty() and not os.environ.get("GEOMFREE_NO_COLOR")
@@ -98,17 +96,17 @@ def _cos2_certificate():
     )
 
 
-def _coefficient_recursion_check(n_max=200):
-    """Recursion-generated coefficients match the series coefficients."""
-    coeffs = series_kernel.ode_coefficients(n_max + 1)
-    series = exact_series.truncated_sin(n_max)
-    ok = all(coeffs[n] == series.coefficient(n) for n in range(n_max + 1))
+def _coefficient_recursion_check():
+    """Recursion-generated coefficients match the series coefficients up to degree 200."""
+    coeffs = series_kernel.ode_coefficients(201)
+    series = exact_series.truncated_sin(200)
+    ok = all(coeffs[n] == series.coefficient(n) for n in range(201))
     return report.CheckResult(
-        name=f"coefficient_recursion_n_le_{n_max}",
+        name="coefficient_recursion_n_le_200",
         kind="exact",
         passed=ok,
         detail={"residual": "0"} if ok else {"residual": "mismatch"},
-        samples=n_max + 1,
+        samples=201,
     )
 
 
@@ -128,12 +126,13 @@ def _special_angle_check():
         rs, rc = refs[e.label]
         worst = max(worst, abs(e.sin_value - rs), abs(e.cos_value - rc),
                     abs(e.sin_value ** 2 + e.cos_value ** 2 - 1.0) / 2.0)
-    ok = worst <= 2.0 * _EPS
+    bound = 4.0 * series_kernel._U  # 2 ulp(1)
+    ok = worst <= bound
     return report.CheckResult(
         name="special_angles_table",
         kind="numeric",
         passed=ok,
-        detail={"max_discrepancy": worst, "bound": 2.0 * _EPS},
+        detail={"max_discrepancy": worst, "bound": bound},
         samples=len(table.entries),
     )
 
@@ -176,38 +175,27 @@ def exact_checks(degree):
     ]
 
 
+def _numeric_result(name, chk, samples, **detail):
+    """The CheckResult of an IdentityCheck: its verdict, `detail` and its bound."""
+    return report.CheckResult(name=name, kind="numeric", passed=chk.passed,
+                              detail={**detail, "bound": chk.combined_bound}, samples=samples)
+
+
 def numeric_checks(samples, seed):
     checks = []
     for name in identities.registered_identities():
         results = identities.check_identity(
             name, identities.default_samples(name, samples, seed))
         worst = identities.worst_of(results)
-        checks.append(report.CheckResult(
-            name=f"identity_{name}",
-            kind="numeric",
-            passed=worst.passed,
-            detail={"max_discrepancy": worst.discrepancy,
-                    "bound": worst.combined_bound,
-                    "worst_sample": worst.sample_points},
-            samples=len(results),
-        ))
+        checks.append(_numeric_result(f"identity_{name}", worst, len(results),
+                                      max_discrepancy=worst.discrepancy,
+                                      worst_sample=worst.sample_points))
     per = identities.check_periodicity(samples)
-    checks.append(report.CheckResult(
-        name="periodicity_4q",
-        kind="numeric",
-        passed=per.passed,
-        detail={"max_discrepancy": per.discrepancy, "bound": per.combined_bound},
-        samples=samples,
-    ))
+    checks.append(_numeric_result("periodicity_4q", per, samples,
+                                  max_discrepancy=per.discrepancy))
     mini = identities.check_period_minimality(500)
-    checks.append(report.CheckResult(
-        name="period_minimality",
-        kind="numeric",
-        passed=mini.passed,
-        detail={"witness_value": mini.lhs, "bound": mini.combined_bound,
-                "worst_sample": mini.sample_points},
-        samples=500,
-    ))
+    checks.append(_numeric_result("period_minimality", mini, 500, witness_value=mini.lhs,
+                                  worst_sample=mini.sample_points))
     checks.append(_special_angle_check())
     checks.append(_sin_q_check())
     return checks

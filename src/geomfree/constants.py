@@ -88,11 +88,6 @@ def _certified_bisection(tol):
     return lo, hi, iterations, history
 
 
-def _round_dyadic(y, bits):
-    scale = 1 << bits
-    return Fraction(round(y * scale), scale)
-
-
 def find_q(tol):
     """Locate Q = min{x in [0,2] : cos x = 0} with certified brackets.
 
@@ -118,9 +113,10 @@ def find_q(tol):
     # and increases with fixed point Q, so its iterates stay between the
     # midpoint and Q; dyadic rounding keeps the rationals small
     y = (lo + hi) / 2
+    scale = 1 << _POLISH_BITS
     for _ in range(3):
         c, _ = cos_eval_exact(y, 40)
-        y = _round_dyadic(y + c, _POLISH_BITS)
+        y = Fraction(round((y + c) * scale), scale)
 
     # re-certify: tiny bracket around the polished value, widening past any
     # indecisive point

@@ -15,10 +15,8 @@ from fractions import Fraction
 
 from .constants import shared_table
 from .errors import UnknownIdentity
-from .series_kernel import CertifiedValue, cos_eval, sin_eval
+from .series_kernel import _U, CertifiedValue, cos_eval, sin_eval
 
-_U = 2.0 ** -53
-_EPS = 2.0 ** -52  # ulp(1)
 _TOL = 1e-15       # tolerance of every certified evaluation in the suite
 
 
@@ -36,8 +34,8 @@ class IdentityCheck(namedtuple("IdentityCheck", "name lhs rhs combined_bound pas
 def _compare(name, lhs, rhs, points):
     """The IdentityCheck of two CertifiedValues that should be equal."""
     combined = lhs.abs_error_bound + rhs.abs_error_bound
-    # 4 ulp on top of the certified bounds, scaled to the values compared
-    slack = 4.0 * _EPS * max(1.0, abs(lhs.value), abs(rhs.value))
+    # 4 ulp (8u) on top of the certified bounds, scaled to the values compared
+    slack = 8.0 * _U * max(1.0, abs(lhs.value), abs(rhs.value))
     passed = abs(lhs.value - rhs.value) <= combined + slack
     return IdentityCheck(name, lhs.value, rhs.value, combined, passed, points)
 
@@ -61,76 +59,56 @@ def _cos_at(arg, arg_err=0.0):
 
 
 # --- identity registry -------------------------------------------------
-# Each entry: arity, and a function (sample, table) -> (lhs, rhs)
-# as CertifiedValues with argument formation already accounted for.
+# Each identity maps its sample's floats, x or x, y, to (lhs, rhs): two
+# CertifiedValues, with the rounding of an argument formed on the left
+# (x - y, Q - x, 3x, ...) already in the lhs bound.  Doubling is exact in
+# binary floating point, so 2x adds nothing.
 
-def _sine_difference(sample, tbl):
-    x, y = sample
-    lhs = _sin_at(x - y)
-    rhs = sin_eval(x, _TOL) * cos_eval(y, _TOL) - cos_eval(x, _TOL) * sin_eval(y, _TOL)
-    return lhs, rhs
-
-
-def _sine_double_angle(sample, tbl):
-    x = sample
-    lhs = sin_eval(2.0 * x, _TOL)  # doubling is exact in binary fp
-    rhs = 2.0 * (sin_eval(x, _TOL) * cos_eval(x, _TOL))
-    return lhs, rhs
+def _sine_difference(x, y):
+    return (_sin_at(x - y),
+            sin_eval(x, _TOL) * cos_eval(y, _TOL) - cos_eval(x, _TOL) * sin_eval(y, _TOL))
 
 
-def _cofunction_sine(sample, tbl):
-    x = sample
-    lhs = _sin_at(tbl.q - x, arg_err=tbl.q_float_err)
-    rhs = cos_eval(x, _TOL)
-    return lhs, rhs
+def _sine_double_angle(x):
+    return sin_eval(2.0 * x, _TOL), 2.0 * (sin_eval(x, _TOL) * cos_eval(x, _TOL))
 
 
-def _cofunction_cosine(sample, tbl):
-    x = sample
-    lhs = _cos_at(tbl.q - x, arg_err=tbl.q_float_err)
-    rhs = sin_eval(x, _TOL)
-    return lhs, rhs
+def _cofunction_sine(x):
+    tbl = shared_table()
+    return _sin_at(tbl.q - x, arg_err=tbl.q_float_err), cos_eval(x, _TOL)
 
 
-def _cosine_sum(sample, tbl):
-    x, y = sample
-    lhs = _cos_at(x + y)
-    rhs = cos_eval(x, _TOL) * cos_eval(y, _TOL) - sin_eval(x, _TOL) * sin_eval(y, _TOL)
-    return lhs, rhs
+def _cofunction_cosine(x):
+    tbl = shared_table()
+    return _cos_at(tbl.q - x, arg_err=tbl.q_float_err), sin_eval(x, _TOL)
 
 
-def _cosine_difference(sample, tbl):
-    x, y = sample
-    lhs = _cos_at(x - y)
-    rhs = cos_eval(x, _TOL) * cos_eval(y, _TOL) + sin_eval(x, _TOL) * sin_eval(y, _TOL)
-    return lhs, rhs
+def _cosine_sum(x, y):
+    return (_cos_at(x + y),
+            cos_eval(x, _TOL) * cos_eval(y, _TOL) - sin_eval(x, _TOL) * sin_eval(y, _TOL))
 
 
-def _cosine_double_angle(sample, tbl):
-    x = sample
-    lhs = cos_eval(2.0 * x, _TOL)
+def _cosine_difference(x, y):
+    return (_cos_at(x - y),
+            cos_eval(x, _TOL) * cos_eval(y, _TOL) + sin_eval(x, _TOL) * sin_eval(y, _TOL))
+
+
+def _cosine_double_angle(x):
     c = cos_eval(x, _TOL)
-    rhs = 2.0 * (c * c) - 1.0
-    return lhs, rhs
+    return cos_eval(2.0 * x, _TOL), 2.0 * (c * c) - 1.0
 
 
-def _cosine_squared(sample, tbl):
-    x = sample
+def _cosine_squared(x):
     c = cos_eval(x, _TOL)
-    lhs = c * c
-    rhs = 0.5 + 0.5 * cos_eval(2.0 * x, _TOL)
-    return lhs, rhs
+    return c * c, 0.5 + 0.5 * cos_eval(2.0 * x, _TOL)
 
 
-def _sine_triple_angle(sample, tbl):
-    x = sample
-    lhs = _sin_at(3.0 * x)
+def _sine_triple_angle(x):
     s = sin_eval(x, _TOL)
-    rhs = 3.0 * s - 4.0 * (s * s * s)
-    return lhs, rhs
+    return _sin_at(3.0 * x), 3.0 * s - 4.0 * (s * s * s)
 
 
-_IDENTITIES = {
+_IDENTITIES = {  # name -> (arity, function)
     "sine_difference": (2, _sine_difference),
     "sine_double_angle": (1, _sine_double_angle),
     "cofunction_sine": (1, _cofunction_sine),
@@ -147,33 +125,32 @@ def registered_identities():
     return sorted(_IDENTITIES)
 
 
+def _lookup(name):
+    """(arity, function) of a registered identity; UnknownIdentity otherwise."""
+    try:
+        return _IDENTITIES[name]
+    except KeyError:
+        raise UnknownIdentity(name) from None
+
+
 def identity_arity(name):
-    if name not in _IDENTITIES:
-        raise UnknownIdentity(name)
-    return _IDENTITIES[name][0]
+    return _lookup(name)[0]
 
 
 def check_identity(name, samples):
     """Evaluate both sides of a registered identity at every sample.
 
-    `samples` holds floats (1-argument identities) or (x, y) pairs.
-    Returns one IdentityCheck per sample.
+    `samples` holds floats (1-argument identities) or (x, y) pairs; a
+    pair of another length raises ValueError.  Returns one IdentityCheck
+    per sample.
     """
-    if name not in _IDENTITIES:
-        raise UnknownIdentity(name)
-    arity, fn = _IDENTITIES[name]
-    tbl = shared_table()
+    arity, fn = _lookup(name)
     out = []
     for sample in samples:
-        if arity == 2:
-            x, y = sample
-            points = [float(x), float(y)]
-            sample = (float(x), float(y))
-        else:
-            sample = float(sample)
-            points = [sample]
-        lhs, rhs = fn(sample, tbl)
-        out.append(_compare(name, lhs, rhs, points))
+        points = [float(v) for v in (sample if arity == 2 else [sample])]
+        if len(points) != arity:
+            raise ValueError(f"{name} takes {arity} arguments per sample, got {sample!r}")
+        out.append(_compare(name, *fn(*points), points))
     return out
 
 

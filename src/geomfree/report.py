@@ -74,6 +74,8 @@ def validate_report(report):
             raise ValueError(f"missing key: {key}")
     if report["schema_version"] != SCHEMA_VERSION:
         raise ValueError("unsupported schema_version")
+    if not isinstance(report["timestamp"], str):
+        raise ValueError("timestamp must be a string")
     checks = report["checks"]
     if not isinstance(checks, list):
         raise ValueError("checks must be a list")
@@ -83,19 +85,21 @@ def validate_report(report):
         for key in ("name", "kind", "pass", "detail", "samples"):
             if key not in c:
                 raise ValueError(f"check missing key: {key}")
+        if not isinstance(c["name"], str):
+            raise ValueError("name must be a string")
         if c["kind"] not in ("exact", "numeric"):
             raise ValueError(f"bad kind: {c['kind']!r}")
         if not isinstance(c["pass"], bool):
             raise ValueError("pass must be boolean")
         if not isinstance(c["detail"], dict):
             raise ValueError("detail must be an object")
-        if not isinstance(c["samples"], int) or c["samples"] < 0:
+        if type(c["samples"]) is not int or c["samples"] < 0:  # not bool, an int subclass
             raise ValueError("samples must be a non-negative integer")
     summary = report["summary"]
     if not isinstance(summary, dict):
         raise ValueError("summary must be an object")
     n_pass = sum(1 for c in checks if c["pass"])
-    if summary.get("total") != len(checks) or summary.get("passed") != n_pass \
-            or summary.get("failed") != len(checks) - n_pass:
+    counts = {"total": len(checks), "passed": n_pass, "failed": len(checks) - n_pass}
+    if any(type(summary.get(k)) is not int or summary[k] != n for k, n in counts.items()):
         raise ValueError("summary counts do not match checks")
     return True

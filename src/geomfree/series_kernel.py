@@ -23,8 +23,10 @@ Evaluation pipeline:
 _eval and analysis.arcsin_newton build their results with the trusted
 constructor _new_cv(CertifiedValue, (value, bound)), which skips the check
 that the bound is finite and >= 0; their bounds are so by construction,
-and nothing else may call it.  CertifiedValue(value, bound) and its
-arithmetic keep the check, because an overflow can make a bound infinite.
+and nothing else may call it (a static audit in the tests checks this).
+CertifiedValue(value, bound) and its arithmetic keep the check, because an
+overflow can make a bound infinite.  Each of +, - and * reads a plain
+number as an exact (value, 0.0) pair and builds its result once.
 
 No platform trigonometric function appears anywhere in this call graph.
 """
@@ -36,7 +38,7 @@ from fractions import Fraction
 from .doubledouble import two_prod, two_sum
 from .errors import DomainError, InvalidTolerance
 
-_U = 2.0 ** -53          # unit roundoff of binary64
+_U = 2.0 ** -53          # unit roundoff of binary64; 2 * _U is ulp(1)
 _HALF_U = 2.0 ** -54
 _TINY = 2.0 ** -1074     # smallest subnormal
 _MAX_ARG = 1.0e8         # keeps k < 2**26, which the reduction's exact products need
@@ -65,12 +67,11 @@ class CertifiedValue(namedtuple("CertifiedValue", "value abs_error_bound")):
         return cls(*iterable)
 
     # Interval-style propagation; each operation also accounts for its own
-    # rounding so chained checks stay honest.
+    # rounding so chained checks stay honest.  A plain number is exact.
     def __add__(self, other):
-        other = _as_cv(other)
-        v = self.value + other.value
-        b = self.abs_error_bound + other.abs_error_bound + _U * abs(v)
-        return CertifiedValue(v, b)
+        w, e = _pair(other)
+        v = self.value + w
+        return CertifiedValue(v, self.abs_error_bound + e + _U * abs(v))
 
     __radd__ = __add__
 
@@ -78,17 +79,21 @@ class CertifiedValue(namedtuple("CertifiedValue", "value abs_error_bound")):
         return CertifiedValue(-self.value, self.abs_error_bound)
 
     def __sub__(self, other):
-        return self + (-_as_cv(other))
+        w, e = _pair(other)
+        v = self.value - w
+        return CertifiedValue(v, self.abs_error_bound + e + _U * abs(v))
 
     def __rsub__(self, other):
-        return _as_cv(other) + (-self)
+        w, e = _pair(other)
+        v = w - self.value
+        return CertifiedValue(v, self.abs_error_bound + e + _U * abs(v))
 
     def __mul__(self, other):
-        other = _as_cv(other)
-        v = self.value * other.value
-        b = (abs(self.value) * other.abs_error_bound
-             + abs(other.value) * self.abs_error_bound
-             + self.abs_error_bound * other.abs_error_bound
+        w, e = _pair(other)
+        v = self.value * w
+        b = (abs(self.value) * e
+             + abs(w) * self.abs_error_bound
+             + self.abs_error_bound * e
              + _U * abs(v)
              + _TINY)  # a product below the normal range loses up to _TINY / 2
         return CertifiedValue(v, b)
@@ -96,10 +101,9 @@ class CertifiedValue(namedtuple("CertifiedValue", "value abs_error_bound")):
     __rmul__ = __mul__
 
 
-def _as_cv(x):
-    if isinstance(x, CertifiedValue):
-        return x
-    return CertifiedValue(float(x), 0.0)
+def _pair(x):
+    """(value, bound) of a CertifiedValue, or (float(x), 0.0) of a plain number."""
+    return x if isinstance(x, CertifiedValue) else (float(x), 0.0)
 
 
 class SeriesCoefficients(tuple):

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from geomfree.cli import main
+from geomfree.cli import main, numeric_checks
+from geomfree.identities import registered_identities
 from geomfree.report import validate_report
 
 from oracles import PI_6, Q_REF
@@ -192,3 +193,21 @@ class TestBench:
     def test_bad_interval(self, capsys):
         rc, _, _ = run_cli(capsys, "bench", "--n", "200", "--interval", "2", "1")
         assert rc == 2
+
+
+class TestNumericCheckDetail:
+    def test_detail_keys_of_each_check(self):
+        checks = {c.name: c for c in numeric_checks(100, 0)}
+        keys = {name: set(c.detail) for name, c in checks.items()}
+        identity = {"max_discrepancy", "bound", "worst_sample"}
+        assert keys == {
+            **{f"identity_{name}": identity for name in registered_identities()},
+            "periodicity_4q": {"max_discrepancy", "bound"},
+            "period_minimality": {"witness_value", "bound", "worst_sample"},
+            "special_angles_table": {"max_discrepancy", "bound"},
+            "sin_q_equals_one": {"max_discrepancy", "bound"},
+        }
+        assert all(c.kind == "numeric" and c.passed for c in checks.values())
+        assert checks["periodicity_4q"].samples == 100
+        assert checks["period_minimality"].samples == 500
+        assert checks["identity_cosine_sum"].samples == 100

@@ -16,7 +16,7 @@ from geomfree.identities import (
     solve_sine_cubic,
     special_angles,
 )
-from geomfree.series_kernel import cos_eval, sin_eval
+from geomfree.series_kernel import CertifiedValue, cos_eval, sin_eval
 
 from oracles import (
     COS_2,
@@ -220,3 +220,67 @@ class TestRangeAndMonotonicity:
             arg = tbl.q - (tbl.q - k * tbl.q)
             cv = sin_eval(arg, 1e-15)
             assert abs(cv.value - s) <= cv.abs_error_bound + (k + 1) * tbl.q_float_err + 4e-16
+
+
+class TestIdentitiesAgainstDirectEvaluation:
+    """check_identity at fixed samples equals both sides written out here."""
+
+    U = 2.0 ** -53
+    TOL = 1e-15
+
+    @classmethod
+    def _s(cls, a, extra=None):
+        cv = sin_eval(a, cls.TOL)
+        return cv if extra is None else CertifiedValue(cv.value, cv.abs_error_bound + extra)
+
+    @classmethod
+    def _c(cls, a, extra=None):
+        cv = cos_eval(a, cls.TOL)
+        return cv if extra is None else CertifiedValue(cv.value, cv.abs_error_bound + extra)
+
+    @classmethod
+    def _sides(cls, name, x, y=None):
+        """(lhs, rhs) as CertifiedValues; a formed argument a adds u|a| to the lhs."""
+        S, C, u = cls._s, cls._c, cls.U
+        tbl = shared_table()
+        qx = tbl.q - x
+        return {
+            "sine_difference": lambda: (S(x - y, u * abs(x - y)),
+                                        S(x) * C(y) - C(x) * S(y)),
+            "sine_double_angle": lambda: (S(2.0 * x), 2.0 * (S(x) * C(x))),
+            "cofunction_sine": lambda: (S(qx, u * abs(qx) + tbl.q_float_err), C(x)),
+            "cofunction_cosine": lambda: (C(qx, u * abs(qx) + tbl.q_float_err), S(x)),
+            "cosine_sum": lambda: (C(x + y, u * abs(x + y)), C(x) * C(y) - S(x) * S(y)),
+            "cosine_difference": lambda: (C(x - y, u * abs(x - y)),
+                                          C(x) * C(y) + S(x) * S(y)),
+            "cosine_double_angle": lambda: (C(2.0 * x), 2.0 * (C(x) * C(x)) - 1.0),
+            "cosine_squared": lambda: (C(x) * C(x), 0.5 + 0.5 * C(2.0 * x)),
+            "sine_triple_angle": lambda: (S(3.0 * x, u * abs(3.0 * x)),
+                                          3.0 * S(x) - 4.0 * (S(x) * S(x) * S(x))),
+        }[name]()
+
+    ONE = (0.7, -2.5, 5.0)
+    TWO = ((0.7, -1.3), (2.5, 0.4), (-5.0, 3.1))
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED_IDENTITIES))
+    def test_fields_equal_the_direct_evaluation(self, name):
+        two = name in ("sine_difference", "cosine_sum", "cosine_difference")
+        samples = self.TWO if two else self.ONE
+        checks = check_identity(name, samples)
+        assert len(checks) == 3
+        for chk, sample in zip(checks, samples):
+            points = list(sample) if two else [sample]
+            lhs, rhs = self._sides(name, *points)
+            combined = lhs.abs_error_bound + rhs.abs_error_bound
+            slack = 4.0 * 2.0 ** -52 * max(1.0, abs(lhs.value), abs(rhs.value))
+            assert chk.name == name
+            assert chk.lhs == lhs.value
+            assert chk.rhs == rhs.value
+            assert chk.combined_bound == combined
+            assert chk.passed == (abs(lhs.value - rhs.value) <= combined + slack)
+            assert chk.passed
+            assert chk.sample_points == points
+
+    def test_a_three_tuple_for_a_two_argument_identity_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            check_identity("cosine_sum", [(0.1, 0.2, 0.3)])

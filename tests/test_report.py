@@ -61,6 +61,46 @@ class TestReportSchema:
         assert d["pass"] is True and "passed" not in d
 
 
+class TestReportFieldTypes:
+    """bool is an int subclass, so a type test by isinstance lets True through."""
+
+    def _report(self):
+        return build_report([CheckResult("alpha", "exact", True, {"residual": "0"}, 1)])
+
+    def test_boolean_samples_rejected(self):
+        rep = self._report()
+        rep["checks"][0]["samples"] = True
+        with pytest.raises(ValueError):
+            validate_report(rep)
+
+    @pytest.mark.parametrize("key", ["total", "passed"])
+    def test_boolean_summary_count_rejected(self, key):
+        rep = self._report()
+        rep["summary"][key] = True  # == 1, the right count
+        with pytest.raises(ValueError):
+            validate_report(rep)
+
+    def test_boolean_failed_count_rejected(self):
+        rep = self._report()
+        rep["summary"]["failed"] = False  # == 0, the right count
+        with pytest.raises(ValueError):
+            validate_report(rep)
+
+    @pytest.mark.parametrize("name", [None, 7, ["alpha"]])
+    def test_non_string_name_rejected(self, name):
+        rep = self._report()
+        rep["checks"][0]["name"] = name
+        with pytest.raises(ValueError):
+            validate_report(rep)
+
+    @pytest.mark.parametrize("timestamp", [None, 0, 1.7e9])
+    def test_non_string_timestamp_rejected(self, timestamp):
+        rep = self._report()
+        rep["timestamp"] = timestamp
+        with pytest.raises(ValueError):
+            validate_report(rep)
+
+
 class TestVerifyFailurePath:
     def test_failing_check_exits_one(self, capsys, monkeypatch):
         def broken():

@@ -283,3 +283,33 @@ class TestSignOnly:
                 s, b = cos_eval_exact(x, terms, until_sign=True)
                 want = (1 if s > 0 else -1) if abs(s) > b else 0
                 assert cos_eval_exact(x, terms, sign_only=True) == want
+
+
+class TestReflectedArithmetic:
+    """A plain number on the left: 0.5 + cv, 1.0 - cv and 2.0 * cv."""
+
+    @staticmethod
+    def _cases():
+        rng = random.Random(16)
+        for _ in range(200):
+            e = rng.uniform(0, 1e-12)
+            cv = CertifiedValue(rng.uniform(-2, 2), e)
+            truth = Fraction(cv.value) + Fraction(rng.uniform(-e, e))  # within e of cv.value
+            yield cv, truth
+
+    @staticmethod
+    def _encloses(r, truth):
+        return abs(Fraction(r.value) - truth) <= Fraction(r.abs_error_bound)
+
+    def test_enclose_the_truth(self):
+        for cv, t in self._cases():
+            assert self._encloses(0.5 + cv, Fraction(1, 2) + t)
+            assert self._encloses(1.0 - cv, 1 - t)
+            assert self._encloses(2.0 * cv, 2 * t)
+
+    def test_equal_the_forward_forms(self):
+        for cv, _ in self._cases():
+            assert 0.5 + cv == cv + 0.5
+            assert 1.0 - cv == CertifiedValue(1.0, 0.0) - cv == -(cv - 1.0)
+            assert 2.0 * cv == cv * 2.0
+            assert type(0.5 + cv) is type(1.0 - cv) is type(2.0 * cv) is CertifiedValue
