@@ -8,6 +8,8 @@ of the Pythagorean and sine-addition identities, and every numeric
 evaluation carries a proven absolute error bound.
 """
 
+import types
+
 from .analysis import (
     OdeTrajectory,
     QuadratureResult,
@@ -65,56 +67,6 @@ from .series_kernel import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BiPoly",
-    "CertifiedValue",
-    "CheckResult",
-    "ConstantsTable",
-    "DomainError",
-    "GeomfreeError",
-    "IdentityCheck",
-    "InvalidTolerance",
-    "OdeTrajectory",
-    "QuadratureResult",
-    "SeriesCoefficients",
-    "SpecialAngleTable",
-    "StepTooLarge",
-    "ToleranceTooTight",
-    "UniPoly",
-    "UnknownIdentity",
-    "arc_length",
-    "arcsin_derivative_check",
-    "arcsin_newton",
-    "arcsin_quadrature",
-    "build_report",
-    "cauchy_product",
-    "check_identity",
-    "check_period_minimality",
-    "check_periodicity",
-    "cos_eval",
-    "cos_eval_exact",
-    "default_samples",
-    "find_q",
-    "ode_coefficients",
-    "ode_oracle",
-    "pi_value",
-    "q_multiples_table",
-    "quarter_circle_area",
-    "registered_identities",
-    "report_to_json",
-    "shared_table",
-    "sin_eval",
-    "sin_eval_exact",
-    "sine_sum_split",
-    "solve_sine_cubic",
-    "special_angles",
-    "substitute_sum",
-    "truncated_cos",
-    "truncated_sin",
-    "uni_to_bi",
-    "unit_circle_point",
-    "validate_report",
-    "verify_pythagorean",
-    "verify_sine_sum",
-    "verify_sine_sum_split",
-]
+# every public name imported above, and nothing else
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))

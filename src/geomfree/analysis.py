@@ -8,14 +8,10 @@ the complementary leg otherwise), and adaptive Simpson quadrature of
 substitution u = sqrt(1 - t^2) past the sqrt(2)/2 split.
 
 The Newton steps run on floats, and one certified sin_eval at the end
-bounds the result.  By the mean value theorem, |y - arcsin a| =
-|sin y - a| / cos xi for some xi between y and arcsin a.  Sine rises on
-[0, Q], and cos = sqrt(1 - sin^2) there, so with m = max(a, sin y + its
-bound) < 1 the residual is divided by sqrt((1-m)(1+m)), rounded down
-(see _newton_core).  The quadrature's est_error adds a roundoff floor to
-the Richardson estimate, and its tolerance stops at 1e-15.  The ODE oracle
-integrates f'' = -f with classical RK4 and tracks the conserved quantity
-f^2 + f'^2.
+bounds the result by the mean value theorem (see _newton_core).  The
+quadrature's est_error adds a roundoff floor to the Richardson estimate,
+and its tolerance stops at 1e-15.  The ODE oracle integrates f'' = -f with
+classical RK4 and tracks the conserved quantity f^2 + f'^2.
 """
 
 import math
@@ -56,11 +52,11 @@ def _newton_core(a, tol):
     toward the root; they converge in at most four.
 
     Only the final residual is certified, by one sin_eval: s = sin y
-    within s.abs_error_bound.  By the mean value theorem
+    within s_err.  By the mean value theorem
     |y - arcsin a| = |sin y - a| / cos xi for some xi between y and
     arcsin a.  Here arcsin a <= 0.786, so when 0 <= y <= 1.5 (< Q) xi lies
     in [0, Q], where sin is increasing and cos = sqrt(1 - sin^2); then
-    sin xi <= m = max(a, s.value + s.abs_error_bound), and
+    sin xi <= m = max(a, s + s_err), and
     cos xi >= sqrt((1-m)(1+m)) once m < 1.  On this branch m <= ~0.7072,
     so the constant 1/sqrt((1-m)(1+m)) is at most ~1.415.  Newton rising
     from below keeps y near arcsin a, so the check of 0 <= y <= 1.5 and
@@ -75,15 +71,15 @@ def _newton_core(a, tol):
         s = _sin_value(y)
         dy = (s - a) / _comp_sqrt(s)
         y -= dy
-        if abs(dy) <= 4.0 * _U * y:
+        if abs(dy) <= 2.0 ** -51 * y:  # 4u
             break
-    s = sin_eval(y, min(tol, 1e-16))
-    m = max(a, s.value + s.abs_error_bound)
+    s, s_err = sin_eval(y, tol)  # the kernel's bound does not depend on tol
+    m = max(a, s + s_err)
     if not (0.0 <= y <= 1.5 and m < 1.0):
         raise AssertionError(f"arcsin Newton left [0, Q] at a={a!r}: y={y!r}, m={m!r}")
     # the square root rounded down; the bound's three roundings rounded up
     cos_lo = _comp_sqrt(m) * (1.0 - 4.0 * _U)
-    bound = (abs(s.value - a) + s.abs_error_bound) / cos_lo * (1.0 + 4.0 * _U)
+    bound = (abs(s - a) + s_err) / cos_lo * (1.0 + 4.0 * _U)
     return y, bound
 
 

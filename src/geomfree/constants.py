@@ -109,12 +109,18 @@ def find_q(tol):
         if not _certified_sin_positive(point):
             raise AssertionError("sin positivity failed inside the bracket")
 
-    # Newton polish with sin Q = 1: y <- y + cos y maps Q + e to Q + e^3/6 - ...
+    # Newton polish with sin Q = 1: y <- y + cos y maps Q + e to Q + (e - sin e)
     # and increases with fixed point Q, so its iterates stay between the
-    # midpoint and Q; dyadic rounding keeps the rationals small
+    # midpoint and Q; dyadic rounding keeps the rationals small.  The step
+    # count follows from the bracket: |e - sin e| <= |e|^3/6, each step adds
+    # at most 2^-200 (the rounding, and the 40-term truncation below 1e-94),
+    # and steps stop once e^3/6 is below that.
     y = (lo + hi) / 2
     scale = 1 << _POLISH_BITS
-    for _ in range(3):
+    steps, e = 1, (hi - lo) / 2
+    while e ** 3 / 6 > Fraction(1, scale):
+        steps, e = steps + 1, e ** 3 / 6 + Fraction(1, scale)
+    for _ in range(steps):
         c, _ = cos_eval_exact(y, 40)
         y = Fraction(round((y + c) * scale), scale)
 

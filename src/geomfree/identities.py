@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .constants import shared_table
 from .errors import UnknownIdentity
-from .series_kernel import _U, CertifiedValue, cos_eval, sin_eval
+from .series_kernel import _U, CertifiedValue, _is_real, cos_eval, sin_eval
 
 _TOL = 1e-15       # tolerance of every certified evaluation in the suite
 
@@ -141,13 +141,17 @@ def check_identity(name, samples):
     """Evaluate both sides of a registered identity at every sample.
 
     `samples` holds floats (1-argument identities) or (x, y) pairs; a
-    pair of another length raises ValueError.  Returns one IdentityCheck
-    per sample.
+    pair of another length raises ValueError, and a value that is not an
+    int or a float (a bool, a string) TypeError.  Returns one
+    IdentityCheck per sample.
     """
     arity, fn = _lookup(name)
     out = []
     for sample in samples:
-        points = [float(v) for v in (sample if arity == 2 else [sample])]
+        values = sample if arity == 2 else [sample]
+        if not all(_is_real(v) for v in values):
+            raise TypeError(f"{name} takes real numbers, got {sample!r}")
+        points = [float(v) for v in values]
         if len(points) != arity:
             raise ValueError(f"{name} takes {arity} arguments per sample, got {sample!r}")
         out.append(_compare(name, *fn(*points), points))

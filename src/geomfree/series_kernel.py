@@ -9,16 +9,15 @@ Evaluation pipeline:
 2. Pick the quadrant.  With j = k mod 4, sin(jQ + r) is +-sin r or +-cos r
    by the exact Q-multiples table; cos x is sin(x + Q).  The sign of x is
    applied last, so sin(-x) == -sin(x) bit for bit.
-3. Evaluate in floats.  Terms follow t <- -t*z/den with z = r_hi**2 and stop
-   at the first term at most min(tol/2, 2**-54 |leading term|), which keeps
-   results accurate relative to their size.  Only the leading part is
-   error-free (cosine's 1 - z/2 through two_prod), r_lo enters as a
-   first-order correction, and one math.fsum adds the terms.
-4. Bound.  The returned CertifiedValue's absolute bound is the first
-   omitted term (the terms alternate and shrink) + the reduction error
-   (k times the certified error of Q1 + Q2 + Q3, plus its roundings) + the
-   derived rounding of the float terms + one rounding of the result.  The
-   derivation sits above _eval.
+3. Evaluate in floats, straight-line: a Horner polynomial in z = r_hi**2 of
+   degree 17 (sine) or 16 (cosine), or only the leading part where the rest
+   is below 2**-54 of it, by the degree table derived at import.  Only the
+   leading part is error-free (cosine's 1 - z/2 through two_prod and
+   Fast2Sum); r_lo enters as a first-order correction.
+4. Bound.  The returned CertifiedValue's absolute bound is the row's
+   truncation constant + the derived Horner rounding + the reduction error
+   (k times the certified error of Q1 + Q2 + Q3, plus its roundings) + one
+   rounding of the result.  The derivation sits above _eval.
 
 _eval and analysis.arcsin_newton build their results with the trusted
 constructor _new_cv(CertifiedValue, (value, bound)), which skips the check
@@ -67,9 +66,12 @@ class CertifiedValue(namedtuple("CertifiedValue", "value abs_error_bound")):
         return cls(*iterable)
 
     # Interval-style propagation; each operation also accounts for its own
-    # rounding so chained checks stay honest.  A plain number is exact.
+    # rounding so chained checks stay honest.  A plain int or float is exact;
+    # any other operand is NotImplemented, so Python raises TypeError.
     def __add__(self, other):
         w, e = _pair(other)
+        if e is None:
+            return NotImplemented
         v = self.value + w
         return CertifiedValue(v, self.abs_error_bound + e + _U * abs(v))
 
@@ -80,16 +82,22 @@ class CertifiedValue(namedtuple("CertifiedValue", "value abs_error_bound")):
 
     def __sub__(self, other):
         w, e = _pair(other)
+        if e is None:
+            return NotImplemented
         v = self.value - w
         return CertifiedValue(v, self.abs_error_bound + e + _U * abs(v))
 
     def __rsub__(self, other):
         w, e = _pair(other)
+        if e is None:
+            return NotImplemented
         v = w - self.value
         return CertifiedValue(v, self.abs_error_bound + e + _U * abs(v))
 
     def __mul__(self, other):
         w, e = _pair(other)
+        if e is None:
+            return NotImplemented
         v = self.value * w
         b = (abs(self.value) * e
              + abs(w) * self.abs_error_bound
@@ -101,9 +109,16 @@ class CertifiedValue(namedtuple("CertifiedValue", "value abs_error_bound")):
     __rmul__ = __mul__
 
 
+def _is_real(x):
+    """True for an int or a float, the plain numbers of the package; a bool is neither."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _pair(x):
-    """(value, bound) of a CertifiedValue, or (float(x), 0.0) of a plain number."""
-    return x if isinstance(x, CertifiedValue) else (float(x), 0.0)
+    """(value, bound) of a CertifiedValue or a plain number, else (None, None)."""
+    if isinstance(x, CertifiedValue):
+        return x
+    return (float(x), 0.0) if _is_real(x) else (None, None)
 
 
 class SeriesCoefficients(tuple):
@@ -179,59 +194,69 @@ def _bind_reduction():
     return _reduction
 
 
-# Denominators of the term recurrence t_n = -t_{n-1} z / den_n with z = r**2:
-# (2n)(2n+1) for sine, (2n-1)(2n) for cosine, n >= 1.  With |r| < 1 every term
-# from n = 90 on is below half the smallest subnormal, so the stop test of
-# _eval (t <= stop, stop >= 0) is met before either table runs out.
-_SIN_DEN = tuple(float(2 * n * (2 * n + 1)) for n in range(1, 100))
-_COS_DEN = tuple(float((2 * n - 1) * 2 * n) for n in range(1, 100))
+# Horner kernels in z = r**2.  Each coefficient, a quotient of integers below
+# 2**53, is the float nearest its rational, within a relative rho_n <= u:
+#   sin r = r + r z (s_1 + z (s_2 + ... + z s_8)),           s_n = (-1)**n / (2n+1)!
+#   cos r = (1 - z/2) + z**2 (c_2 + z (c_3 + ... + z c_8)),  c_n = (-1)**n / (2n)!
+# Degree table, from the exact coefficients a_n of w**n (w = r**2): rows (largest
+# z, first omitted n, t), where t bounds a_n w**n per unit of the tail's scale,
+# |r| z (sine, j = 1) or z**2 (cosine, j = 2), at the row's largest z, and so the
+# alternating, shrinking remainder below it.  Row 0 keeps only the leading part,
+# up to where |a_j| z**j reaches 2**-54 (1 - z/2); row 1 keeps n <= 8.
+_Z_MAX = 0.6169  # above fl(r**2) for |r| <= 0.7854, the largest reduced argument
 
-# Error bound of _eval.  u = 2**-53; |r| <= 0.7854 (k is nearest |x|/Q up
-# to 2e-8), so z <= 0.6169.  r_hi + r_lo is the reduced argument, with
-# |r_lo| <= u|r_hi|; the series runs on r_hi, and r_lo enters as a
-# first-order correction.
-#
-# - Truncation: terms alternate and shrink from the first omitted one on
-#   (z < den), so the remainder is at most |t_N|; its float value is within
-#   a relative 3Nu of the true term.
-# - Term rounding: a kept sine term t_n carries 3n roundings (z, the product,
-#   the quotient), t_n/t_{n-1} <= z/20 from n = 2 on, so the total is
-#   3u|t_1|/(1 - z/20)**2 <= 3.2u|t_1| <= 0.55u |r_hi| z.  Cosine keeps
-#   1 - (zh + zl)/2 exact (two_prod); t_n for n >= 2 carries 3n - 2
-#   roundings and shrinks by z/30, so the total is <= 4.2u|t_2| <= 0.11u z.
-# - Correction: sine uses r_lo (1 - z/2), which is off from
-#   sin(r_hi + r_lo) - sin(r_hi) by <= |r_lo| (z**2/24 + 3u) + r_lo**2/2
-#   <= 0.016|r_lo|; cosine uses -r_lo r_hi, off by
-#   <= |r_lo| (|r_hi|**3/6 + u) + r_lo**2/2 <= 0.081|r_lo|.
+
+def _degree_table(a, j):
+    # row 0 ends just inside its edge: 1 - 2**-20 < 1 - z/2 there, past the roundings
+    z0 = float((Fraction(_HALF_U) / abs(a[j])) ** Fraction(1, j)) * (1.0 - 2.0 ** -20)
+    return tuple((z, n, float(abs(a[n]) * Fraction(z) ** (n - j)) * (1.0 + 2.0 ** -50))
+                 for z, n in ((z0, j), (_Z_MAX, len(a) - 1)))
+
+
+_ODE = ode_coefficients(20)  # c_(2n+1) = (-1)**n / (2n+1)!; cosine's are (2n+1) c_(2n+1)
+_SIN_TABLE = _degree_table([_ODE[2 * n + 1] for n in range(10)], 1)
+_COS_TABLE = _degree_table([(2 * n + 1) * _ODE[2 * n + 1] for n in range(10)], 2)
+
+# Error bound of _eval.  u = 2**-53, gamma_n = nu/(1 - nu).  |r| <= 0.7854 (k
+# is nearest |x|/Q up to 2e-8), so z <= _Z_MAX.  The series runs on r_hi, and
+# r_lo (|r_lo| <= u|r_hi|) enters as a first-order correction.  The bound is
+# (t + H) m z + c_lo |r_lo| + reduction + u|value| + underflow, with m = |r_hi|
+# (sine) or z (cosine), t from the row, and H the Horner rounding per u m z
+# (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 5.1):
+# - Sine: in p = s_1 + z (s_2 + ...), s_n passes through 2n - 1 roundings (s_8
+#   through 14): |p - P(z)| <= sum (rho_n + gamma_(2n-1)) |s_n| z**(n-1), and
+#   with z's rounding (u z |P'|) 0.276.  The products r z p add gamma_3 |p| <=
+#   0.5, the sum with the correction u|r z p| <= 0.167: H = 0.95.
+# - Cosine keeps 1 - (z + zl)/2 exact (two_prod, then Fast2Sum).  In its tail
+#   (z z) q, q loses 0.067, the products gamma_4 |q| <= 0.167 (z = r**2 - zl,
+#   |zl| <= u z), the sum with the low parts u|tail| <= 0.042: H = 0.28.
+# - Row 0 has no tail, H = 0; its sine is r, which is r_hi + r_lo rounded.
+# - Correction: sine's r_lo (1 - z/2) is off from sin(r_hi + r_lo) - sin(r_hi)
+#   by <= |r_lo| (z**2/24 + 4u) + r_lo**2/2 <= 0.016|r_lo|, cosine's -r_lo r_hi
+#   by <= |r_lo| (|r_hi|**3/6 + u) + r_lo**2/2 <= 0.081|r_lo|.
 # - Reduction: sin and cos are 1-Lipschitz, so the reduced argument's error
-#   passes through unchanged: k k_err for the split of Q plus the two
-#   roundings of the reduction, u(|k Q3| + |e - k Q3|).
-# - Result: math.fsum rounds the exact sum of the terms once, <= u|value|.
-# - Underflow: an operation that lands below the normal range adds up to
-#   _TINY / 2 outright.  There are at most 3N + 14 such losses, counting an
-#   error in z once for each term it enters; 256 _TINY covers N < 100.
-# - The bound's own float sum loses at most a relative 8u, and the truncation
-#   term 3Nu; the factor 1 + 2**-40 covers both.
-_SIN = (_SIN_DEN, 0.55 * _U, 0.016)
-_COS = (_COS_DEN, 0.11 * _U, 0.081)
+#   passes through: k k_err for the split of Q plus the reduction's two
+#   roundings, u(|k Q3| + |e - k Q3|).
+# - Underflow: an operation that lands below the normal range loses up to
+#   _TINY / 2, which reaches the result (through z, the truncation term) with
+#   a factor <= 1; 256 _TINY covers the < 64 operations of a call.
+# - 1 + 2**-40 covers the bound's own float sum (8u), z for r_hi**2 in m z (2u)
+#   and cosine's low parts, summed with roundings < 2**-100 < 2**-98 |value|.
+_SIN_Z0, _COS_Z0 = _SIN_TABLE[0][0], _COS_TABLE[0][0]
+_SIN_K0, _SIN_K = _SIN_TABLE[0][2], _SIN_TABLE[1][2] + 0.95 * _U  # per row, t + H
+_COS_K0, _COS_K = _COS_TABLE[0][2], _COS_TABLE[1][2] + 0.28 * _U
 _UNDERFLOW = 256 * _TINY
 _ROUND_UP = 1.0 + 2.0 ** -40
 
 
 def _sin_value(r):
-    """sin r for 0 <= r <= Q/2 by the sine series of _eval, value only: no
-    reduction, no bound.  Accurate to about an ulp.  The term loop is
-    _eval's, written out here so that _eval itself makes no extra call."""
+    """sin r for 0 <= r <= Q/2, value only: the sine Horner of _eval, with no
+    reduction, no bound and no table lookup.  Equal to sin_eval(r, tol).value
+    there; written out rather than shared so that _eval makes no extra call."""
     z = r * r
-    stop = _HALF_U * r
-    t = r
-    terms = [r]
-    for den in _SIN_DEN:
-        t = -t * z / den
-        if -stop <= t <= stop:
-            break
-        terms.append(t)
-    return math.fsum(terms)
+    return r + r * z * (-1 / 6 + z * (1 / 120 + z * (-1 / 5040 + z * (1 / 362880 + z * (
+        -1 / 39916800 + z * (1 / 6227020800 + z * (-1 / 1307674368000
+                                                     + z * (1 / 355687428096000))))))))
 
 
 def _eval(x, tol, shift):
@@ -260,26 +285,29 @@ def _eval(x, tol, shift):
     use_cos, sign = quadrants[j]
     if use_cos:
         z, zl = two_prod(r, r)
-        t = lead = 1.0
-        terms = [1.0, -0.5 * zl, -r_lo * r]
-        dens, c_rnd, c_lo = _COS
+        h = 0.5 * z
+        lead = 1.0 - h
+        low = ((1.0 - lead) - h - 0.5 * zl) - r_lo * r  # Fast2Sum's exact error of 1 - h first
+        if z <= _COS_Z0:
+            val, k = lead + low, _COS_K0
+        else:
+            val = lead + (low + z * z * (1 / 24 + z * (-1 / 720 + z * (1 / 40320 + z * (
+                -1 / 3628800 + z * (1 / 479001600 + z * (-1 / 87178291200
+                                                         + z * (1 / 20922789888000))))))))
+            k = _COS_K
+        m, c_lo = z, 0.081
     else:
         z = r * r
-        t = r
-        lead = abs(r)
-        terms = [r, r_lo * (1.0 - 0.5 * z)]
-        dens, c_rnd, c_lo = _SIN
-    stop = 0.5 * tol
-    if stop > _HALF_U * lead:
-        stop = _HALF_U * lead
-    for den in dens:
-        t = -t * z / den
-        if -stop <= t <= stop:
-            break
-        terms.append(t)
-    val = math.fsum(terms)
-    bound = (abs(t) + c_rnd * lead * z + c_lo * abs(r_lo) + red_err
-             + _U * abs(val) + _UNDERFLOW) * _ROUND_UP
+        if z <= _SIN_Z0:
+            val, k = r, _SIN_K0
+        else:
+            val = r + (r * z * (-1 / 6 + z * (1 / 120 + z * (-1 / 5040 + z * (1 / 362880 + z * (
+                -1 / 39916800 + z * (1 / 6227020800 + z * (-1 / 1307674368000
+                                                             + z * (1 / 355687428096000))))))))
+                       + r_lo * (1.0 - 0.5 * z))
+            k = _SIN_K
+        m, c_lo = abs(r), 0.016
+    bound = (k * m * z + c_lo * abs(r_lo) + red_err + _U * abs(val) + _UNDERFLOW) * _ROUND_UP
     if shift == 0 and x < 0.0:
         sign = -sign
     return _new_cv(CertifiedValue, (val if sign > 0 else -val, bound))
@@ -289,11 +317,11 @@ def sin_eval(x, tol):
     """Certified sine: quadrant reduction mod Q, then the float series.
 
     Raises DomainError for |x| > 1e8 (the reduction is certified only
-    below) and InvalidTolerance unless 0 < tol < inf.  The series runs
-    until its first omitted term is below min(tol/2, 2**-54 * |leading
-    term|), so results are accurate relative to their size even at loose
-    tol; requests below an ulp or so are satisfied best-effort, and the
-    honest, larger bound is reported.
+    below) and InvalidTolerance unless 0 < tol < inf.  At any tol the
+    series is cut where the rest is below half an ulp of its leading part,
+    so results are accurate relative to their size and the bound does not
+    depend on tol; requests below an ulp or so are satisfied best-effort,
+    and the honest, larger bound is reported.
     """
     return _eval(x, tol, 0)
 

@@ -6,6 +6,7 @@ the CertifiedValue result type, and the modules a fresh import loads."""
 import math
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -176,3 +177,22 @@ def test_import_leaves_dataclasses_and_inspect_unloaded():
     out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
                          check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+NOT_A_NUMBER = ["1.5", True, False, None, 1j, Fraction(3, 2), [1.0]]
+
+
+@pytest.mark.parametrize("other", NOT_A_NUMBER, ids=repr)
+@pytest.mark.parametrize("op", ["+", "-", "*"])
+def test_certified_arithmetic_takes_only_numbers(op, other):
+    cv = CertifiedValue(1.0, 0.0)
+    for lhs, rhs in ((cv, other), (other, cv)):
+        with pytest.raises(TypeError):
+            eval(f"lhs {op} rhs", {"lhs": lhs, "rhs": rhs})
+
+
+def test_certified_arithmetic_reads_ints_and_floats_as_exact():
+    cv = CertifiedValue(1.0, 0.0)
+    assert cv + 2 == 2 + cv == CertifiedValue(3.0, 3.0 * 2.0 ** -53)
+    assert 3 - cv == CertifiedValue(2.0, 2.0 * 2.0 ** -53)
+    assert (cv * 0.5).value == 0.5

@@ -284,3 +284,10 @@ class TestIdentitiesAgainstDirectEvaluation:
     def test_a_three_tuple_for_a_two_argument_identity_is_a_value_error(self):
         with pytest.raises(ValueError):
             check_identity("cosine_sum", [(0.1, 0.2, 0.3)])
+
+
+@pytest.mark.parametrize("sample", ["0.25", True, None, (0.25, "0.5"), (False, 0.5)], ids=repr)
+def test_a_sample_that_is_not_a_real_number_is_a_type_error(sample):
+    name = "cosine_sum" if isinstance(sample, tuple) else "sine_double_angle"
+    with pytest.raises(TypeError):
+        check_identity(name, [sample])

@@ -6,10 +6,12 @@ from fractions import Fraction
 
 import pytest
 
+from geomfree import series_kernel
 from geomfree.constants import shared_table
 from geomfree.errors import DomainError, InvalidTolerance
 from geomfree.series_kernel import (
     CertifiedValue,
+    _sin_value,
     cos_eval,
     cos_eval_exact,
     ode_coefficients,
@@ -313,3 +315,47 @@ class TestReflectedArithmetic:
             assert 1.0 - cv == CertifiedValue(1.0, 0.0) - cv == -(cv - 1.0)
             assert 2.0 * cv == cv * 2.0
             assert type(0.5 + cv) is type(1.0 - cv) is type(2.0 * cv) is CertifiedValue
+
+
+class TestDegreeTable:
+    """The float kernel's degree tables against coefficients computed here.
+
+    A row (largest z, n, t) omits the powers w**n and up of w = r**2 and
+    states t, the first omitted term at the row's largest z per unit of the
+    tail's scale: |r| z for sine (power 1), z**2 for cosine (power 2).
+    """
+
+    KERNELS = {  # table, power of z in the tail's scale, |coefficient of w**n|
+        "sin": (series_kernel._SIN_TABLE, 1, lambda n: Fraction(1, math.factorial(2 * n + 1))),
+        "cos": (series_kernel._COS_TABLE, 2, lambda n: Fraction(1, math.factorial(2 * n))),
+    }
+
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_each_constant_bounds_the_first_omitted_term(self, name):
+        rows, power, coeff = self.KERNELS[name]
+        for z_max, n, t in rows:
+            z = Fraction(z_max)
+            assert Fraction(t) * z ** power >= coeff(n) * z ** n
+            assert coeff(n + 1) * z < coeff(n)  # the omitted terms shrink from there on
+
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_rows_cover_zero_to_the_square_of_half_q(self, name):
+        rows, power, coeff = self.KERNELS[name]
+        (z0, n0, _), (z1, n1, _) = rows
+        assert 0.0 < z0 < z1 and n0 == power < n1
+        assert Fraction(z1) >= (shared_table().q_exact / 2) ** 2
+        # and past fl(r**2) for |r| <= 0.7854, the largest reduced argument
+        assert Fraction(z1) >= Fraction(0.7854) ** 2 * (1 + Fraction(1, 2 ** 52))
+
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_leading_part_only_row_drops_under_half_an_ulp(self, name):
+        rows, power, coeff = self.KERNELS[name]
+        z0 = Fraction(rows[0][0])
+        # the whole tail is at most its first term: below 2**-54 (1 - z/2) per unit of |r| or 1
+        assert coeff(power) * z0 ** power <= Fraction(1, 2 ** 54) * (1 - z0 / 2)
+
+    def test_sin_value_equals_the_kernel_value(self):
+        half_q = shared_table().q / 2
+        for i in range(1000):
+            r = half_q * i / 1000
+            assert _sin_value(r) == sin_eval(r, 1e-15).value, r

@@ -16,7 +16,7 @@ import statistics
 import mpmath
 import pytest
 
-from geomfree import analysis
+from geomfree import analysis, series_kernel
 from geomfree.analysis import arcsin_newton, arcsin_quadrature, unit_circle_point
 from geomfree.constants import shared_table
 from geomfree.series_kernel import CertifiedValue, cos_eval, sin_eval
@@ -144,6 +144,38 @@ def test_product_that_underflows_keeps_a_bound():
     assert p.abs_error_bound > 0.0
     with mpmath.workprec(PREC_BITS):
         assert mpmath.mpf("1e-400") <= mpmath.mpf(p.abs_error_bound)
+
+
+def _row_edge_cases():
+    """Each row edge of the float kernel's degree tables, +-3 ulps: the
+    arguments whose r**2 meets a leading-part-only row's largest z, as they
+    are and reduced from next to Q, 2Q and 3Q; and the full rows' largest z,
+    reached next to Q/2, 3Q/2 and 5Q/2."""
+    xs = []
+    for table in (series_kernel._SIN_TABLE, series_kernel._COS_TABLE):
+        r = math.sqrt(table[0][0])
+        for steps in range(-3, 4):
+            xs.append(_steps(r, steps))
+        for k in (1, 2, 3):
+            with mpmath.workprec(PREC_BITS):
+                x = float(k * mpmath.pi / 2 + r)
+            xs += [_steps(x, steps) for steps in range(-3, 4)]
+    for k in (0.5, 1.5, 2.5):
+        xs += [_near_multiple_of_q(k, steps) for steps in range(-3, 4)]
+    return [(sign * x, tol) for x in xs for sign in (1.0, -1.0) for tol in (1e-15, 1e-17, 1e-3)]
+
+
+@pytest.mark.parametrize("evaluate,truth_fn", FUNCTIONS, ids=("sin", "cos"))
+def test_bound_holds_at_the_degree_table_edges(evaluate, truth_fn):
+    cases = _row_edge_cases()
+    violations = [(x, tol) for x, tol in cases if _excess(evaluate, truth_fn, x, tol) > 0]
+    assert violations == []
+    for x, tol in cases:
+        if abs(x) < 0.78:  # unreduced: within an ulp, the bound within two
+            cv = evaluate(x, tol)
+            truth = _truth(truth_fn, x)
+            err, err_ulp = _ulp_error(cv.value, truth)
+            assert err_ulp <= 1.0 and cv.abs_error_bound <= 2.0 * math.ulp(float(truth)), x
 
 
 # --- arcsin_newton and unit_circle_point --------------------------------

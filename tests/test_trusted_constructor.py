@@ -4,10 +4,15 @@ series_kernel._new_cv builds a CertifiedValue without checking that its
 bound is finite and >= 0.  Only the producers whose bounds are so by
 construction may use it: series_kernel._eval and analysis.arcsin_newton,
 plus CertifiedValue.__new__ itself, after its check.
+
+The same scan pins the float kernel's straight-line hot path: _eval and
+_sin_value hold no loop, and series_kernel never names math.fsum.
 """
 
 import ast
 import pathlib
+
+import pytest
 
 import geomfree
 
@@ -51,3 +56,25 @@ def test_tuple_new_appears_only_where_the_trusted_name_is_bound():
                     and isinstance(node.value, ast.Name) and node.value.id == "tuple"):
                 sites.append(path.name)
     assert sites == ["series_kernel.py"]
+
+
+def _function(path, name):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    (node,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name]
+    return node
+
+
+@pytest.mark.parametrize("name", ["_eval", "_sin_value"])
+def test_the_float_kernel_has_no_loop(name):
+    fn = _function(PKG_DIR / "series_kernel.py", name)
+    loops = [node for node in ast.walk(fn)
+             if isinstance(node, (ast.For, ast.AsyncFor, ast.While, ast.comprehension))]
+    assert loops == []
+
+
+def test_series_kernel_never_names_fsum():
+    tree = ast.parse((PKG_DIR / "series_kernel.py").read_text(encoding="utf-8"))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {node.name for node in ast.walk(tree) if isinstance(node, ast.alias)}
+    assert "fsum" not in names
