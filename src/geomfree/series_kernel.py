@@ -252,7 +252,8 @@ _ROUND_UP = 1.0 + 2.0 ** -40
 def _sin_value(r):
     """sin r for 0 <= r <= Q/2, value only: the sine Horner of _eval, with no
     reduction, no bound and no table lookup.  Equal to sin_eval(r, tol).value
-    there; written out rather than shared so that _eval makes no extra call."""
+    wherever _eval leaves r unreduced; written out rather than shared so that
+    _eval makes no extra call."""
     z = r * r
     return r + r * z * (-1 / 6 + z * (1 / 120 + z * (-1 / 5040 + z * (1 / 362880 + z * (
         -1 / 39916800 + z * (1 / 6227020800 + z * (-1 / 1307674368000

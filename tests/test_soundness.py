@@ -174,7 +174,7 @@ def test_bound_holds_at_the_degree_table_edges(evaluate, truth_fn):
         if abs(x) < 0.78:  # unreduced: within an ulp, the bound within two
             cv = evaluate(x, tol)
             truth = _truth(truth_fn, x)
-            err, err_ulp = _ulp_error(cv.value, truth)
+            _, err_ulp = _ulp_error(cv.value, truth)
             assert err_ulp <= 1.0 and cv.abs_error_bound <= 2.0 * math.ulp(float(truth)), x
 
 
