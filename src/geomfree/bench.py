@@ -13,7 +13,7 @@ from collections import namedtuple
 
 from .analysis import arcsin_newton
 from .constants import pi_value
-from .series_kernel import cos_eval, sin_eval
+from .series_kernel import _MAX_ARG, cos_eval, sin_eval
 
 _SELF_EVAL = {
     "sin": lambda x: sin_eval(x, 1e-15).value,
@@ -35,9 +35,9 @@ BenchRecord = namedtuple("BenchRecord", "function interval n max_abs_error_vs_pl
 def run_bench(n, interval, seed=0, functions=("sin", "cos", "arcsin")):
     """Max |self - platform| and per-eval timings over n uniform points.
 
-    interval None means [-pi, pi]; arcsin samples are drawn from the
-    interval clipped to [-1, 1].  The arguments are checked before any
-    work, the certified pi included.
+    interval None means [-pi, pi]; sin and cos need it within |x| <= 1e8,
+    and arcsin samples are drawn from it clipped to [-1, 1].  The arguments
+    are checked before any work, the certified pi included.
     """
     if n < 100:
         raise ValueError("n must be >= 100")
@@ -51,6 +51,8 @@ def run_bench(n, interval, seed=0, functions=("sin", "cos", "arcsin")):
     lo, hi = float(interval[0]), float(interval[1])
     if not (lo < hi) or not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"bad interval [{lo!r}, {hi!r}]")
+    if max(-lo, hi) > _MAX_ARG and {"sin", "cos"} & set(functions):
+        raise ValueError(f"interval [{lo!r}, {hi!r}] leaves sin/cos's domain |x| <= {_MAX_ARG:g}")
     records = []
     for fn in functions:
         flo, fhi = (max(lo, -1.0), min(hi, 1.0)) if fn == "arcsin" else (lo, hi)

@@ -11,9 +11,10 @@ Evaluation pipeline:
    applied last, so sin(-x) == -sin(x) bit for bit.
 3. Evaluate in floats, straight-line: a Horner polynomial in z = r_hi**2 of
    degree 17 (sine) or 16 (cosine), or only the leading part where the rest
-   is below 2**-54 of it, by the degree table derived at import.  Only the
-   leading part is error-free (cosine's 1 - z/2 through two_prod and
-   Fast2Sum); r_lo enters as a first-order correction.
+   is below 2**-54 of it, by the degree table derived at import; cosine is 1,
+   with no two_prod, where z <= 2**-54.  Only the leading part is error-free
+   (cosine's 1 - z/2 through two_prod and Fast2Sum); r_lo enters as a
+   first-order correction.
 4. Bound.  The returned CertifiedValue's absolute bound is the row's
    truncation constant + the derived Horner rounding + the reduction error
    (k times the certified error of Q1 + Q2 + Q3, plus its roundings) + one
@@ -214,8 +215,10 @@ def _degree_table(a, j):
 
 
 _ODE = ode_coefficients(20)  # c_(2n+1) = (-1)**n / (2n+1)!; cosine's are (2n+1) c_(2n+1)
+_COS_A = [(2 * n + 1) * _ODE[2 * n + 1] for n in range(10)]
 _SIN_TABLE = _degree_table([_ODE[2 * n + 1] for n in range(10)], 1)
-_COS_TABLE = _degree_table([(2 * n + 1) * _ODE[2 * n + 1] for n in range(10)], 2)
+_COS_TABLE = _degree_table(_COS_A, 2)
+_COS_Z_ONE = float(Fraction(_HALF_U) / 2 / abs(_COS_A[1]))  # cosine's constant row: |a_1| z <= 2**-55
 
 # Error bound of _eval.  u = 2**-53, gamma_n = nu/(1 - nu).  |r| <= 0.7854 (k
 # is nearest |x|/Q up to 2e-8), so z <= _Z_MAX.  The series runs on r_hi, and
@@ -231,6 +234,10 @@ _COS_TABLE = _degree_table([(2 * n + 1) * _ODE[2 * n + 1] for n in range(10)], 2
 #   (z z) q, q loses 0.067, the products gamma_4 |q| <= 0.167 (z = r**2 - zl,
 #   |zl| <= u z), the sum with the low parts u|tail| <= 0.042: H = 0.28.
 # - Row 0 has no tail, H = 0; its sine is r, which is r_hi + r_lo rounded.
+# - Cosine's constant row, z <= 2**-54, returns 1 before two_prod, as row 0
+#   would: there h <= 2**-55 gives lead = 1 - h = 1, and low = -h - zl/2 - r_lo r
+#   (|zl| <= u z, |r_lo| <= u|r|) has |low| < 2**-54, so fl(lead + low) = 1.
+#   Its bound is row 0's, term for term.
 # - Correction: sine's r_lo (1 - z/2) is off from sin(r_hi + r_lo) - sin(r_hi)
 #   by <= |r_lo| (z**2/24 + 4u) + r_lo**2/2 <= 0.016|r_lo|, cosine's -r_lo r_hi
 #   by <= |r_lo| (|r_hi|**3/6 + u) + r_lo**2/2 <= 0.081|r_lo|.
@@ -284,21 +291,24 @@ def _eval(x, tol, shift):
         red_err = k * k_err + _U * (abs(p) + abs(lo))
         j = (ki + shift) & 3
     use_cos, sign = quadrants[j]
+    z = r * r
     if use_cos:
-        z, zl = two_prod(r, r)
-        h = 0.5 * z
-        lead = 1.0 - h
-        low = ((1.0 - lead) - h - 0.5 * zl) - r_lo * r  # Fast2Sum's exact error of 1 - h first
-        if z <= _COS_Z0:
-            val, k = lead + low, _COS_K0
+        if z <= _COS_Z_ONE:  # row 0 would round to 1 here (bound comment)
+            val, k = 1.0, _COS_K0
         else:
-            val = lead + (low + z * z * (1 / 24 + z * (-1 / 720 + z * (1 / 40320 + z * (
-                -1 / 3628800 + z * (1 / 479001600 + z * (-1 / 87178291200
-                                                         + z * (1 / 20922789888000))))))))
-            k = _COS_K
+            z, zl = two_prod(r, r)
+            h = 0.5 * z
+            lead = 1.0 - h
+            low = ((1.0 - lead) - h - 0.5 * zl) - r_lo * r  # Fast2Sum's exact error of 1 - h first
+            if z <= _COS_Z0:
+                val, k = lead + low, _COS_K0
+            else:
+                val = lead + (low + z * z * (1 / 24 + z * (-1 / 720 + z * (1 / 40320 + z * (
+                    -1 / 3628800 + z * (1 / 479001600 + z * (-1 / 87178291200
+                                                             + z * (1 / 20922789888000))))))))
+                k = _COS_K
         m, c_lo = z, 0.081
     else:
-        z = r * r
         if z <= _SIN_Z0:
             val, k = r, _SIN_K0
         else:

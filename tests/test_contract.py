@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import geomfree
-from geomfree import constants
+from geomfree import bench, constants
 from geomfree.analysis import (
     arc_length,
     arcsin_newton,
@@ -114,6 +114,29 @@ def test_bad_bench_arguments_exit_two_before_any_set_up(capsys, monkeypatch, arg
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,interval", [
+    (["bench", "--interval", "0", "1e9"], "[0.0, 1000000000.0]"),
+    (["bench", "--interval", "-1000000000", "0", "--functions", "arcsin,cos"], "[-1000000000.0, 0.0]"),
+])
+def test_bench_interval_past_the_kernel_domain_exits_two_before_any_call(
+        capsys, monkeypatch, argv, interval):
+    def no_call(*args):
+        raise AssertionError("the kernel ran for a rejected interval")
+
+    for name in ("sin_eval", "cos_eval", "arcsin_newton"):
+        monkeypatch.setattr(bench, name, no_call)
+    monkeypatch.setattr(constants, "shared_table", no_call)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: interval " + interval)
+    assert err.count("\n") == 1
+
+
+def test_bench_clips_an_arcsin_only_interval_past_the_kernel_domain():
+    (record,) = bench.run_bench(100, (0.0, 1e9), functions=("arcsin",))
+    assert record.interval == (0.0, 1.0)
 
 
 # --- the result type --------------------------------------------------

@@ -359,3 +359,16 @@ class TestDegreeTable:
         for i in range(1000):
             r = half_q * i / 1000
             assert _sin_value(r) == sin_eval(r, 1e-15).value, r
+
+    def test_cosine_constant_row_rounds_as_row_zero_would(self):
+        # at z <= edge the kernel returns 1 before two_prod; row 0 would compute
+        # lead = fl(1 - h) and fl(lead + low) with h = z/2 and
+        # low = -h - zl/2 - r_lo r, |zl| <= u z, |r_lo| <= u |r|, r**2 <= z / (1 - u)
+        rows, power, coeff = self.KERNELS["cos"]
+        edge, u = Fraction(series_kernel._COS_Z_ONE), Fraction(1, 2 ** 53)
+        assert 0 < edge < Fraction(rows[0][0])
+        assert coeff(1) * edge <= Fraction(1, 2 ** 55)  # |a_1| z, a_1 = -1/2
+        h = edge / 2
+        assert 1 - h > 1 - u / 2  # above the midpoint of 1 and its predecessor: lead = 1
+        low = h + u * edge / 2 + u * (edge / (1 - u) + Fraction(2.0 ** -1074))
+        assert low * (1 + u) ** 3 < u / 2  # with the roundings of low: fl(1 + low) = 1

@@ -19,6 +19,7 @@ import pytest
 from geomfree import analysis, series_kernel
 from geomfree.analysis import arcsin_newton, arcsin_quadrature, unit_circle_point
 from geomfree.constants import shared_table
+from geomfree.doubledouble import two_prod, two_sum
 from geomfree.series_kernel import CertifiedValue, cos_eval, sin_eval
 
 PREC_BITS = 300
@@ -176,6 +177,81 @@ def test_bound_holds_at_the_degree_table_edges(evaluate, truth_fn):
             truth = _truth(truth_fn, x)
             _, err_ulp = _ulp_error(cv.value, truth)
             assert err_ulp <= 1.0 and cv.abs_error_bound <= 2.0 * math.ulp(float(truth)), x
+
+
+@pytest.mark.parametrize("evaluate,truth_fn", FUNCTIONS, ids=("sin", "cos"))
+def test_top_of_the_unreduced_range_is_unbiased(evaluate, truth_fn):
+    """2,000 seeded x on [0.70, 0.785], below Q/2, where z is largest and the
+    Horner's last coefficient weighs most: every error within 0.8 ulp and the
+    mean signed error within 0.08 ulp.  The bound's u|value| term hides a
+    dropped s_8 (mean -0.14 ulp, max 0.97); these two do not."""
+    rng = random.Random(f"top-of-range:{evaluate.__name__}")
+    errs = []
+    for _ in range(2000):
+        x = rng.uniform(0.70, 0.785)
+        truth = _truth(truth_fn, x)
+        with mpmath.workprec(PREC_BITS):
+            err = mpmath.mpf(evaluate(x, 1e-15).value) - truth
+        errs.append(float(err) / math.ulp(float(truth)))
+    assert max(map(abs, errs)) <= 0.8
+    assert abs(statistics.fmean(errs)) <= 0.08
+
+
+# --- cosine's constant row ----------------------------------------------
+
+def _cosine_row_zero(x, shift):
+    """(value, bound, r_lo, z) of row 0 of the cosine series at x, restated
+    from the kernel's parts: its reduction, two_prod, Fast2Sum and _COS_K0."""
+    sk = series_kernel
+    half_q, inv_q, q1, q2, q3, k_err, quadrants = sk._reduction or sk._bind_reduction()
+    ax = abs(x)
+    r, r_lo, red_err, j = ax, 0.0, 0.0, shift
+    if ax > half_q:
+        ki = int(ax * inv_q + 0.5)
+        k = float(ki)
+        s, e = two_sum(ax - k * q1, -(k * q2))
+        p = k * q3
+        r, r_lo = two_sum(s, e - p)
+        red_err = k * k_err + sk._U * (abs(p) + abs(e - p))
+        j = (ki + shift) & 3
+    assert quadrants[j][0]  # the cosine series
+    z, zl = two_prod(r, r)
+    h = 0.5 * z
+    lead = 1.0 - h
+    val = lead + (((1.0 - lead) - h - 0.5 * zl) - r_lo * r)
+    bound = (sk._COS_K0 * z * z + 0.081 * abs(r_lo) + red_err + sk._U * abs(val)
+             + sk._UNDERFLOW) * sk._ROUND_UP
+    return val, bound, r_lo, z
+
+
+def _constant_row_cases():
+    """(evaluate, truth, shift, x) for x within 3 ulps of cosine's constant-row
+    edge r = 2**-27, as it is (cos_eval) and next to k*Q + r and k*Q - r, odd k
+    for sin_eval and even k >= 2 for cos_eval; each x at both signs."""
+    edge_r = math.sqrt(series_kernel._COS_Z_ONE)
+    xs = [(cos_eval, mpmath.cos, 1, _steps(edge_r, steps)) for steps in range(-3, 4)]
+    for evaluate, truth_fn, shift, ks in ((sin_eval, mpmath.sin, 0, (1, 3, 5)),
+                                          (cos_eval, mpmath.cos, 1, (2, 4, 6))):
+        for k in ks:
+            for r in (edge_r, -edge_r):
+                with mpmath.workprec(PREC_BITS):
+                    x = float(k * mpmath.pi / 2 + r)
+                xs += [(evaluate, truth_fn, shift, _steps(x, steps)) for steps in range(-3, 4)]
+    return [(e, t, shift, sign * x) for e, t, shift, x in xs for sign in (1.0, -1.0)]
+
+
+def test_cosine_constant_row_gives_row_zeros_value_and_bound():
+    cases = _constant_row_cases()
+    taken = 0
+    for evaluate, truth_fn, shift, x in cases:
+        cv = evaluate(x, 1e-15)
+        val, bound, r_lo, z = _cosine_row_zero(x, shift)
+        assert abs(cv.value) == 1.0 == val, x
+        assert cv.abs_error_bound == bound, x
+        assert _excess(evaluate, truth_fn, x, 1e-15) <= 0, x
+        assert r_lo != 0.0 or abs(x) < 1.0, x  # reduced points carry a low part
+        taken += z <= series_kernel._COS_Z_ONE
+    assert 0 < taken < len(cases)  # the points lie on both sides of the edge
 
 
 # --- arcsin_newton and unit_circle_point --------------------------------

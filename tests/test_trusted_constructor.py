@@ -6,7 +6,8 @@ construction may use it: series_kernel._eval and analysis.arcsin_newton,
 plus CertifiedValue.__new__ itself, after its check.
 
 The same scan pins the float kernel's straight-line hot path: _eval and
-_sin_value hold no loop, and series_kernel never names math.fsum.
+_sin_value hold no loop, series_kernel never names math.fsum, and _eval
+calls two_sum and two_prod as the module globals that perfbench wraps.
 """
 
 import ast
@@ -78,3 +79,23 @@ def test_series_kernel_never_names_fsum():
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     names |= {node.name for node in ast.walk(tree) if isinstance(node, ast.alias)}
     assert "fsum" not in names
+
+
+def test_the_kernel_calls_the_error_free_transforms_as_module_globals():
+    # perfbench reads doubledouble.calls_per_eval, doubledouble.self_share and
+    # series_kernel.reduced_share by wrapping series_kernel.two_prod and two_sum;
+    # an inlined copy or a local alias would leave those metrics silently empty
+    path = PKG_DIR / "series_kernel.py"
+    names = {"two_sum", "two_prod"}
+    fn = _function(path, "_eval")
+    called = {node.func.id for node in ast.walk(fn)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert names <= called
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = {node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load)}
+    bound |= {node.arg for node in ast.walk(tree) if isinstance(node, ast.arg)}
+    assert not names & bound
+    imported = {(node.module, alias.name, alias.asname) for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert {("doubledouble", name, None) for name in names} <= imported
