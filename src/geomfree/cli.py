@@ -9,6 +9,7 @@ import argparse
 import contextlib
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -290,8 +291,21 @@ def cmd_bench(args):
 
 # --- parser -------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a negative number in exponent form,
+    such as -1e-5, as a value.
+
+    argparse's own negative-number pattern has no exponent, so it takes
+    -1e-5 for an option.  No option of this CLI looks like a number.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="geomfree",
         description="Self-contained certified trigonometric kernel "
                     "(series-built sin/cos/pi/arcsin, no platform trig).",

@@ -14,7 +14,9 @@ On this scale the sine and cosine numerators are +-1 and 0, and the
 operations the proofs need are integer operations:
 
 * a product is a binomial convolution,
-  num[e] = sum over e1 + e2 = e of prod_i C(e_i, e1_i) num1[e1] num2[e2];
+  num[e] = sum over e1 + e2 = e of prod_i C(e_i, e1_i) num1[e1] num2[e2],
+  whose weights are read from one Pascal table, C(m + t, m) for m + t up
+  to the cap, built by additions on first use for that cap;
 * the substitution x <- x + y spreads num[k] onto every key (k - i, i),
   because (x + y)^k / k! = sum_i x^(k-i)/(k-i)! * y^i/i!;
 * the derivative in x shifts the x-exponent, since d/dx x^k/k! = x^(k-1)/(k-1)!.
@@ -32,8 +34,8 @@ No floating point is used anywhere in this module.
 
 from bisect import bisect_right
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm, prod
-from operator import add
+from itertools import accumulate
+from math import factorial, gcd, lcm, prod
 
 from .report import CheckResult
 
@@ -66,9 +68,11 @@ class _Poly:
         self._fill(cap, {e: v.numerator * (den // v.denominator) for e, v in scaled.items()}, den)
 
     def _fill(self, cap, num, den):
+        # num is a fresh dict, kept as is unless it holds a zero
         if cap < 0:
             raise ValueError("degree_cap must be >= 0")
-        num = {e: v for e, v in num.items() if v}
+        if 0 in num.values():
+            num = {e: v for e, v in num.items() if v}
         g = gcd(den, *num.values()) if den > 1 else 1
         if g > 1:
             num = {e: v // g for e, v in num.items()}
@@ -117,10 +121,18 @@ class _Poly:
         cap = min(self.degree_cap, other.degree_cap)
         den = lcm(self.den, other.den)
         a, b = den // self.den, sign * (den // other.den)
-        out = {e: a * v for e, v in self.num.items() if sum(e) <= cap}
-        for e, v in other.num.items():
-            if sum(e) <= cap:
-                out[e] = out.get(e, 0) + b * v
+        # every key lies within its own polynomial's cap, so only an operand
+        # capped above the result needs the degree filter
+        if self.degree_cap > cap:
+            out = {e: a * v for e, v in self.num.items() if sum(e) <= cap}
+        else:
+            out = dict(self.num) if a == 1 else {e: a * v for e, v in self.num.items()}
+        terms = other.num.items()
+        if other.degree_cap > cap:
+            terms = [(e, v) for e, v in terms if sum(e) <= cap]
+        get = out.get
+        for e, v in terms:
+            out[e] = get(e, 0) + b * v
         return self._new(cap, out, den)
 
     def __add__(self, other):
@@ -183,23 +195,57 @@ def uni_to_bi(p, var, degree_cap):
                                     for (k,), v in p.num.items() if k <= degree_cap}, p.den)
 
 
+_binomials = []  # _binomial_table's rows, built on first use, never at import
+
+
+def _binomial_table(D):
+    """Rows m = 0..D of Pascal's table, row m holding C(m + t, m) for t = 0..D - m.
+
+    Row 0 is all ones and each later row is the running sum of the one
+    before, by Pascal's rule C(m + t, m) = C(m - 1 + t, m - 1) + C(m + t - 1, m).
+    Built on first use for the largest cap asked for so far; a smaller cap
+    reads a prefix of each row.
+    """
+    global _binomials
+    rows = _binomials
+    if len(rows) <= D:
+        rows = [[1] * (D + 1)]
+        for _ in range(D):
+            rows.append(list(accumulate(rows[-1][:-1])))
+        _binomials = rows
+    return rows
+
+
 def cauchy_product(p, q, D):
     """Exact product of two same-arity polynomials, truncated at (total)
     degree D.
 
     For series partial sums this is the discrete-convolution product; on
-    the factorial scale each pair of terms is weighted by the binomial
-    coefficients prod_i C(e_i, e1_i) of its exponents.
+    the factorial scale each pair of terms e1, e2 is weighted by the
+    binomial coefficients prod_i C(e1_i + e2_i, e1_i), read from
+    _binomial_table(D).
     """
     if type(p) is not type(q) or not isinstance(p, _Poly):
         raise TypeError("cauchy_product requires two UniPoly or two BiPoly operands")
+    binom = _binomial_table(D)
     terms = sorted(q.num.items(), key=lambda t: sum(t[0]))
     degrees = [sum(e) for e, _ in terms]
     out = {}
-    for e1, a in p.num.items():
-        for e2, b in terms[:bisect_right(degrees, D - sum(e1))]:
-            e = tuple(map(add, e1, e2))
-            out[e] = out.get(e, 0) + a * b * prod(map(comb, e, e1))
+    get = out.get
+    if p.arity == 1:
+        for (i1,), a in p.num.items():
+            if i1 <= D:
+                row = binom[i1]
+                for (i2,), b in terms[:bisect_right(degrees, D - i1)]:
+                    e = (i1 + i2,)
+                    out[e] = get(e, 0) + a * b * row[i2]
+    else:
+        for (i1, j1), a in p.num.items():
+            if i1 + j1 <= D:
+                row_i, row_j = binom[i1], binom[j1]
+                for (i2, j2), b in terms[:bisect_right(degrees, D - i1 - j1)]:
+                    e = (i1 + i2, j1 + j2)
+                    out[e] = get(e, 0) + a * b * row_i[i2] * row_j[j2]
     return p._new(D, out, p.den * q.den)
 
 

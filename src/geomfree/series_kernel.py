@@ -41,6 +41,7 @@ from .errors import DomainError, InvalidTolerance
 _U = 2.0 ** -53          # unit roundoff of binary64; 2 * _U is ulp(1)
 _HALF_U = 2.0 ** -54
 _TINY = 2.0 ** -1074     # smallest subnormal
+_INF = math.inf
 _MAX_ARG = 1.0e8         # keeps k < 2**26, which the reduction's exact products need
 
 _new_cv = tuple.__new__  # the trusted constructor: no check of the bound (module docstring)
@@ -58,7 +59,7 @@ class CertifiedValue(namedtuple("CertifiedValue", "value abs_error_bound")):
     __slots__ = ()
 
     def __new__(cls, value, abs_error_bound):
-        if not (abs_error_bound >= 0.0 and math.isfinite(abs_error_bound)):
+        if not 0.0 <= abs_error_bound < _INF:  # also false for nan
             raise ValueError("abs_error_bound must be finite and >= 0")
         return _new_cv(cls, (value, abs_error_bound))
 

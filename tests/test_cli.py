@@ -1,9 +1,12 @@
 """CLI contract tests: exit codes, JSON schema, determinism."""
 
 import json
+import time
+import types
 
 import pytest
 
+from geomfree import bench, constants, series_kernel
 from geomfree.cli import main, numeric_checks
 from geomfree.identities import registered_identities
 from geomfree.report import validate_report
@@ -193,6 +196,53 @@ class TestBench:
     def test_bad_interval(self, capsys):
         rc, _, _ = run_cli(capsys, "bench", "--n", "200", "--interval", "2", "1")
         assert rc == 2
+
+
+class TestNegativeExponentArguments:
+    """A negative number in exponent form is a value, not an option."""
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "sin", "-1e-5"),
+        ("eval", "cos", "-2.5e-3"),
+        ("bench", "--n", "100", "--interval", "-1e-3", "1e-3", "--functions", "sin"),
+    ])
+    def test_parses_as_a_value(self, capsys, argv):
+        rc, _, _ = run_cli(capsys, *argv)
+        assert rc == 0
+
+    def test_interval_past_the_domain_is_the_one_line_message(self, capsys):
+        rc, out, err = run_cli(capsys, "bench", "--interval", "-1e9", "0")
+        assert rc == 2
+        assert out == ""
+        assert err == ("error: interval [-1000000000.0, 0.0] leaves sin/cos's domain "
+                       "|x| <= 1e+08\n")
+
+
+class TestBenchTiming:
+    def test_shared_table_is_built_before_the_first_timed_call(self, monkeypatch):
+        # a cold start: no table and no bound reduction; find_q must run
+        # outside the timed loop, before its first clock read
+        events = []
+        real_find_q = constants.find_q
+
+        def find_q(tol):
+            events.append("find_q")
+            return real_find_q(tol)
+
+        def perf_counter_ns():
+            events.append("clock")
+            return time.perf_counter_ns()
+
+        monkeypatch.setattr(constants, "find_q", find_q)
+        monkeypatch.setattr(series_kernel, "_reduction", None)
+        monkeypatch.setattr(bench, "time", types.SimpleNamespace(perf_counter_ns=perf_counter_ns))
+        constants.shared_table.cache_clear()
+        try:
+            bench.run_bench(100, (0.0, 1e8), functions=("sin", "cos"))
+        finally:
+            constants.shared_table.cache_clear()
+        assert events.count("find_q") == 1
+        assert events.index("find_q") < events.index("clock")
 
 
 class TestNumericCheckDetail:

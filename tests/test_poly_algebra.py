@@ -2,6 +2,7 @@
 and the failure detail of the exact verifications."""
 
 from fractions import Fraction
+from math import factorial
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,8 @@ from geomfree.exact_series import (
     UniPoly,
     cauchy_product,
     substitute_sum,
+    truncated_cos,
+    truncated_sin,
     uni_to_bi,
     verify_pythagorean,
     verify_sine_sum,
@@ -122,3 +125,50 @@ class TestFailureDetail:
         assert not result.passed
         assert result.detail == {"residual": "-1/6", "max_degree_residual": "-1/6",
                                  "at": "(3, 1)"}
+
+
+class TestProductsAtSize:
+    """cauchy_product at the cap `verify --degree 100` uses, against the
+    schoolbook reference: every binomial weight up to C(100, 50) is read."""
+
+    D = 100
+
+    def ref_series(self, parity, var=None):
+        """sin (parity 1) or cos (parity 0) to degree D on the ordinary scale,
+        univariate or on variable `var` of a bivariate polynomial."""
+        coeffs = {k: Fraction((-1) ** (k // 2), factorial(k))
+                  for k in range(parity, self.D + 1, 2)}
+        if var is None:
+            return ref_poly(self.D, {(k,): v for k, v in coeffs.items()})
+        return ref_poly(self.D, {((k, 0) if var == 0 else (0, k)): v for k, v in coeffs.items()})
+
+    def test_squares_and_cross_products_equal_the_reference(self):
+        D = self.D
+        sin, cos = truncated_sin(D), truncated_cos(D)
+        assert as_ref(cauchy_product(sin, sin, D)) == ref_product(
+            self.ref_series(1), self.ref_series(1), D)
+        assert as_ref(cauchy_product(cos, cos, D)) == ref_product(
+            self.ref_series(0), self.ref_series(0), D)
+        sin_x, cos_y = uni_to_bi(sin, 0, D), uni_to_bi(cos, 1, D)
+        cos_x, sin_y = uni_to_bi(cos, 0, D), uni_to_bi(sin, 1, D)
+        assert as_ref(cauchy_product(sin_x, cos_y, D)) == ref_product(
+            self.ref_series(1, 0), self.ref_series(0, 1), D)
+        assert as_ref(cauchy_product(cos_x, sin_y, D)) == ref_product(
+            self.ref_series(0, 0), self.ref_series(1, 1), D)
+
+    def test_operands_capped_above_and_below_the_cap(self):
+        # a mixed series in x and y at cap 120 over den 3 and one at cap 80:
+        # the product drops terms past D, and each sum filters the operand
+        # capped above the result and copies or rescales the other
+        D = self.D
+        above = BiPoly(120, {(i, j): Fraction((-1) ** i, 3 * (i + j + 1))
+                             for i in range(0, 121, 3) for j in range(0, 121 - i, 5)})
+        below = BiPoly(80, {(i, j): Fraction(i + 1, j + 2)
+                            for i in range(0, 81, 4) for j in range(1, 81 - i, 3)})
+        product = cauchy_product(above, below, D)
+        assert product.degree_cap == D
+        assert as_ref(product) == ref_product(as_ref(above), as_ref(below), D)
+        for p, q in ((above, product), (product, above), (below, product),
+                     (product, below), (above, below)):
+            assert as_ref(p + q) == ref_add(as_ref(p), as_ref(q))
+            assert as_ref(p - q) == ref_add(as_ref(p), as_ref(q), -1)

@@ -256,6 +256,17 @@ class TestCertifiedValue:
         with pytest.raises(ValueError):
             CertifiedValue(1.0, float("nan"))
 
+    def test_invariant_rejects_infinite_and_negative_bounds(self):
+        for bound in (math.inf, -math.inf, -1e-300):
+            with pytest.raises(ValueError):
+                CertifiedValue(1.0, bound)
+        with pytest.raises(ValueError):  # the bound of the product overflows
+            CertifiedValue(1e200, 1e200) * CertifiedValue(1e200, 0.0)
+
+    def test_invariant_accepts_zero_and_the_smallest_subnormal(self):
+        for bound in (0.0, -0.0, 5e-324):
+            assert CertifiedValue(1.0, bound).abs_error_bound == bound
+
     def test_arithmetic_propagation_encloses_truth(self):
         rng = random.Random(15)
         for _ in range(200):
