@@ -8,10 +8,12 @@ schema_version "1" is documented in report.py and the README.
 import argparse
 import contextlib
 import math
+import operator
 import os
 import re
 import sys
 from fractions import Fraction
+from itertools import accumulate
 
 from . import analysis, bench, constants, exact_series, identities, report, series_kernel
 from .errors import GeomfreeError
@@ -101,7 +103,10 @@ def _coefficient_recursion_check():
     """Recursion-generated coefficients match the series coefficients up to degree 200."""
     coeffs = series_kernel.ode_coefficients(201)
     series = exact_series.truncated_sin(200)
-    ok = all(coeffs[n] == series.coefficient(n) for n in range(201))
+    num, den = series.num, series.den  # coefficient n is num[n] / (den n!)
+    facts = accumulate(range(1, 201), operator.mul, initial=1)  # n!, as a running product
+    ok = all(c.numerator * den * f == num.get((n,), 0) * c.denominator
+             for n, (c, f) in enumerate(zip(coeffs, facts)))
     return report.CheckResult(
         name="coefficient_recursion_n_le_200",
         kind="exact",

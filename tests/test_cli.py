@@ -3,10 +3,11 @@
 import json
 import time
 import types
+from fractions import Fraction
 
 import pytest
 
-from geomfree import bench, constants, series_kernel
+from geomfree import bench, cli, constants, series_kernel
 from geomfree.cli import main, numeric_checks
 from geomfree.identities import registered_identities
 from geomfree.report import validate_report
@@ -135,6 +136,24 @@ class TestVerify:
         assert rc == 2
 
 
+class TestCoefficientRecursionCheck:
+    def test_recursion_matches_the_series(self):
+        result = cli._coefficient_recursion_check()
+        assert (result.passed, result.detail, result.samples) == (True, {"residual": "0"}, 201)
+
+    @pytest.mark.parametrize("n", [0, 3, 4, 200])
+    def test_one_wrong_coefficient_is_a_mismatch(self, monkeypatch, n):
+        real = series_kernel.ode_coefficients
+
+        def wrong(count):
+            c = list(real(count))
+            c[n] += Fraction(1, 10 ** 70)
+            return c
+
+        monkeypatch.setattr(series_kernel, "ode_coefficients", wrong)
+        result = cli._coefficient_recursion_check()
+        assert (result.passed, result.detail, result.samples) == (False, {"residual": "mismatch"}, 201)
+
 class TestIntegrate:
     def test_quarter_circle(self, capsys):
         rc, out, _ = run_cli(capsys, "integrate", "quarter-circle", "--tol", "1e-10")
@@ -244,6 +263,38 @@ class TestBenchTiming:
         assert events.count("find_q") == 1
         assert events.index("find_q") < events.index("clock")
 
+
+    def test_warm_up_reaches_the_table_when_the_first_sample_is_tiny(self, monkeypatch):
+        # seed 0 draws sin's first x = 5.8e-9, inside the kernel's tiny row, which
+        # never reads the reduction; the warm-up must still build the table untimed
+        events = _cold_bench_events(monkeypatch, (0.0, 1e-8), seed=0, functions=("sin", "cos"))
+        assert events.count("find_q") == 1
+        assert events.index("find_q") < events.index("clock")
+
+
+def _cold_bench_events(monkeypatch, interval, **kwargs):
+    """The order of find_q calls and clock reads in run_bench from a cold start:
+    no shared table and no bound reduction."""
+    events = []
+    real_find_q = constants.find_q
+
+    def find_q(tol):
+        events.append("find_q")
+        return real_find_q(tol)
+
+    def perf_counter_ns():
+        events.append("clock")
+        return time.perf_counter_ns()
+
+    monkeypatch.setattr(constants, "find_q", find_q)
+    monkeypatch.setattr(series_kernel, "_reduction", None)
+    monkeypatch.setattr(bench, "time", types.SimpleNamespace(perf_counter_ns=perf_counter_ns))
+    constants.shared_table.cache_clear()
+    try:
+        bench.run_bench(100, interval, **kwargs)
+    finally:
+        constants.shared_table.cache_clear()
+    return events
 
 class TestNumericCheckDetail:
     def test_detail_keys_of_each_check(self):

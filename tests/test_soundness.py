@@ -254,6 +254,86 @@ def test_cosine_constant_row_gives_row_zeros_value_and_bound():
     assert 0 < taken < len(cases)  # the points lie on both sides of the edge
 
 
+# --- the tiny row: sin x = x and cos x = 1 before the reduction -----------
+
+def _sine_row_zero(x):
+    """(value, bound, z) of row 0 of the sine series at an unreduced x, restated
+    from the kernel's parts: r = |x| with no low part and no reduction error,
+    _SIN_K0, and the sign of x."""
+    sk = series_kernel
+    half_q, *_, quadrants = sk._reduction or sk._bind_reduction()
+    r, r_lo, red_err = abs(x), 0.0, 0.0
+    assert r <= half_q and quadrants[0] == (False, 1)  # the sine series, unreduced
+    z = r * r
+    bound = (sk._SIN_K0 * r * z + 0.016 * abs(r_lo) + red_err + sk._U * r
+             + sk._UNDERFLOW) * sk._ROUND_UP
+    return math.copysign(r, x), bound, z
+
+
+def _tiny_row_points():
+    """Nonzero x at both signs: 3 ulps either side of the row's edge, the
+    smallest subnormal and normal, and 2**(e/4) across [2**-1074, 2**-20]."""
+    edge = series_kernel._ROW0_EDGE
+    xs = [_steps(edge, steps) for steps in range(-3, 4)]
+    xs += [5e-324, 2.2250738585072014e-308] + [2.0 ** (e / 4) for e in range(-4296, -79)]
+    return [sign * x for x in xs for sign in (1.0, -1.0)]
+
+
+def test_tiny_row_gives_row_zeros_value_and_bound():
+    taken = {0: 0, 1: 0}
+    for x in _tiny_row_points():
+        cv = sin_eval(x, 1e-15)
+        val, bound, z = _sine_row_zero(x)
+        if z <= series_kernel._SIN_Z0:  # past it sine leaves row 0 for the Horner row
+            assert (cv.value, cv.abs_error_bound) == (val, bound), x
+            assert math.copysign(1.0, cv.value) == math.copysign(1.0, x), x
+        assert series_kernel._sin_value(abs(x)) == sin_eval(abs(x), 1e-15).value, x
+        cv = cos_eval(x, 1e-15)
+        val, bound, _, z = _cosine_row_zero(x, 1)
+        assert (cv.value, cv.abs_error_bound) == (val, bound), x
+        for evaluate, truth_fn in FUNCTIONS:
+            assert _excess(evaluate, truth_fn, x, 1e-15) <= 0, x
+        taken[abs(x) <= series_kernel._ROW0_EDGE] += 1
+    assert taken[0] > 0 and taken[1] > 0  # the points lie on both sides of the edge
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0])
+def test_tiny_row_keeps_zero_exact(x):
+    for evaluate, truth_fn, value in ((sin_eval, mpmath.sin, x), (cos_eval, mpmath.cos, 1.0)):
+        cv = evaluate(x, 1e-15)
+        assert (cv.value, cv.abs_error_bound) == (value, 0.0)
+        assert math.copysign(1.0, cv.value) == math.copysign(1.0, value)
+        assert _excess(evaluate, truth_fn, x, 1e-15) <= 0
+
+
+def test_tiny_row_edge_is_the_last_x_whose_square_reaches_cosines_constant_row():
+    edge, z_one = series_kernel._ROW0_EDGE, series_kernel._COS_Z_ONE
+    assert edge == 2.0 ** -27
+    assert edge * edge <= z_one < math.nextafter(edge, 1.0) ** 2
+    assert z_one < series_kernel._SIN_Z0  # so sine's row 0 holds across the row too
+
+
+def test_tiny_row_reads_no_reduction(monkeypatch, capsys):
+    from geomfree import constants
+    from geomfree.cli import main
+
+    class Bound(Exception):
+        pass
+
+    def bind():
+        raise Bound
+
+    monkeypatch.setattr(series_kernel, "_reduction", None)
+    monkeypatch.setattr(series_kernel, "_bind_reduction", bind)
+    monkeypatch.setattr(constants, "shared_table", bind)
+    assert sin_eval(1e-10, 1e-15).value == 1e-10
+    assert cos_eval(-2.0 ** -27, 1e-15).value == 1.0
+    assert main(["eval", "sin", "1e-10"]) == 0
+    assert capsys.readouterr().out.startswith("1e-10 ")
+    with pytest.raises(Bound):
+        sin_eval(math.nextafter(2.0 ** -27, 1.0), 1e-15)
+
+
 # --- arcsin_newton and unit_circle_point --------------------------------
 
 SQRT_HALF = 0.7071067811865476
