@@ -1,29 +1,34 @@
 """Constructive derivation of Q (first positive zero of cosine) and pi = 2Q.
 
-Q is found by bisection on [0, 2].  Every sign decision is certified in
-exact rational arithmetic by one cos_eval_exact call, whose sum runs
-forward on integers over one common denominator and stops at the first
-partial sum whose distance from zero exceeds the alternating-series
-remainder bound, returning that sum's sign alone.  A Newton polish that
-uses sin Q = 1 (y <- y + cos y, one exact cosine series per step) refines
-Q to a 2**-200 dyadic, far past binary64; two more exact sign checks
-certify a bracket of radius 1e-50 around it (refined_radius), from which
-certified_bound follows (bisection_iterations counts the bisection steps).
-The polished rational q_exact is what the sine/cosine kernel splits for
-its range reduction; it also yields a double-double representation of the
-full period 4Q.
+Q is found by bisection on [0, 2], with the bracket's ends kept as integer
+numerators over 2**n.  Every sign decision is certified in exact rational
+arithmetic by one cos_eval_exact call, whose sum runs forward on integers
+over one common denominator and stops at the first partial sum whose
+distance from zero exceeds the alternating-series remainder bound,
+returning that sum's sign alone.  A Newton polish that uses sin Q = 1
+(y <- y + cos y) refines Q to a 2**-200 dyadic, far past binary64, on
+integers: each step takes the unreduced cosine sum from the series
+kernel's integer core, computes no remainder, and rounds y + cos y to
+2**-200 by one integer division.  Two more exact sign checks, at the
+dyadic points 2**-167 either side of it, certify Q inside the reported
+radius 1e-50 (refined_radius), from which certified_bound follows
+(bisection_iterations counts the bisection steps).  The polished rational
+q_exact is what the sine/cosine kernel splits for its range reduction; it
+also yields a double-double representation of the full period 4Q.
 """
 
 import functools
+import math
 from collections import namedtuple
 from fractions import Fraction
 
 from .errors import ToleranceTooTight
-from .series_kernel import _check_tol_floor, cos_eval_exact, sin_eval_exact
+from .series_kernel import _check_tol_floor, _series_sum, cos_eval_exact, sin_eval_exact
 
 _MAX_TERMS = 100          # series-degree budget: 2*100 = degree 200
 _POLISH_BITS = 200        # dyadic rounding between Newton polish steps
-_REFINE_RADIUS = Fraction(1, 10 ** 50)
+_REFINE_RADIUS = Fraction(1, 10 ** 50)  # the reported radius around q_exact
+_CERT_BITS = _REFINE_RADIUS.denominator.bit_length()  # 2**-167: largest power of two below it
 
 
 class ConstantsTable(namedtuple("ConstantsTable", (
@@ -65,26 +70,37 @@ def _certified_sin_positive(x):
     return s > b
 
 
+def _round_half_even(n, d):
+    """round(n / d) for integers n and d > 0, half to even as round() does."""
+    f, r = divmod(n, d)
+    return f + (2 * r > d or 2 * r == d and f & 1)
+
+
 def _certified_bisection(tol):
     """Bisection on [0, 2] with certified endpoint signs at every step.
 
     Returns (lo, hi, iterations, history); cos(lo) > 0 and cos(hi) < 0
     hold, certified, throughout.  history records the float brackets.
+    The bracket is kept as integer numerators a/2**n and b/2**n, so each
+    step builds one Fraction, its certified midpoint, and each history
+    float is exact.
     """
     lo, hi = Fraction(0), Fraction(2)
     if _certified_sign(lo) <= 0 or _certified_sign(hi) >= 0:
         raise AssertionError("initial bracket signs failed certification")
     tol_fr = Fraction(tol)
-    history = [(float(lo), float(hi))]
+    a, b, n = 0, 2, 0
+    history = [(0.0, 2.0)]
     iterations = 0
-    while hi - lo > tol_fr:
-        mid = (lo + hi) / 2
+    while (b - a) * tol_fr.denominator > tol_fr.numerator << n:  # hi - lo > tol
+        m, a, b, n = a + b, 2 * a, 2 * b, n + 1
+        mid = Fraction(m, 1 << n)
         if _certified_sign(mid) > 0:
-            lo = mid
+            a, lo = m, mid
         else:
-            hi = mid
+            b, hi = m, mid
         iterations += 1
-        history.append((float(lo), float(hi)))
+        history.append((math.ldexp(a, -n), math.ldexp(b, -n)))
     return lo, hi, iterations, history
 
 
@@ -95,9 +111,11 @@ def find_q(tol):
     until the bracket width is at most tol.  Cosine is strictly
     decreasing on (0, 2) (its derivative -sin is negative there, checked
     by certified sin-positivity samples), so the bracketed zero is the
-    least positive one.  A Newton polish in exact arithmetic then refines
-    the midpoint, two exact sign checks certify a bracket of radius 1e-50
-    around it, and the reported radius tol/2 (or hi - lo) follows from it.
+    least positive one.  A Newton polish on integers then refines the
+    midpoint to a 2**-200 dyadic, two exact sign checks at the dyadic
+    points 2**-167 either side of it certify a bracket inside the
+    reported radius 1e-50, and the reported radius tol/2 (or hi - lo)
+    follows from it.
     """
     _check_tol_floor(tol, 1e-15, "find_q")
 
@@ -114,22 +132,27 @@ def find_q(tol):
     # midpoint and Q; dyadic rounding keeps the rationals small.  The step
     # count follows from the bracket: |e - sin e| <= |e|^3/6, each step adds
     # at most 2^-200 (the rounding, and the 40-term truncation below 1e-94),
-    # and steps stop once e^3/6 is below that.
+    # and steps stop once e^3/6 is below that.  y = a/q on integers: each
+    # step rounds (y + c) 2^200 = (a den + num q) 2^200 / (q den), with
+    # c = num/den the unreduced cosine sum, by one integer division.
     y = (lo + hi) / 2
     scale = 1 << _POLISH_BITS
     steps, e = 1, (hi - lo) / 2
     while e ** 3 / 6 > Fraction(1, scale):
         steps, e = steps + 1, e ** 3 / 6 + Fraction(1, scale)
+    a, q = y.numerator, y.denominator
     for _ in range(steps):
-        c, _ = cos_eval_exact(y, 40)
-        y = Fraction(round((y + c) * scale), scale)
+        num, den, _, _ = _series_sum(a, q, 40, False)
+        a, q = _round_half_even((a * den + num * q) << _POLISH_BITS, q * den), scale
+    y = Fraction(a, scale)
 
-    # re-certify: tiny bracket around the polished value, widening past any
-    # indecisive point
-    refined = _REFINE_RADIUS
-    while (_certified_sign(y - refined, or_zero=True) <= 0
-           or _certified_sign(y + refined, or_zero=True) >= 0):
-        refined *= 1024
+    # re-certify: cos changes sign between the dyadic points y -/+ rho
+    # (rho = rho_a / 2^200, first 2^-167), so |y - Q| < rho < refined, the
+    # reported radius; past any indecisive point both radii widen by 1024
+    refined, rho_a = _REFINE_RADIUS, 1 << (_POLISH_BITS - _CERT_BITS)
+    while (_certified_sign(Fraction(a - rho_a, scale), or_zero=True) <= 0
+           or _certified_sign(Fraction(a + rho_a, scale), or_zero=True) >= 0):
+        refined, rho_a = refined * 1024, rho_a * 1024
         if refined > (hi - lo):
             y = (lo + hi) / 2
             refined = (hi - lo) / 2

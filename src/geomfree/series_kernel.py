@@ -141,14 +141,16 @@ def ode_coefficients(count):
     """First `count` coefficients from the recursion, all exact.
 
     c_0 = 0 and c_1 = 1 are the initial conditions; every later
-    coefficient is c_{n+2} = -c_n / ((n+2)(n+1)).
+    coefficient is c_{n+2} = -c_n / ((n+2)(n+1)), run on integer
+    numerators and denominators, with one Fraction per coefficient.
     """
     if count < 2:
         raise ValueError("count must be >= 2")
-    c = [Fraction(0), Fraction(1)]
+    num, den = [0, 1], [1, 1]
     for n in range(count - 2):
-        c.append(-c[n] / ((n + 2) * (n + 1)))
-    return SeriesCoefficients(c)
+        num.append(-num[n])
+        den.append(den[n] * (n + 2) * (n + 1))
+    return SeriesCoefficients(map(Fraction, num, den))
 
 
 def _check_tol(tol):
@@ -361,31 +363,26 @@ def cos_eval(x, tol):
     return _eval(x, tol, 1)
 
 
-def _eval_series_exact(x, terms, odd, until_sign=False, sign_only=False):
-    """(sum of the first m terms, |term m|) of the sine (odd) or cosine series.
+def _series_sum(p, q, terms, odd, until_sign=False, with_den=True):
+    """The sine (odd) or cosine series at x = p/q (q > 0), summed on integers.
 
-    With x = p/q, P = p**2, S = q**2, o = 1 for sine and 0 for cosine, and
-    d_n = (2n+o-1)(2n+o), term n is x**o (-P)**n / D_n, D_n = S**n d_1 ... d_n.
-    The sum runs forward on integers over the common denominator,
-    num <- num S d_n + (-P)**n, and is reduced to lowest terms once, at the
-    end.  m is `terms`, raised until the omitted terms decrease
-    (P <= S d_(m+1)), so that |term m| bounds the remainder.  With until_sign
-    the sum stops earlier, at the first such m whose partial sum exceeds
-    |term m| in magnitude: the series then has the partial sum's sign, and
-    no partial sum is discarded.  |term m| is |x|**(2m+o) / (2m+o)!; p and q
-    are coprime, so its reduction needs only the gcd with the factorial.
-    sign_only implies until_sign and returns only the certified sign: that
-    of the partial sum if it exceeds |term m|, else 0.  That comparison,
-    times D_m / |x|**o, is |num| S d_m > P**m, so no Fraction is built.
+    Returns (num, den, m, decided): num / den, not reduced, is the sum of
+    the first m terms, and decided says that its magnitude exceeds
+    |term m|, which bounds the remainder.  With P = p**2, S = q**2, o = 1
+    for sine and 0 for cosine, and d_n = (2n+o-1)(2n+o), term n is
+    x**o (-P)**n / D_n, D_n = S**n d_1 ... d_n.  The sum runs forward over
+    the common denominator, num <- num S d_n + (-P)**n.  m is `terms`,
+    raised until the omitted terms decrease (P <= S d_(m+1)); with
+    until_sign the sum stops earlier, at the first such m that is decided.
+    decided, times D_m / |x|**o, is |num| S d_m > P**m, so it needs no
+    Fraction.  Without with_den, den is None: a sign needs no power of S.
+    The exact evaluators and find_q's Newton polish share this one loop.
     """
-    x = Fraction(x)
-    p, q = x.numerator, x.denominator
     if abs(p) > 4 * q:
         raise DomainError("exact series evaluation requires |x| <= 4")
     if terms < 1:
         raise ValueError("terms must be >= 1")
     o = 1 if odd else 0
-    until_sign = until_sign or sign_only
     P, S = p * p, q * q
     num = power = 1  # num / D_(n-1) is the sum of terms 0 .. n-1; power -> P**n
     n = 1
@@ -398,12 +395,31 @@ def _eval_series_exact(x, terms, odd, until_sign=False, sign_only=False):
         num = num * step + (power if n % 2 == 0 else -power)
         step = nxt
         n += 1
-    p_o, q_o = (p, q) if odd else (1, 1)
-    if sign_only:
-        s = p_o * num
-        return (s > 0) - (s < 0) if abs(num) * step > power else 0
+    decided = abs(num) * step > power
+    if odd:
+        num = p * num
+    if not with_den:
+        return num, None, n, decided
     den = S ** (n - 1) * math.factorial(2 * n + o - 2)
-    return Fraction(p_o * num, q_o * den), abs(x) ** (2 * n + o) / math.factorial(2 * n + o)
+    return num, q * den if odd else den, n, decided
+
+
+def _eval_series_exact(x, terms, odd, until_sign=False, sign_only=False):
+    """(sum of the first m terms, |term m|) of the sine (odd) or cosine
+    series, both Fractions, by _series_sum; the sum is reduced once.
+
+    |term m| is |x|**(2m+o) / (2m+o)!; p and q are coprime, so its reduction
+    needs only the gcd with the factorial.  sign_only implies until_sign
+    and returns only the certified sign: that of the partial sum if it is
+    decided, else 0.
+    """
+    x = Fraction(x)
+    num, den, m, decided = _series_sum(x.numerator, x.denominator, terms, odd,
+                                       until_sign or sign_only, not sign_only)
+    if sign_only:
+        return (num > 0) - (num < 0) if decided else 0
+    e = 2 * m + (1 if odd else 0)
+    return Fraction(num, den), abs(x) ** e / math.factorial(e)
 
 
 def sin_eval_exact(x, terms, until_sign=False):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from geomfree import constants, series_kernel
 from geomfree.constants import (
     _certified_bisection,
     _certified_sign,
@@ -18,7 +19,7 @@ from geomfree.constants import (
 from geomfree.errors import InvalidTolerance
 from geomfree.series_kernel import cos_eval, sin_eval
 
-from oracles import PI_REF, Q_REF, bisect_q_oracle, cos_sign_oracle
+from oracles import PI_REF, Q_REF, bisect_q_oracle, cos_enclosure, cos_sign_oracle
 
 
 class TestFindQ:
@@ -79,6 +80,81 @@ class TestPolishedQ:
             r = Fraction(radius)
             assert cos_sign_oracle(tbl.q_exact - r) > 0
             assert cos_sign_oracle(tbl.q_exact + r) < 0
+
+
+def fraction_polish(tol):
+    """find_q's Newton polish in plain Fractions, on the oracle's cosine sum:
+    (q_exact, steps) from the midpoint of the oracle's bisection at tol."""
+    width = Fraction(2)
+    while width > Fraction(tol):
+        width /= 2
+    unit = Fraction(1, 2 ** 200)
+    steps, e = 1, width / 2
+    while e ** 3 / 6 > unit:
+        steps, e = steps + 1, e ** 3 / 6 + unit
+    y = bisect_q_oracle(tol)
+    for _ in range(steps):
+        c, _ = cos_enclosure(y, 40)
+        y = Fraction(round((y + c) * 2 ** 200), 2 ** 200)
+    return y, steps
+
+
+class TestTablePinned:
+    """The table, field for field, so that a drift fails here rather than
+    shifting the kernel's bounds."""
+
+    @pytest.mark.parametrize("tol", [0.1, 1, 3, 100])
+    def test_q_exact_is_the_fraction_polish_at_loose_tolerances(self, tol):
+        # at these tolerances the polish stops short of the nearest dyadic
+        assert find_q(tol).q_exact == fraction_polish(tol)[0]
+
+    def test_float_fields_of_the_shared_tolerance(self):
+        tbl = find_q(1e-13)
+        assert (tbl.q, tbl.pi, tbl.certified_bound, tbl.refined_radius, tbl.q_float_err,
+                tbl.four_q_dd, tbl.four_q_err, tbl.bisection_iterations) == (
+            1.5707963267948966, 3.141592653589793, 5e-14, 1e-50, 6.12323400186e-17,
+            (6.283185307179586, 2.4492935982947064e-16), 5.98953962542622e-33, 45)
+
+    def test_reduction_constants(self):
+        assert series_kernel._bind_reduction() == (
+            0.7853981633974482, 0.6366197723675814, 1.570796325802803,
+            9.920935739593517e-10, 5.721188726109832e-18, 4.335905065061899e-35,
+            ((False, 1), (True, 1), (False, -1), (True, -1)))
+
+
+class TestCertificatePoints:
+    def test_sign_calls_polish_calls_and_the_dyadic_certificate(self, monkeypatch):
+        signs, core_calls, cos_calls = [], [], []
+        real_sign, real_core, real_cos = (
+            constants._certified_sign, constants._series_sum, constants.cos_eval_exact)
+
+        def sign(x, or_zero=False):
+            signs.append((x, real_sign(x, or_zero)))
+            return signs[-1][1]
+
+        def core(*args):
+            core_calls.append(args)
+            return real_core(*args)
+
+        def cos(*args, **kwargs):
+            cos_calls.append(args)
+            return real_cos(*args, **kwargs)
+
+        monkeypatch.setattr(constants, "_certified_sign", sign)
+        monkeypatch.setattr(constants, "_series_sum", core)
+        monkeypatch.setattr(constants, "cos_eval_exact", cos)
+        tbl = find_q(1e-13)
+        # 2 initial bracket signs, 45 bisection steps, 2 certificate points
+        assert len(signs) == 2 + 45 + 2
+        (below, s_below), (above, s_above) = signs[-2:]
+        rho = tbl.q_exact - below
+        assert above - tbl.q_exact == rho
+        assert rho.numerator == 1 and rho.denominator & (rho.denominator - 1) == 0
+        assert rho <= Fraction(tbl.refined_radius)
+        assert (s_below, s_above) == (cos_sign_oracle(below), cos_sign_oracle(above)) == (1, -1)
+        # the polish runs on the integer core only: every cos_eval_exact is a sign
+        assert len(core_calls) == fraction_polish(1e-13)[1] == 2
+        assert len(cos_calls) == len(signs)
 
 
 class TestBisectionInvariants:

@@ -35,6 +35,13 @@ class TestOdeCoefficients:
     def test_initial_conditions_only(self):
         assert list(ode_coefficients(2).coeffs) == [0, 1]
 
+    def test_integer_recursion_gives_the_closed_form(self):
+        c = ode_coefficients(201)
+        assert type(c) is series_kernel.SeriesCoefficients
+        assert all(type(v) is Fraction for v in c)
+        assert list(c) == [Fraction((-1) ** (n // 2), math.factorial(n)) if n % 2 else 0
+                           for n in range(201)]
+
     def test_recursion_invariant(self):
         c = ode_coefficients(60)
         for n in range(58):
