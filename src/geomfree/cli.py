@@ -99,6 +99,61 @@ def _cos2_certificate():
     )
 
 
+def _sin_lower_bound_holds(x_max):
+    """Whether sin x >= x - x^3/6 > 0 for every 0 < x <= x_max, decided on
+    the integers of x_max = p/q.
+
+    In pairs, sin x = (x - x^3/3!) + the sum over k >= 1 of
+    x^(4k+1)/(4k+1)! (1 - x^2/((4k+2)(4k+3))).  The first pair is positive
+    when x^2 < 6; each later pair is non-negative when x^2 <= (4k+2)(4k+3),
+    a limit that grows with k from 42 at k = 1.  Both conditions, met at
+    x_max, hold on all of (0, x_max].
+    """
+    p2, q2 = x_max.numerator ** 2, x_max.denominator ** 2
+    return p2 < 6 * q2 and p2 <= 42 * q2
+
+
+def _sin_positive_check():
+    """sin > 0 on (0, 2], so cos decreases strictly on [0, 2]: with cos 0 = 1
+    and cos 2 < 0 (_cos2_certificate), the zero that find_q brackets is the
+    only one in (0, 2), the least positive zero Q."""
+    x_max = Fraction(2)
+    return report.CheckResult(
+        name="sin_positive_on_0_2",
+        kind="exact",
+        passed=_sin_lower_bound_holds(x_max),
+        detail={"x_max": str(x_max), "x_max_squared": str(x_max ** 2),
+                "first_pair_limit": "6", "later_pair_limit": "42"},
+        samples=1,
+    )
+
+
+def _period_minimality_check():
+    """4Q is the least period of sin and cos, decided exactly.
+
+    sin > 0 on (0, Q] (_sin_positive_check, with Q < 2 by
+    _cos2_certificate).  The table's sin 2Q = 0 and cos 2Q = -1 give
+    sin(2Q - x) = sin x and sin(x + 2Q) = -sin x, so on (0, 4Q) sin
+    vanishes only at 2Q, where cos 2Q = -1.  A period R has sin R = sin 0
+    = 0 and cos R = cos 0 = 1, so none lies in (0, 4Q); sin 4Q = 0 and
+    cos 4Q = 1 make 4Q one.  No float is evaluated.
+    """
+    rows = {k: (s, c) for k, s, c in constants.q_multiples_table()}
+    premises = {
+        "sin_positive_on_0_2": _sin_positive_check().passed,
+        "cos2_certified_negative": _cos2_certificate().passed,
+        "q_multiples": rows[2] == (0, -1) and rows[4] == (0, 1),
+    }
+    failed = [name for name, held in premises.items() if not held]
+    return report.CheckResult(
+        name="period_minimality",
+        kind="exact",
+        passed=not failed,
+        detail={"failed": ", ".join(failed)} if failed else {"least_period": "4Q"},
+        samples=1,
+    )
+
+
 def _coefficient_recursion_check():
     """Recursion-generated coefficients match the series coefficients up to degree 200."""
     coeffs = series_kernel.ode_coefficients(201)
@@ -176,6 +231,7 @@ def exact_checks(degree):
         exact_series.verify_sine_sum(max(degree, 1)),
         exact_series.verify_sine_sum_split(split_n),
         _cos2_certificate(),
+        _sin_positive_check(),
         _coefficient_recursion_check(),
         _q_multiples_check(),
     ]
@@ -199,9 +255,7 @@ def numeric_checks(samples, seed):
     per = identities.check_periodicity(samples)
     checks.append(_numeric_result("periodicity_4q", per, samples,
                                   max_discrepancy=per.discrepancy))
-    mini = identities.check_period_minimality(500)
-    checks.append(_numeric_result("period_minimality", mini, 500, witness_value=mini.lhs,
-                                  worst_sample=mini.sample_points))
+    checks.append(_period_minimality_check())
     checks.append(_special_angle_check())
     checks.append(_sin_q_check())
     return checks

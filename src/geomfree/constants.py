@@ -23,7 +23,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import ToleranceTooTight
-from .series_kernel import _check_tol_floor, _series_sum, cos_eval_exact, sin_eval_exact
+from .series_kernel import _check_tol_floor, _series_sum, cos_eval_exact
 
 _MAX_TERMS = 100          # series-degree budget: 2*100 = degree 200
 _POLISH_BITS = 200        # dyadic rounding between Newton polish steps
@@ -62,12 +62,6 @@ def _certified_sign(x, or_zero=False):
         return sign
     raise ToleranceTooTight(
         f"cos sign at {float(x)} not decidable within degree {2 * _MAX_TERMS}")
-
-
-def _certified_sin_positive(x):
-    """sin x > 0, certified by _certified_sign's rule on the sine series."""
-    s, b = sin_eval_exact(x, _MAX_TERMS, until_sign=True)
-    return s > b
 
 
 def _round_half_even(n, d):
@@ -109,23 +103,18 @@ def find_q(tol):
 
     Bisection keeps cos > 0 on the left end and cos < 0 on the right end
     until the bracket width is at most tol.  Cosine is strictly
-    decreasing on (0, 2) (its derivative -sin is negative there, checked
-    by certified sin-positivity samples), so the bracketed zero is the
-    least positive one.  A Newton polish on integers then refines the
-    midpoint to a 2**-200 dyadic, two exact sign checks at the dyadic
-    points 2**-167 either side of it certify a bracket inside the
-    reported radius 1e-50, and the reported radius tol/2 (or hi - lo)
-    follows from it.
+    decreasing on [0, 2]: its derivative -sin is negative there, since
+    sin x >= x - x^3/6 > 0 for 0 < x <= 2, a lemma that
+    `verify --suite exact` decides on integers (sin_positive_on_0_2).  So
+    the bracketed zero is the only one in (0, 2), the least positive one.
+    A Newton polish on integers then refines the midpoint to a 2**-200
+    dyadic, two exact sign checks at the dyadic points 2**-167 either
+    side of it certify a bracket inside the reported radius 1e-50, and
+    the reported radius tol/2 (or hi - lo) follows from it.
     """
     _check_tol_floor(tol, 1e-15, "find_q")
 
     lo, hi, iterations, _history = _certified_bisection(tol)
-
-    # monotonicity witnesses: sin > 0 at sampled interior bracket points
-    width = hi - lo
-    for point in (lo + width / 4, lo + width / 2, hi - width / 4):
-        if not _certified_sin_positive(point):
-            raise AssertionError("sin positivity failed inside the bracket")
 
     # Newton polish with sin Q = 1: y <- y + cos y maps Q + e to Q + (e - sin e)
     # and increases with fixed point Q, so its iterates stay between the

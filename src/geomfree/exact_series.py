@@ -87,10 +87,6 @@ class _Poly:
         return p
 
     @classmethod
-    def zero(cls, degree_cap):
-        return cls(degree_cap)
-
-    @classmethod
     def one(cls, degree_cap):
         return cls._new(int(degree_cap), {(0,) * cls.arity: 1})
 

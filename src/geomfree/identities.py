@@ -1,5 +1,6 @@
 """Numeric property suite for the standard sine/cosine identities,
-periodicity, and the special-angle table.
+periodicity, a sampled cross-check of the least period, and the
+special-angle table.
 
 Every check compares two certified evaluations: the pass criterion is
 |lhs - rhs| <= (sum of certified bounds) + a 4-ulp grid slack absorbing
@@ -202,11 +203,11 @@ def check_periodicity(n_samples):
 
 
 def check_period_minimality(grid_size):
-    """Sampled falsification witness that no 0 < R < Q gives cos 2R = +-1.
+    """A sampled cross-check of the proven `period_minimality` record.
 
-    On a strictly interior grid, certifies cos 2R away from both 1 and -1
-    while sin R > 0 and cos R > 0 (the quantities a smaller period would
-    force into contradiction).  A sampled check, not a proof.
+    On a strictly interior grid of (0, Q), certifies cos 2R away from both
+    1 and -1 while sin R > 0 and cos R > 0.  The proof itself, which `verify`
+    reports, evaluates no float; this grid is not part of `verify`.
     """
     if grid_size < 100:
         raise ValueError("grid_size must be >= 100")

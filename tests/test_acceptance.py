@@ -20,11 +20,10 @@ from geomfree.analysis import (
     quarter_circle_area,
 )
 from geomfree.bench import run_bench
-from geomfree.cli import main
+from geomfree.cli import main, numeric_checks
 from geomfree.constants import find_q, q_multiples_table
 from geomfree.identities import (
     check_identity,
-    check_period_minimality,
     check_periodicity,
     default_samples,
     registered_identities,
@@ -120,11 +119,12 @@ def test_criterion_06_identity_suite(capsys):
 
 def test_criterion_07_periodicity(capsys):
     per = check_periodicity(1000)
-    mini = check_period_minimality(500)
-    ok = per.passed and per.discrepancy <= 5e-15 and mini.passed
+    mini = next(c for c in numeric_checks(1, 0) if c.name == "period_minimality")
+    ok = per.passed and per.discrepancy <= 5e-15 and mini.kind == "exact" and mini.passed
     with capsys.disabled():
         _report(7, ok, f"sin(x+4Q)=sin x on 1000 points (max {per.discrepancy:.2e} "
-                       f"<= 5e-15); no cos 2R = +-1 witness on 500 interior points")
+                       f"<= 5e-15); 4Q the least period, exact from the lemma "
+                       f"sin x >= x - x^3/6 > 0 on (0, 2]")
 
 
 def test_criterion_08_special_angles(capsys):

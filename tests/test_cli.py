@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from geomfree import bench, cli, constants, series_kernel
+from geomfree import bench, cli, constants, identities, series_kernel
 from geomfree.cli import main, numeric_checks
 from geomfree.identities import registered_identities
 from geomfree.report import validate_report
@@ -299,16 +299,57 @@ def _cold_bench_events(monkeypatch, interval, **kwargs):
 class TestNumericCheckDetail:
     def test_detail_keys_of_each_check(self):
         checks = {c.name: c for c in numeric_checks(100, 0)}
+        proof = checks.pop("period_minimality")
+        assert proof.kind == "exact" and proof.passed
+        assert proof.detail == {"least_period": "4Q"}
         keys = {name: set(c.detail) for name, c in checks.items()}
         identity = {"max_discrepancy", "bound", "worst_sample"}
         assert keys == {
             **{f"identity_{name}": identity for name in registered_identities()},
             "periodicity_4q": {"max_discrepancy", "bound"},
-            "period_minimality": {"witness_value", "bound", "worst_sample"},
             "special_angles_table": {"max_discrepancy", "bound"},
             "sin_q_equals_one": {"max_discrepancy", "bound"},
         }
         assert all(c.kind == "numeric" and c.passed for c in checks.values())
         assert checks["periodicity_4q"].samples == 100
-        assert checks["period_minimality"].samples == 500
         assert checks["identity_cosine_sum"].samples == 100
+
+
+class TestLeastPeriodProof:
+    def test_the_lemma_check_passes(self):
+        chk = cli._sin_positive_check()
+        assert chk.name == "sin_positive_on_0_2" and chk.kind == "exact" and chk.passed
+        assert chk.name in {c.name for c in cli.exact_checks(1)}
+
+    def test_the_lemma_decision_fails_past_sqrt_6(self):
+        # x - x^3/6 > 0 needs x^2 < 6: 2.4^2 = 5.76 passes, 2.45^2 = 6.0025
+        # and (5/2)^2 = 6.25 do not
+        assert cli._sin_lower_bound_holds(Fraction(2))
+        assert cli._sin_lower_bound_holds(Fraction(12, 5))
+        assert not cli._sin_lower_bound_holds(Fraction(49, 20))
+        assert not cli._sin_lower_bound_holds(Fraction(5, 2))
+
+    def test_a_verify_pass_makes_at_most_3201_kernel_calls(self, capsys, monkeypatch):
+        constants.shared_table()
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(identities, "sin_eval", counted(identities.sin_eval))
+        monkeypatch.setattr(identities, "cos_eval", counted(identities.cos_eval))
+        monkeypatch.setattr(cli.series_kernel, "sin_eval", counted(cli.series_kernel.sin_eval))
+        rc, _, _ = run_cli(capsys, "verify", "--suite", "all", "--degree", "100",
+                           "--samples", "100", "--seed", "1", "--format", "json")
+        assert rc == 0
+        assert 0 < len(calls) <= 3201
+
+    def test_period_minimality_fails_if_cos_2q_were_one(self, monkeypatch):
+        rows = ((0, 0, 1), (1, 1, 0), (2, 0, 1), (3, -1, 0), (4, 0, 1))
+        monkeypatch.setattr(constants, "q_multiples_table", lambda: rows)
+        chk = cli._period_minimality_check()
+        assert chk.kind == "exact" and not chk.passed
+        assert chk.detail == {"failed": "q_multiples"}
