@@ -1,10 +1,11 @@
 """Error-free float transforms and double-double arithmetic.
 
 two_sum is Knuth's exact addition and two_prod is Dekker's exact product
-(splitting, no FMA required); the sine/cosine kernel uses both.  dd_add
-and dd_mul build double-double arithmetic on them: a pair (hi, lo) with
-hi = fl(hi + lo), roughly 106 bits.  Nothing in the package calls those
-two; perfbench times them as the cost of a double-double step.
+(splitting, no FMA required); the kernel calls two_prod; two_sum serves
+dd_add and the tests.  dd_add and dd_mul build double-double arithmetic
+on them: a pair (hi, lo) with hi = fl(hi + lo), roughly 106 bits.
+Nothing in the package calls those two; perfbench times them as the cost
+of a double-double step.
 """
 
 _SPLITTER = 134217729.0  # 2**27 + 1

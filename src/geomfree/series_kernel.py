@@ -8,7 +8,8 @@ Evaluation pipeline:
 1. Reduce mod Q.  |x| below Q/2 is used as is (k = 0).  Otherwise k is the
    integer nearest |x|/Q and r = |x| - kQ comes from a Cody-Waite split of
    the certified Q into Q1 + Q2 + Q3 (27, 27 and 53 bits), carried as a
-   float pair (r_hi, r_lo).
+   float pair (r_hi, r_lo); r_lo comes from Knuth's TwoSum, written out in
+   _eval.
 2. Pick the quadrant.  With j = k mod 4, sin(jQ + r) is +-sin r or +-cos r
    by the exact Q-multiples table; cos x is sin(x + Q).  The sign of x is
    applied last, so sin(-x) == -sin(x) bit for bit.
@@ -38,7 +39,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .doubledouble import two_prod, two_sum
+from .doubledouble import two_prod
 from .errors import DomainError, InvalidTolerance
 
 _U = 2.0 ** -53          # unit roundoff of binary64; 2 * _U is ulp(1)
@@ -305,10 +306,14 @@ def _eval(x, tol, shift):
         k = float(ki)
         t = ax - k * q1  # exact: k*q1 is exact and within a factor 2 of ax
         w = k * q2       # exact: 26 + 27 bits
-        s, e = two_sum(t, -w)
+        s = t - w        # Knuth's TwoSum of t and -w, written out: s + e = t - w
+        v = s - t
+        e = (t - (s - v)) + (-w - v)
         p = k * q3
         lo = e - p
-        r, r_lo = two_sum(s, lo)
+        r = s + lo       # TwoSum of s and lo, written out: r + r_lo = s + lo
+        v = r - s
+        r_lo = (s - (r - v)) + (lo - v)
         red_err = k * k_err + _U * (abs(p) + abs(lo))
         j = (ki + shift) & 3
     use_cos, sign = quadrants[j]

@@ -23,23 +23,28 @@ SQRT3_OVER_2 = 0.8660254037844386
 TWO_OVER_SQRT3 = 1.1547005383792515
 
 
-def sin_enclosure(x, terms):
-    """(partial sum, |first omitted term|) of the sine series, exact."""
+def series_enclosures(x, terms, odd):
+    """[(partial sum of the first m terms, |first omitted term|) for m = 0 ..
+    terms] of the sine (odd) or cosine series, exact: forward summation, each
+    term the last one times -x**2 / ((2n+o+1)(2n+o+2)), o = 1 for sine."""
     x = Fraction(x)
-    s, t = Fraction(0), x
+    o = 1 if odd else 0
+    s, t = Fraction(0), x if odd else Fraction(1)
+    sums = [(s, abs(t))]
     for n in range(terms):
         s += t
-        t = -t * x * x / ((2 * n + 2) * (2 * n + 3))
-    return s, abs(t)
+        t = -t * x * x / ((2 * n + o + 1) * (2 * n + o + 2))
+        sums.append((s, abs(t)))
+    return sums
+
+
+def sin_enclosure(x, terms):
+    """(partial sum, |first omitted term|) of the sine series, exact."""
+    return series_enclosures(x, terms, True)[terms]
 
 
 def cos_enclosure(x, terms):
-    x = Fraction(x)
-    s, t = Fraction(0), Fraction(1)
-    for n in range(terms):
-        s += t
-        t = -t * x * x / ((2 * n + 1) * (2 * n + 2))
-    return s, abs(t)
+    return series_enclosures(x, terms, False)[terms]
 
 
 def sin_oracle(x, terms=30):

@@ -12,6 +12,7 @@ between them.
 import math
 import random
 import statistics
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -252,6 +253,41 @@ def test_cosine_constant_row_gives_row_zeros_value_and_bound():
         assert r_lo != 0.0 or abs(x) < 1.0, x  # reduced points carry a low part
         taken += z <= series_kernel._COS_Z_ONE
     assert 0 < taken < len(cases)  # the points lie on both sides of the edge
+
+
+def _cosine_row_zero_cases():
+    """(evaluate, shift, x) for about 500 seeded x = k*Q + r, k log-uniform
+    up to 6.3e7 (odd for sin_eval, even for cos_eval, so the cosine series
+    runs), |r| log-uniform in (2**-27, 1e-4] so that z lies in cosine's row 0
+    above its constant row, and both signs of r and of x."""
+    rng = random.Random(20261019)
+    q = shared_table().q_exact
+    cases = []
+    for evaluate, shift, parity in ((sin_eval, 0, 1), (cos_eval, 1, 0)):
+        for _ in range(125):
+            k = int(math.exp(rng.uniform(0.0, math.log(6.3e7))))
+            k += (k - parity) % 2
+            r = math.copysign(math.exp(rng.uniform(math.log(2.0 ** -27), math.log(1e-4))),
+                              rng.choice((1.0, -1.0)))
+            x = float(k * q + Fraction(r))
+            cases += [(evaluate, shift, x), (evaluate, shift, -x)]
+    return cases
+
+
+def test_inline_two_sum_matches_the_library_two_sum_bit_for_bit():
+    # _eval writes Knuth's TwoSum out; _cosine_row_zero restates the reduction
+    # with doubledouble.two_sum, so equal values and bounds pin r, r_lo and
+    # red_err across the whole range of k
+    cases = _cosine_row_zero_cases()
+    above = 0
+    for evaluate, shift, x in cases:
+        cv = evaluate(x, 1e-15)
+        val, bound, _, z = _cosine_row_zero(x, shift)
+        assert abs(cv.value) == val, x
+        assert cv.abs_error_bound == bound, x
+        assert z <= series_kernel._COS_Z0, x
+        above += z > series_kernel._COS_Z_ONE
+    assert above >= 0.9 * len(cases)  # most points are past the constant row
 
 
 # --- the tiny row: sin x = x and cos x = 1 before the reduction -----------

@@ -7,7 +7,7 @@ plus CertifiedValue.__new__ itself, after its check.
 
 The same scan pins the float kernel's straight-line hot path: _eval and
 _sin_value hold no loop, series_kernel never names math.fsum, and _eval
-calls two_sum and two_prod as the module globals that perfbench wraps.
+calls two_prod as the module global that perfbench wraps.
 """
 
 import ast
@@ -83,10 +83,11 @@ def test_series_kernel_never_names_fsum():
 
 def test_the_kernel_calls_the_error_free_transforms_as_module_globals():
     # perfbench reads doubledouble.calls_per_eval, doubledouble.self_share and
-    # series_kernel.reduced_share by wrapping series_kernel.two_prod and two_sum;
-    # an inlined copy or a local alias would leave those metrics silently empty
+    # series_kernel.reduced_share by wrapping series_kernel.two_prod (it wraps
+    # no two_sum, which _eval writes out); an inlined copy or a local alias of
+    # two_prod would leave those metrics silently empty
     path = PKG_DIR / "series_kernel.py"
-    names = {"two_sum", "two_prod"}
+    names = {"two_prod"}
     fn = _function(path, "_eval")
     called = {node.func.id for node in ast.walk(fn)
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
