@@ -277,7 +277,9 @@ def _cosine_row_zero_cases():
 def test_inline_two_sum_matches_the_library_two_sum_bit_for_bit():
     # _eval writes Knuth's TwoSum out; _cosine_row_zero restates the reduction
     # with doubledouble.two_sum, so equal values and bounds pin r, r_lo and
-    # red_err across the whole range of k
+    # red_err across the whole range of k.  With |r| this small, t - w is
+    # exact, so the first TwoSum's error term is 0 here; the mpmath bound
+    # tests above see a wrong one at large |r|
     cases = _cosine_row_zero_cases()
     above = 0
     for evaluate, shift, x in cases:
