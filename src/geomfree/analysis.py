@@ -1,17 +1,19 @@
 """Inverse sine, the circle integrals, arc length, and the oscillator
 cross-check.
 
-arcsin is built two independent ways: Newton iteration on sin y = x
+arcsin is built two independent ways: iteration on sin y = x
 (well-conditioned for |x| <= sqrt(2)/2, reflected through Q - arcsin of
 the complementary leg otherwise), and adaptive Simpson quadrature of
 1/sqrt(1 - t^2) with the endpoint singularity removed by the exact
 substitution u = sqrt(1 - t^2) past the sqrt(2)/2 split.
 
-The Newton steps run on floats, and one certified sin_eval at the end
-bounds the result by the mean value theorem (see _newton_core).  The
-quadrature's est_error adds a roundoff floor to the Richardson estimate,
-and its tolerance stops at 1e-15.  The ODE oracle integrates f'' = -f with
-classical RK4 and tracks the conserved quantity f^2 + f'^2.
+The iteration starts from the half-angle series and takes Halley's steps
+on floats, so it sums the sine series at most twice; one certified
+sin_eval at the end bounds the result by the mean value theorem (see
+_newton_core).  The quadrature's est_error adds a roundoff floor to the
+Richardson estimate, and its tolerance stops at 1e-15.  The ODE oracle
+integrates f'' = -f with classical RK4 and tracks the conserved quantity
+f^2 + f'^2.
 """
 
 import math
@@ -42,14 +44,23 @@ def _comp_sqrt(t):
     return math.sqrt((1.0 - t) * (1.0 + t))
 
 
-def _newton_core(a, tol):
+def _newton_core(a, c, tol):
     """Solve sin y = a for a in [0, ~0.708]; returns (y, its error bound).
 
-    The Newton steps run on floats, from y0 = a + a^3/6 + 3a^5/40 (the
-    arcsin series to three terms), with sin y from the value-only series
-    and cos y = sqrt(1 - sin^2 y), which holds because cos >= 0 on [0, Q].
-    sin is concave there and y0 lies below arcsin a, so the steps rise
-    toward the root; they converge in at most four.
+    c is sqrt(1 - a^2) to within a few ulps; it only shapes the start.  By
+    the half-angle identity cos^2(y/2) = (1 + cos y)/2 and
+    sin y = 2 sin(y/2) cos(y/2), sin(y/2) = b = a / sqrt(2(1 + c)), and the
+    start is y0 = 2 arcsin b with the arcsin series cut after b^9.  Here
+    b <= sin(pi/8) ~ 0.383, so y0 is within 2 c5 b^11 / (1 - b^2) ~ 1.4e-6 of
+    arcsin a (c5 = 63/2816, the first coefficient left out).
+
+    The steps run on floats, with s = sin y from the value-only series and
+    cos y = sqrt(1 - s^2), which holds because cos >= 0 on [0, Q].  Each is
+    Halley's step for sin y - a, whose error constant tan^2(y)/4 + 1/6 is at
+    most 0.42 here: the first step takes the start's error to about 1e-18,
+    below rounding, and the second, now of rounding size, meets the exit
+    rule |dy| <= 4u y and settles y, which keeps the residual |s - a| at
+    rounding level.  So the sine series is summed at most twice.
 
     Only the final residual is certified, by one sin_eval: s = sin y
     within s_err.  By the mean value theorem
@@ -58,25 +69,29 @@ def _newton_core(a, tol):
     in [0, Q], where sin is increasing and cos = sqrt(1 - sin^2); then
     sin xi <= m = max(a, s + s_err), and
     cos xi >= sqrt((1-m)(1+m)) once m < 1.  On this branch m <= ~0.7072,
-    so the constant 1/sqrt((1-m)(1+m)) is at most ~1.415.  Newton rising
-    from below keeps y near arcsin a, so the check of 0 <= y <= 1.5 and
-    m < 1 never fails; if it did, the bound would not hold, and an
-    AssertionError is raised instead of returning it.
+    so the constant 1/sqrt((1-m)(1+m)) is at most ~1.415.  A start this
+    close keeps y near arcsin a, so the check of 0 <= y <= 1.5 and m < 1
+    never fails; it stays because the bound rests on it, and if it failed
+    an AssertionError would be raised instead of a bound that does not hold.
     """
     if a == 0.0:
         return 0.0, 0.0
-    a2 = a * a
-    y = a + a * a2 * (1.0 / 6.0 + 0.075 * a2)
+    t = 2.0 * (1.0 + c)  # 4 cos^2(y/2), so sin(y/2) = a / sqrt(t)
+    b2 = a * a / t
+    y = 2.0 * a / math.sqrt(t) * (
+        1.0 + b2 * (1.0 / 6.0 + b2 * (0.075 + b2 * (5.0 / 112.0 + b2 * (35.0 / 1152.0)))))
     for _ in range(8):
         s = _sin_value(y)
-        dy = (s - a) / _comp_sqrt(s)
+        d = s - a
+        c2 = (1.0 - s) * (1.0 + s)
+        dy = d * math.sqrt(c2) / (c2 + 0.5 * d * s)
         y -= dy
         if abs(dy) <= 2.0 ** -51 * y:  # 4u
             break
     s, s_err = sin_eval(y, tol)  # the kernel's bound does not depend on tol
     m = max(a, s + s_err)
     if not (0.0 <= y <= 1.5 and m < 1.0):
-        raise AssertionError(f"arcsin Newton left [0, Q] at a={a!r}: y={y!r}, m={m!r}")
+        raise AssertionError(f"arcsin iteration left [0, Q] at a={a!r}: y={y!r}, m={m!r}")
     # the square root rounded down; the bound's three roundings rounded up
     cos_lo = _comp_sqrt(m) * (1.0 - 4.0 * _U)
     bound = (abs(s - a) + s_err) / cos_lo * (1.0 + 4.0 * _U)
@@ -84,11 +99,11 @@ def _newton_core(a, tol):
 
 
 def arcsin_newton(x, tol):
-    """Certified arcsin via Newton iteration on the sine series.
+    """Certified arcsin via iteration on the sine series (_newton_core).
 
     For |x| <= sqrt(2)/2 the iteration runs directly; otherwise the
     reflection arcsin x = sign(x) (Q - arcsin sqrt(1 - x^2)) keeps the
-    Newton step conditioned.
+    step conditioned.
     """
     _check_tol(tol)
     x = float(x)
@@ -96,12 +111,12 @@ def arcsin_newton(x, tol):
     sign = math.copysign(1.0, x)
     ax = abs(x)
     if ax <= _SQRT_HALF:
-        y, bound = _newton_core(ax, tol)
+        y, bound = _newton_core(ax, _comp_sqrt(ax), tol)
         return _new_cv(CertifiedValue, (sign * y, bound))
     tbl = shared_table()
     u = _comp_sqrt(ax)
     u_err = 3.0 * _U * u  # two roundings plus the square root's half-ulp
-    v, v_err = _newton_core(u, tol)
+    v, v_err = _newton_core(u, ax, tol)  # sqrt(1 - u^2) is ax to rounding
     y = tbl.q - v
     # d arcsin(u)/du = 1/sqrt(1-u^2) = 1/ax <= sqrt(2) on this branch
     bound = v_err + tbl.q_float_err + u_err / ax + _U * abs(y)

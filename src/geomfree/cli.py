@@ -128,20 +128,20 @@ def _sin_positive_check():
     )
 
 
-def _period_minimality_check():
+def _period_minimality_check(sin_positive, cos2):
     """4Q is the least period of sin and cos, decided exactly.
 
-    sin > 0 on (0, Q] (_sin_positive_check, with Q < 2 by
-    _cos2_certificate).  The table's sin 2Q = 0 and cos 2Q = -1 give
-    sin(2Q - x) = sin x and sin(x + 2Q) = -sin x, so on (0, 4Q) sin
-    vanishes only at 2Q, where cos 2Q = -1.  A period R has sin R = sin 0
-    = 0 and cos R = cos 0 = 1, so none lies in (0, 4Q); sin 4Q = 0 and
-    cos 4Q = 1 make 4Q one.  No float is evaluated.
+    sin > 0 on (0, Q] (`sin_positive`, the _sin_positive_check result, with
+    Q < 2 by `cos2`, the _cos2_certificate result).  The table's sin 2Q = 0
+    and cos 2Q = -1 give sin(2Q - x) = sin x and sin(x + 2Q) = -sin x, so
+    on (0, 4Q) sin vanishes only at 2Q, where cos 2Q = -1.  A period R has
+    sin R = sin 0 = 0 and cos R = cos 0 = 1, so none lies in (0, 4Q);
+    sin 4Q = 0 and cos 4Q = 1 make 4Q one.  No float is evaluated.
     """
     rows = {k: (s, c) for k, s, c in constants.q_multiples_table()}
     premises = {
-        "sin_positive_on_0_2": _sin_positive_check().passed,
-        "cos2_certified_negative": _cos2_certificate().passed,
+        sin_positive.name: sin_positive.passed,
+        cos2.name: cos2.passed,
         "q_multiples": rows[2] == (0, -1) and rows[4] == (0, 1),
     }
     failed = [name for name, held in premises.items() if not held]
@@ -226,14 +226,16 @@ def _sin_q_check():
 
 def exact_checks(degree):
     split_n = max(0, min(20, (degree - 1) // 2))
+    cos2, sin_positive = _cos2_certificate(), _sin_positive_check()
     return [
         exact_series.verify_pythagorean(degree),
         exact_series.verify_sine_sum(max(degree, 1)),
         exact_series.verify_sine_sum_split(split_n),
-        _cos2_certificate(),
-        _sin_positive_check(),
+        cos2,
+        sin_positive,
         _coefficient_recursion_check(),
         _q_multiples_check(),
+        _period_minimality_check(sin_positive, cos2),
     ]
 
 
@@ -255,7 +257,6 @@ def numeric_checks(samples, seed):
     per = identities.check_periodicity(samples)
     checks.append(_numeric_result("periodicity_4q", per, samples,
                                   max_discrepancy=per.discrepancy))
-    checks.append(_period_minimality_check())
     checks.append(_special_angle_check())
     checks.append(_sin_q_check())
     return checks

@@ -20,7 +20,7 @@ from geomfree.analysis import (
     quarter_circle_area,
 )
 from geomfree.bench import run_bench
-from geomfree.cli import main, numeric_checks
+from geomfree.cli import exact_checks, main
 from geomfree.constants import find_q, q_multiples_table
 from geomfree.identities import (
     check_identity,
@@ -119,7 +119,7 @@ def test_criterion_06_identity_suite(capsys):
 
 def test_criterion_07_periodicity(capsys):
     per = check_periodicity(1000)
-    mini = next(c for c in numeric_checks(1, 0) if c.name == "period_minimality")
+    mini = next(c for c in exact_checks(1) if c.name == "period_minimality")
     ok = per.passed and per.discrepancy <= 5e-15 and mini.kind == "exact" and mini.passed
     with capsys.disabled():
         _report(7, ok, f"sin(x+4Q)=sin x on 1000 points (max {per.discrepancy:.2e} "

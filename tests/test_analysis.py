@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from geomfree import analysis
 from geomfree.analysis import (
     _adaptive_simpson,
     _Counter,
@@ -79,6 +80,31 @@ class TestArcsinNewton:
             lo = arcsin_newton(max(-1.0, x - pad), 1e-14)
             window = (hi.value - lo.value) + hi.abs_error_bound + lo.abs_error_bound
             assert abs(a.value - y) <= window + a.abs_error_bound + tbl.q_float_err
+
+    def test_sums_the_sine_series_at_most_twice(self, monkeypatch):
+        # the half-angle start is within 1.4e-6 of the root: one Halley step
+        # converges and one settles
+        calls = []
+        value_only = analysis._sin_value
+        monkeypatch.setattr(analysis, "_sin_value", lambda y: calls.append(y) or value_only(y))
+        rng = random.Random(1806)
+        xs = [rng.uniform(-1.0, 1.0) for _ in range(5000)]
+        for sign in (-1.0, 1.0):  # +-3 ulps around +-sqrt(2)/2, where the reflection begins
+            x = sign * 0.7071067811865476
+            for _ in range(3):
+                x = math.nextafter(x, 0.0)
+            for _ in range(7):
+                xs.append(x)
+                x = math.nextafter(x, sign)
+        xs += [1.0, -1.0, 0.0, -0.0, 5e-324, -5e-324, 1e-320, -1e-320,
+               2.2250738585072014e-308, 1e-300, -1e-300]
+        counts = []
+        for x in xs:
+            calls.clear()
+            arcsin_newton(x, 1e-15)
+            counts.append(len(calls))
+        assert max(counts) <= 2
+        assert counts.count(2) > 4000  # the patch saw the iteration
 
 
 class TestArcsinQuadrature:

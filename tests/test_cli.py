@@ -299,9 +299,6 @@ def _cold_bench_events(monkeypatch, interval, **kwargs):
 class TestNumericCheckDetail:
     def test_detail_keys_of_each_check(self):
         checks = {c.name: c for c in numeric_checks(100, 0)}
-        proof = checks.pop("period_minimality")
-        assert proof.kind == "exact" and proof.passed
-        assert proof.detail == {"least_period": "4Q"}
         keys = {name: set(c.detail) for name, c in checks.items()}
         identity = {"max_discrepancy", "bound", "worst_sample"}
         assert keys == {
@@ -347,9 +344,27 @@ class TestLeastPeriodProof:
         assert rc == 0
         assert 0 < len(calls) <= 3201
 
+    def test_period_minimality_is_the_last_exact_check(self, capsys):
+        checks = cli.exact_checks(1)
+        proof = checks[-1]
+        assert proof.name == "period_minimality" and proof.kind == "exact" and proof.passed
+        assert proof.detail == {"least_period": "4Q"}
+        assert all(c.name != "period_minimality" for c in numeric_checks(1, 0))
+        rc, out, _ = run_cli(capsys, "verify", "--suite", "exact", "--degree", "41")
+        assert rc == 0 and out.splitlines()[-2:] == ["PASS  period_minimality",
+                                                     "8/8 checks passed"]
+        rc, out, _ = run_cli(capsys, "verify", "--samples", "100", "--format", "json")
+        names = [c["name"] for c in json.loads(out)["checks"]]
+        assert rc == 0 and len(names) == 20 and names[7] == "period_minimality"
+
     def test_period_minimality_fails_if_cos_2q_were_one(self, monkeypatch):
         rows = ((0, 0, 1), (1, 1, 0), (2, 0, 1), (3, -1, 0), (4, 0, 1))
         monkeypatch.setattr(constants, "q_multiples_table", lambda: rows)
-        chk = cli._period_minimality_check()
+        chk = cli._period_minimality_check(cli._sin_positive_check(), cli._cos2_certificate())
         assert chk.kind == "exact" and not chk.passed
         assert chk.detail == {"failed": "q_multiples"}
+
+    def test_period_minimality_fails_with_a_failed_premise(self):
+        sin_positive = cli._sin_positive_check()._replace(passed=False)
+        chk = cli._period_minimality_check(sin_positive, cli._cos2_certificate())
+        assert not chk.passed and chk.detail == {"failed": "sin_positive_on_0_2"}

@@ -419,8 +419,8 @@ def test_arcsin_bound_holds_and_stays_within_ulps():
         if truth != 0:
             bounds.append(cv.abs_error_bound / math.ulp(float(truth)))
     assert violations == []
-    assert worst <= 3.0
-    assert statistics.median(bounds) <= 2.0
+    assert worst <= 2.0
+    assert statistics.median(bounds) <= 1.1
 
 
 def test_unit_circle_point_reproduces_the_point():
