@@ -2,9 +2,12 @@
 
 Evaluation pipeline:
 
-0. Tiny arguments.  For |x| <= 2**-27, where fl(x*x) reaches cosine's
-   constant row, sin x = x and cos x = 1 with row 0's bound, returned before
-   the reduction constants (and so the shared table) are read.
+0. Tolerance, then tiny arguments.  A valid tol costs one comparison; a bad
+   one goes to _check_tol, which raises.  For |x| <= 2**-27, where fl(x*x)
+   reaches cosine's constant row, sin x = x and cos x = 1 with row 0's bound
+   (for cosine a constant), returned before the domain test and before the
+   reduction constants (and so the shared table) are read.  Only then is x
+   tested against the domain, |x| <= 1e8 and finite.
 1. Reduce mod Q.  |x| below Q/2 is used as is (k = 0).  Otherwise k is the
    integer nearest |x|/Q and r = |x| - kQ comes from a Cody-Waite split of
    the certified Q into Q1 + Q2 + Q3 (27, 27 and 53 bits), carried as a
@@ -245,12 +248,18 @@ _COS_Z_ONE = float(Fraction(_HALF_U) / 2 / abs(_COS_A[1]))  # cosine's constant 
 #   would: there h <= 2**-55 gives lead = 1 - h = 1, and low = -h - zl/2 - r_lo r
 #   (|zl| <= u z, |r_lo| <= u|r|) has |low| < 2**-54, so fl(lead + low) = 1.
 #   Its bound is row 0's, term for term.
-# - The tiny row, |x| <= _ROW0_EDGE, runs before the reduction: there k = 0,
-#   r = |x|, r_lo = 0 and the reduction error is 0, and z = fl(x*x) <=
+# - The tiny row, |x| <= _ROW0_EDGE, runs right after the tolerance test and
+#   before the domain test and the reduction: a tiny x is finite and in range,
+#   and nan and +-inf fail the row's test and go on to the domain test.  There
+#   k = 0, r = |x|, r_lo = 0 and the reduction error is 0, and z = fl(x*x) <=
 #   _COS_Z_ONE < _SIN_Z0, so sine is in row 0 (value x) and cosine in its
 #   constant row (value 1).  Its bound is row 0's, term for term: the two terms
 #   it leaves out, c_lo |r_lo| and the reduction error, are +0.0, and adding
 #   +0.0 to a float >= 0 is exact.  x = +-0.0 keeps the exact (x or 1, 0).
+#   Cosine's is the constant _COS_TINY: with z <= 2**-54 and _COS_K0 < 2**-4.58,
+#   fl(_COS_K0 z z) <= 2**-112.5, below half an ulp of _U (2**-106), so
+#   fl(_COS_K0 z z + _U) = _U, and what is left of row 0's formula, + _UNDERFLOW
+#   and * _ROUND_UP, is the constant's own float arithmetic.
 # - Correction: sine's r_lo (1 - z/2) is off from sin(r_hi + r_lo) - sin(r_hi)
 #   by <= |r_lo| (z**2/24 + 4u) + r_lo**2/2 <= 0.016|r_lo|, cosine's -r_lo r_hi
 #   by <= |r_lo| (|r_hi|**3/6 + u) + r_lo**2/2 <= 0.081|r_lo|.
@@ -270,6 +279,7 @@ _ROUND_UP = 1.0 + 2.0 ** -40
 # The tiny row's edge: the largest x with fl(x*x) <= _COS_Z_ONE.  _COS_Z_ONE is
 # 2**-54, so its square root 2**-27 is exact, and the next double squares above it.
 _ROW0_EDGE = math.sqrt(_COS_Z_ONE)
+_COS_TINY = (_U + _UNDERFLOW) * _ROUND_UP  # the tiny row's cosine bound (bound comment)
 
 
 def _sin_value(r):
@@ -285,19 +295,20 @@ def _sin_value(r):
 
 def _eval(x, tol, shift):
     """sin(x) for shift 0, cos(x) = sin(x + Q) for shift 1."""
-    _check_tol(tol)
+    if not 0.0 < tol < _INF:  # _check_tol's test, so a valid tol costs no call
+        _check_tol(tol)
     x = float(x)
     ax = abs(x)
-    if not ax <= _MAX_ARG:
-        raise DomainError(f"|x| must be <= {_MAX_ARG:g} and finite, got {x!r}")
-    if ax <= _ROW0_EDGE:  # sin x = x, cos x = 1, before the reduction (bound comment)
+    if ax <= _ROW0_EDGE:  # sin x = x, cos x = 1, before the domain test (bound comment)
         if ax == 0.0:
             return _new_cv(CertifiedValue, (x if shift == 0 else 1.0, 0.0))
-        z = ax * ax
         if shift == 0:
+            z = ax * ax
             bound = (_SIN_K0 * ax * z + _U * ax + _UNDERFLOW) * _ROUND_UP
             return _new_cv(CertifiedValue, (x, bound))
-        return _new_cv(CertifiedValue, (1.0, (_COS_K0 * z * z + _U + _UNDERFLOW) * _ROUND_UP))
+        return _new_cv(CertifiedValue, (1.0, _COS_TINY))
+    if not ax <= _MAX_ARG:
+        raise DomainError(f"|x| must be <= {_MAX_ARG:g} and finite, got {x!r}")
     half_q, inv_q, q1, q2, q3, k_err, quadrants = _reduction or _bind_reduction()
     if ax <= half_q:
         r, r_lo, red_err, j = ax, 0.0, 0.0, shift

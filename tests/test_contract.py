@@ -23,7 +23,7 @@ from geomfree.analysis import (
 from geomfree.cli import main
 from geomfree.constants import find_q
 from geomfree.errors import DomainError, InvalidTolerance
-from geomfree.series_kernel import CertifiedValue, cos_eval, sin_eval
+from geomfree.series_kernel import CertifiedValue, _check_tol, cos_eval, sin_eval
 
 ENTRY_POINTS = {
     "sin_eval": lambda tol: sin_eval(0.5, tol),
@@ -40,6 +40,29 @@ ENTRY_POINTS = {
 def test_every_tolerance_is_positive_and_finite(name, tol):
     with pytest.raises(InvalidTolerance):
         ENTRY_POINTS[name](tol)
+
+
+# _eval writes _check_tol's test out inline; these pin the two to one rule at a
+# tiny, an unreduced and a reduced x, and the tolerance error ahead of the domain's
+KERNEL_POINTS = [1e-30, 5e-324, -0.0, 0.5, 1e6]
+
+
+@pytest.mark.parametrize("tol", [0.0, -0.0, -1e-300, math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("f", [sin_eval, cos_eval], ids=lambda f: f.__name__)
+def test_the_kernel_rejects_each_tolerance_the_one_rule_rejects(f, tol):
+    with pytest.raises(InvalidTolerance):
+        _check_tol(tol)
+    for x in KERNEL_POINTS + [math.nan, math.inf, -math.inf]:
+        with pytest.raises(InvalidTolerance):
+            f(x, tol)
+
+
+@pytest.mark.parametrize("tol", [5e-324, 1e-15, 1e308], ids=repr)
+@pytest.mark.parametrize("f", [sin_eval, cos_eval], ids=lambda f: f.__name__)
+def test_the_kernel_accepts_each_tolerance_the_one_rule_accepts(f, tol):
+    _check_tol(tol)
+    for x in KERNEL_POINTS:
+        assert f(x, tol) == f(x, 1e-15)  # the bound does not depend on tol
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,7 @@
 """Tests for the numeric identity suite, periodicity, and special angles."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -291,3 +292,10 @@ def test_a_sample_that_is_not_a_real_number_is_a_type_error(sample):
     name = "cosine_sum" if isinstance(sample, tuple) else "sine_double_angle"
     with pytest.raises(TypeError):
         check_identity(name, [sample])
+
+
+@pytest.mark.parametrize("sample", [0.5, 2, -0.0], ids=repr)
+def test_a_bare_number_for_a_two_argument_identity_is_a_type_error(sample):
+    message = f"cosine_sum takes 2 arguments per sample, got {sample!r}"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        check_identity("cosine_sum", [(0.1, 0.2), sample])
