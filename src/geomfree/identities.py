@@ -142,16 +142,18 @@ def check_identity(name, samples):
     """Evaluate both sides of a registered identity at every sample.
 
     `samples` holds floats (1-argument identities) or (x, y) pairs; a
-    pair of another length raises ValueError, and a bare number where a
-    pair is due, or a value that is not an int or a float (a bool, a
-    string), TypeError.  Returns one IdentityCheck per sample.
+    pair of another length raises ValueError, and a sample that is not
+    iterable where a pair is due (a bare number, None), or a value that is
+    not an int or a float (a bool, a string), TypeError.  Returns one
+    IdentityCheck per sample.
     """
     arity, fn = _lookup(name)
     out = []
     for sample in samples:
-        values = sample if arity == 2 else [sample]
-        if arity == 2 and _is_real(sample):
-            raise TypeError(f"{name} takes {arity} arguments per sample, got {sample!r}")
+        try:
+            values = tuple(sample) if arity == 2 else (sample,)
+        except TypeError:
+            raise TypeError(f"{name} takes {arity} arguments per sample, got {sample!r}") from None
         if not all(_is_real(v) for v in values):
             raise TypeError(f"{name} takes real numbers, got {sample!r}")
         points = [float(v) for v in values]

@@ -5,14 +5,15 @@ Evaluation pipeline:
 0. Tolerance, then tiny arguments.  A valid tol costs one comparison; a bad
    one goes to _check_tol, which raises.  For |x| <= 2**-27, where fl(x*x)
    reaches cosine's constant row, sin x = x and cos x = 1 with row 0's bound
-   (for cosine a constant), returned before the domain test and before the
-   reduction constants (and so the shared table) are read.  Only then is x
-   tested against the domain, |x| <= 1e8 and finite.
+   (for cosine a constant, and the result one CertifiedValue built at
+   import), returned before the domain test and before the reduction
+   constants (and so the shared table) are read.  Only then is x tested
+   against the domain, |x| <= 1e8 and finite.
 1. Reduce mod Q.  |x| below Q/2 is used as is (k = 0).  Otherwise k is the
    integer nearest |x|/Q and r = |x| - kQ comes from a Cody-Waite split of
    the certified Q into Q1 + Q2 + Q3 (27, 27 and 53 bits), carried as a
    float pair (r_hi, r_lo); r_lo comes from Knuth's TwoSum, written out in
-   _eval.
+   the evaluator.
 2. Pick the quadrant.  With j = k mod 4, sin(jQ + r) is +-sin r or +-cos r
    by the exact Q-multiples table; cos x is sin(x + Q).  The sign of x is
    applied last, so sin(-x) == -sin(x) bit for bit.
@@ -25,9 +26,11 @@ Evaluation pipeline:
 4. Bound.  The returned CertifiedValue's absolute bound is the row's
    truncation constant + the derived Horner rounding + the reduction error
    (k times the certified error of Q1 + Q2 + Q3, plus its roundings) + one
-   rounding of the result.  The derivation sits above _eval.
+   rounding of the result.  The derivation sits above _kernel.
 
-_eval and analysis.arcsin_newton build their results with the trusted
+sin_eval and cos_eval are one evaluator, built twice by _kernel(shift) with
+the shift as a closure variable, so a call runs in one frame.  It and
+analysis.arcsin_newton build their results with the trusted
 constructor _new_cv(CertifiedValue, (value, bound)), which skips the check
 that the bound is finite and >= 0; their bounds are so by construction,
 and nothing else may call it (a static audit in the tests checks this).
@@ -230,8 +233,9 @@ _SIN_TABLE = _degree_table([_ODE[2 * n + 1] for n in range(10)], 1)
 _COS_TABLE = _degree_table(_COS_A, 2)
 _COS_Z_ONE = float(Fraction(_HALF_U) / 2 / abs(_COS_A[1]))  # cosine's constant row: |a_1| z <= 2**-55
 
-# Error bound of _eval.  u = 2**-53, gamma_n = nu/(1 - nu).  |r| <= 0.7854 (k
-# is nearest |x|/Q up to 2e-8), so z <= _Z_MAX.  The series runs on r_hi, and
+# Error bound of the evaluator that _kernel builds, sin_eval and cos_eval.
+# u = 2**-53, gamma_n = nu/(1 - nu).  |r| <= 0.7854 (k is nearest |x|/Q up to
+# 2e-8), so z <= _Z_MAX.  The series runs on r_hi, and
 # r_lo (|r_lo| <= u|r_hi|) enters as a first-order correction.  The bound is
 # (t + H) m z + c_lo |r_lo| + reduction + u|value| + underflow, with m = |r_hi|
 # (sine) or z (cosine), t from the row, and H the Horner rounding per u m z
@@ -259,7 +263,8 @@ _COS_Z_ONE = float(Fraction(_HALF_U) / 2 / abs(_COS_A[1]))  # cosine's constant 
 #   Cosine's is the constant _COS_TINY: with z <= 2**-54 and _COS_K0 < 2**-4.58,
 #   fl(_COS_K0 z z) <= 2**-112.5, below half an ulp of _U (2**-106), so
 #   fl(_COS_K0 z z + _U) = _U, and what is left of row 0's formula, + _UNDERFLOW
-#   and * _ROUND_UP, is the constant's own float arithmetic.
+#   and * _ROUND_UP, is the constant's own float arithmetic.  So every tiny
+#   cosine is the same pair, returned as one shared result, _COS_TINY_ONE.
 # - Correction: sine's r_lo (1 - z/2) is off from sin(r_hi + r_lo) - sin(r_hi)
 #   by <= |r_lo| (z**2/24 + 4u) + r_lo**2/2 <= 0.016|r_lo|, cosine's -r_lo r_hi
 #   by <= |r_lo| (|r_hi|**3/6 + u) + r_lo**2/2 <= 0.081|r_lo|.
@@ -280,89 +285,97 @@ _ROUND_UP = 1.0 + 2.0 ** -40
 # 2**-54, so its square root 2**-27 is exact, and the next double squares above it.
 _ROW0_EDGE = math.sqrt(_COS_Z_ONE)
 _COS_TINY = (_U + _UNDERFLOW) * _ROUND_UP  # the tiny row's cosine bound (bound comment)
+_COS_TINY_ONE = CertifiedValue(1.0, _COS_TINY)  # the tiny row's cosine, one shared result
 
 
 def _sin_value(r):
-    """sin r for 0 <= r <= Q/2, value only: the sine Horner of _eval, with no
-    reduction, no bound and no table lookup.  Equal to sin_eval(r, tol).value
-    wherever _eval leaves r unreduced; written out rather than shared so that
-    _eval makes no extra call."""
+    """sin r for 0 <= r <= Q/2, value only: the sine Horner of sin_eval, with
+    no reduction, no bound and no table lookup.  Equal to sin_eval(r, tol).value
+    wherever sin_eval leaves r unreduced; written out rather than shared so
+    that sin_eval makes no extra call."""
     z = r * r
     return r + r * z * (-1 / 6 + z * (1 / 120 + z * (-1 / 5040 + z * (1 / 362880 + z * (
         -1 / 39916800 + z * (1 / 6227020800 + z * (-1 / 1307674368000
                                                      + z * (1 / 355687428096000))))))))
 
 
-def _eval(x, tol, shift):
-    """sin(x) for shift 0, cos(x) = sin(x + Q) for shift 1."""
-    if not 0.0 < tol < _INF:  # _check_tol's test, so a valid tol costs no call
-        _check_tol(tol)
-    x = float(x)
-    ax = abs(x)
-    if ax <= _ROW0_EDGE:  # sin x = x, cos x = 1, before the domain test (bound comment)
-        if ax == 0.0:
-            return _new_cv(CertifiedValue, (x if shift == 0 else 1.0, 0.0))
-        if shift == 0:
-            z = ax * ax
-            bound = (_SIN_K0 * ax * z + _U * ax + _UNDERFLOW) * _ROUND_UP
-            return _new_cv(CertifiedValue, (x, bound))
-        return _new_cv(CertifiedValue, (1.0, _COS_TINY))
-    if not ax <= _MAX_ARG:
-        raise DomainError(f"|x| must be <= {_MAX_ARG:g} and finite, got {x!r}")
-    half_q, inv_q, q1, q2, q3, k_err, quadrants = _reduction or _bind_reduction()
-    if ax <= half_q:
-        r, r_lo, red_err, j = ax, 0.0, 0.0, shift
-    else:
-        ki = int(ax * inv_q + 0.5)
-        k = float(ki)
-        t = ax - k * q1  # exact: k*q1 is exact and within a factor 2 of ax
-        w = k * q2       # exact: 26 + 27 bits
-        s = t - w        # Knuth's TwoSum of t and -w, written out: s + e = t - w
-        v = s - t
-        e = (t - (s - v)) + (-w - v)
-        p = k * q3
-        lo = e - p
-        r = s + lo       # TwoSum of s and lo, written out: r + r_lo = s + lo
-        v = r - s
-        r_lo = (s - (r - v)) + (lo - v)
-        red_err = k * k_err + _U * (abs(p) + abs(lo))
-        j = (ki + shift) & 3
-    use_cos, sign = quadrants[j]
-    z = r * r
-    if use_cos:
-        if z <= _COS_Z_ONE:  # row 0 would round to 1 here (bound comment)
-            val, k = 1.0, _COS_K0
+def _kernel(shift):
+    """The certified evaluator of sin x (shift 0) or of cos x = sin(x + Q)
+    (shift 1).  shift is a closure variable, so a call runs in one frame."""
+
+    def evaluate(x, tol):
+        if not 0.0 < tol < _INF:  # _check_tol's test, so a valid tol costs no call
+            _check_tol(tol)
+        x = float(x)
+        ax = abs(x)
+        if ax <= _ROW0_EDGE:  # sin x = x, cos x = 1, before the domain test (bound comment)
+            if ax == 0.0:
+                return _new_cv(CertifiedValue, (x if shift == 0 else 1.0, 0.0))
+            if shift == 0:
+                z = ax * ax
+                bound = (_SIN_K0 * ax * z + _U * ax + _UNDERFLOW) * _ROUND_UP
+                return _new_cv(CertifiedValue, (x, bound))
+            return _COS_TINY_ONE
+        if not ax <= _MAX_ARG:
+            raise DomainError(f"|x| must be <= {_MAX_ARG:g} and finite, got {x!r}")
+        half_q, inv_q, q1, q2, q3, k_err, quadrants = _reduction or _bind_reduction()
+        if ax <= half_q:
+            r, r_lo, red_err, j = ax, 0.0, 0.0, shift
         else:
-            z, zl = two_prod(r, r)
-            h = 0.5 * z
-            lead = 1.0 - h
-            low = ((1.0 - lead) - h - 0.5 * zl) - r_lo * r  # Fast2Sum's exact error of 1 - h first
-            if z <= _COS_Z0:
-                val, k = lead + low, _COS_K0
+            ki = int(ax * inv_q + 0.5)
+            k = float(ki)
+            t = ax - k * q1  # exact: k*q1 is exact and within a factor 2 of ax
+            w = k * q2       # exact: 26 + 27 bits
+            s = t - w        # Knuth's TwoSum of t and -w, written out: s + e = t - w
+            v = s - t
+            e = (t - (s - v)) + (-w - v)
+            p = k * q3
+            lo = e - p
+            r = s + lo       # TwoSum of s and lo, written out: r + r_lo = s + lo
+            v = r - s
+            r_lo = (s - (r - v)) + (lo - v)
+            red_err = k * k_err + _U * (abs(p) + abs(lo))
+            j = (ki + shift) & 3
+        use_cos, sign = quadrants[j]
+        z = r * r
+        if use_cos:
+            if z <= _COS_Z_ONE:  # row 0 would round to 1 here (bound comment)
+                val, k = 1.0, _COS_K0
             else:
-                val = lead + (low + z * z * (1 / 24 + z * (-1 / 720 + z * (1 / 40320 + z * (
-                    -1 / 3628800 + z * (1 / 479001600 + z * (-1 / 87178291200
-                                                             + z * (1 / 20922789888000))))))))
-                k = _COS_K
-        m, c_lo = z, 0.081
-    else:
-        if z <= _SIN_Z0:
-            val, k = r, _SIN_K0
+                z, zl = two_prod(r, r)
+                h = 0.5 * z
+                lead = 1.0 - h
+                # Fast2Sum's exact error of 1 - h first
+                low = ((1.0 - lead) - h - 0.5 * zl) - r_lo * r
+                if z <= _COS_Z0:
+                    val, k = lead + low, _COS_K0
+                else:
+                    val = lead + (low + z * z * (1 / 24 + z * (-1 / 720 + z * (1 / 40320 + z * (
+                        -1 / 3628800 + z * (1 / 479001600 + z * (-1 / 87178291200
+                                                                 + z * (1 / 20922789888000))))))))
+                    k = _COS_K
+            m, c_lo = z, 0.081
         else:
-            val = r + (r * z * (-1 / 6 + z * (1 / 120 + z * (-1 / 5040 + z * (1 / 362880 + z * (
-                -1 / 39916800 + z * (1 / 6227020800 + z * (-1 / 1307674368000
-                                                             + z * (1 / 355687428096000))))))))
-                       + r_lo * (1.0 - 0.5 * z))
-            k = _SIN_K
-        m, c_lo = abs(r), 0.016
-    bound = (k * m * z + c_lo * abs(r_lo) + red_err + _U * abs(val) + _UNDERFLOW) * _ROUND_UP
-    if shift == 0 and x < 0.0:
-        sign = -sign
-    return _new_cv(CertifiedValue, (val if sign > 0 else -val, bound))
+            if z <= _SIN_Z0:
+                val, k = r, _SIN_K0
+            else:
+                val = r + (r * z * (-1 / 6 + z * (1 / 120 + z * (-1 / 5040 + z * (
+                    1 / 362880 + z * (-1 / 39916800 + z * (1 / 6227020800 + z * (
+                        -1 / 1307674368000 + z * (1 / 355687428096000))))))))
+                           + r_lo * (1.0 - 0.5 * z))
+                k = _SIN_K
+            m, c_lo = abs(r), 0.016
+        bound = (k * m * z + c_lo * abs(r_lo) + red_err + _U * abs(val) + _UNDERFLOW) * _ROUND_UP
+        if shift == 0 and x < 0.0:
+            sign = -sign
+        return _new_cv(CertifiedValue, (val if sign > 0 else -val, bound))
+
+    evaluate.__name__ = evaluate.__qualname__ = ("sin_eval", "cos_eval")[shift]
+    return evaluate
 
 
-def sin_eval(x, tol):
-    """Certified sine: quadrant reduction mod Q, then the float series.
+sin_eval = _kernel(0)
+sin_eval.__doc__ = """Certified sine: quadrant reduction mod Q, then the float series.
 
     Raises DomainError for |x| > 1e8 (the reduction is certified only
     below) and InvalidTolerance unless 0 < tol < inf.  At any tol the
@@ -371,12 +384,9 @@ def sin_eval(x, tol):
     depend on tol; requests below an ulp or so are satisfied best-effort,
     and the honest, larger bound is reported.
     """
-    return _eval(x, tol, 0)
 
-
-def cos_eval(x, tol):
-    """Certified cosine; same contract as sin_eval, via cos x = sin(x + Q)."""
-    return _eval(x, tol, 1)
+cos_eval = _kernel(1)
+cos_eval.__doc__ = """Certified cosine; same contract as sin_eval, via cos x = sin(x + Q)."""
 
 
 def _series_sum(p, q, terms, odd, until_sign=False, with_den=True):

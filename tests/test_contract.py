@@ -3,7 +3,9 @@ rejected, CLI usage errors that end in exit code 2 with a one-line message
 (bench's before any set-up), a public namespace whose every name resolves,
 the CertifiedValue result type, and the modules a fresh import loads."""
 
+import inspect
 import math
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import geomfree
-from geomfree import bench, constants
+from geomfree import bench, constants, series_kernel
 from geomfree.analysis import (
     arc_length,
     arcsin_newton,
@@ -42,7 +44,7 @@ def test_every_tolerance_is_positive_and_finite(name, tol):
         ENTRY_POINTS[name](tol)
 
 
-# _eval writes _check_tol's test out inline; these pin the two to one rule at a
+# the kernel writes _check_tol's test out inline; these pin the two to one rule at a
 # tiny, an unreduced and a reduced x, and the tolerance error ahead of the domain's
 KERNEL_POINTS = [1e-30, 5e-324, -0.0, 0.5, 1e6]
 
@@ -121,6 +123,26 @@ def test_every_exported_name_resolves_once():
     assert len(geomfree.__all__) == len(set(geomfree.__all__))
     for name in geomfree.__all__:
         assert hasattr(geomfree, name), name
+
+
+@pytest.mark.parametrize("name,word", [("sin_eval", "sine"), ("cos_eval", "cosine")])
+def test_the_kernel_functions_keep_their_public_face(name, word):
+    # both are built by one factory; each must still read as the module-level
+    # function it names, to help(), to inspect and to pickle
+    f = getattr(series_kernel, name)
+    assert getattr(geomfree, name) is f
+    assert f.__name__ == f.__qualname__ == name
+    assert f.__module__ == "geomfree.series_kernel"
+    assert f.__doc__.startswith(f"Certified {word}")
+    assert str(inspect.signature(f)) == "(x, tol)"
+    assert pickle.loads(pickle.dumps(f)) is f
+
+
+def test_the_tiny_cosine_is_one_checked_result():
+    one = cos_eval(2.0 ** -27, 1e-15)
+    assert cos_eval(-1e-300, 1e-3) is cos_eval(5e-324, 1e-17) is one
+    assert type(one) is CertifiedValue
+    assert one == (1.0, series_kernel._COS_TINY)
 
 
 @pytest.mark.parametrize("argv", [

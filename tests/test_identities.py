@@ -294,7 +294,8 @@ def test_a_sample_that_is_not_a_real_number_is_a_type_error(sample):
         check_identity(name, [sample])
 
 
-@pytest.mark.parametrize("sample", [0.5, 2, -0.0], ids=repr)
+@pytest.mark.parametrize(
+    "sample", [0.5, 2, -0.0, None, pytest.param(object(), id="object()")], ids=repr)
 def test_a_bare_number_for_a_two_argument_identity_is_a_type_error(sample):
     message = f"cosine_sum takes 2 arguments per sample, got {sample!r}"
     with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):

@@ -9,9 +9,11 @@ rule over [-1, 1], both arcsin branches and the sqrt(2)/2 boundary
 between them.
 """
 
+import hashlib
 import math
 import random
 import statistics
+import struct
 from fractions import Fraction
 
 import mpmath
@@ -275,7 +277,7 @@ def _cosine_row_zero_cases():
 
 
 def test_inline_two_sum_matches_the_library_two_sum_bit_for_bit():
-    # _eval writes Knuth's TwoSum out; _cosine_row_zero restates the reduction
+    # the kernel writes Knuth's TwoSum out; _cosine_row_zero restates the reduction
     # with doubledouble.two_sum, so equal values and bounds pin r, r_lo and
     # red_err across the whole range of k.  With |r| this small, t - w is
     # exact, so the first TwoSum's error term is 0 here; the mpmath bound
@@ -459,3 +461,47 @@ def test_quadrature_estimate_covers_its_true_error():
     truth = _truth(mpmath.asin, 0.9)
     with mpmath.workprec(PREC_BITS):
         assert abs(mpmath.mpf(res.value) - truth) <= mpmath.mpf(res.est_error)
+
+
+# --- bit identity: every result against a recorded digest ------------------
+
+# sha256 of the packed struct '<dd' (value, bound) pairs that _kernel_digest
+# reads.  Update it only in a change that alters results on purpose, and say
+# so in CHANGES.md; a change meant to keep every result must leave it alone.
+KERNEL_DIGEST = "eb42252ee02d710da6c40cfcfb12f165a34b38d78141adcc6bcf88e335111a15"
+
+
+def _kernel_digest_points():
+    """(function, x, tol): about 40k seeded calls of sin_eval and cos_eval at
+    each of x uniform on [-pi, pi], |x| log-uniform from 2**-1074 to 1e8 with
+    both signs, and the doubles within 3 ulps of k*Q, plus arcsin_newton at x
+    uniform on [-1, 1]; tol is 10**uniform(-17, -3) throughout."""
+    rng = random.Random(20261020)
+    q = shared_table().q_exact
+    xs = [0.0, -0.0]
+    xs += [rng.uniform(-math.pi, math.pi) for _ in range(6500)]
+    lo, hi = math.log(2.0 ** -1074), math.log(MAX_ARG)
+    xs += [rng.choice((1.0, -1.0)) * min(math.exp(rng.uniform(lo, hi)), MAX_ARG)
+           for _ in range(6500)]
+    for _ in range(800):
+        x = float(rng.randint(1, K_MAX) * q)
+        for _ in range(3):
+            x = math.nextafter(x, -math.inf)
+        for _ in range(7):
+            xs.append(x)
+            x = math.nextafter(x, math.inf)
+    calls = [(f, x, 10.0 ** rng.uniform(-17.0, -3.0)) for x in xs for f in (sin_eval, cos_eval)]
+    calls += [(arcsin_newton, rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(-17.0, -3.0))
+              for _ in range(4000)]
+    return calls
+
+
+def _kernel_digest(calls):
+    pack = struct.Struct("<dd").pack
+    return hashlib.sha256(b"".join(pack(*f(x, tol)) for f, x, tol in calls)).hexdigest()
+
+
+def test_kernel_outputs_match_the_recorded_digest():
+    calls = _kernel_digest_points()
+    assert len(calls) >= 40000
+    assert _kernel_digest(calls) == KERNEL_DIGEST

@@ -2,12 +2,13 @@
 
 series_kernel._new_cv builds a CertifiedValue without checking that its
 bound is finite and >= 0.  Only the producers whose bounds are so by
-construction may use it: series_kernel._eval and analysis.arcsin_newton,
-plus CertifiedValue.__new__ itself, after its check.
+construction may use it: the evaluator that series_kernel._kernel builds
+(sin_eval and cos_eval) and analysis.arcsin_newton, plus
+CertifiedValue.__new__ itself, after its check.
 
-The same scan pins the float kernel's straight-line hot path: _eval and
-_sin_value hold no loop, series_kernel never names math.fsum, and _eval
-calls two_prod as the module global that perfbench wraps.
+The same scan pins the float kernel's straight-line hot path: _kernel and
+_sin_value hold no loop, series_kernel never names math.fsum, and the
+evaluator calls two_prod as the module global that perfbench wraps.
 """
 
 import ast
@@ -20,7 +21,7 @@ import geomfree
 PKG_DIR = pathlib.Path(geomfree.__file__).parent
 ALLOWED = {
     "series_kernel.CertifiedValue.__new__",  # the checked constructor
-    "series_kernel._eval",
+    "series_kernel._kernel.evaluate",
     "analysis.arcsin_newton",
 }
 
@@ -65,7 +66,7 @@ def _function(path, name):
     return node
 
 
-@pytest.mark.parametrize("name", ["_eval", "_sin_value"])
+@pytest.mark.parametrize("name", ["_kernel", "_sin_value"])
 def test_the_float_kernel_has_no_loop(name):
     fn = _function(PKG_DIR / "series_kernel.py", name)
     loops = [node for node in ast.walk(fn)
@@ -84,11 +85,11 @@ def test_series_kernel_never_names_fsum():
 def test_the_kernel_calls_the_error_free_transforms_as_module_globals():
     # perfbench reads doubledouble.calls_per_eval, doubledouble.self_share and
     # series_kernel.reduced_share by wrapping series_kernel.two_prod (it wraps
-    # no two_sum, which _eval writes out); an inlined copy or a local alias of
-    # two_prod would leave those metrics silently empty
+    # no two_sum, which the evaluator writes out); an inlined copy or a local
+    # alias of two_prod would leave those metrics silently empty
     path = PKG_DIR / "series_kernel.py"
     names = {"two_prod"}
-    fn = _function(path, "_eval")
+    fn = _function(path, "_kernel")
     called = {node.func.id for node in ast.walk(fn)
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
     assert names <= called
