@@ -138,7 +138,7 @@ def test_the_kernel_functions_keep_their_public_face(name, word):
     assert pickle.loads(pickle.dumps(f)) is f
 
 
-def test_the_tiny_cosine_is_one_checked_result():
+def test_every_tiny_cosine_is_one_shared_result():
     one = cos_eval(2.0 ** -27, 1e-15)
     assert cos_eval(-1e-300, 1e-3) is cos_eval(5e-324, 1e-17) is one
     assert type(one) is CertifiedValue
