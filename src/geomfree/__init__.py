@@ -47,7 +47,6 @@ from .identities import (
     IdentityCheck,
     SpecialAngleTable,
     check_identity,
-    check_period_minimality,
     check_periodicity,
     default_samples,
     registered_identities,
@@ -57,7 +56,6 @@ from .identities import (
 from .report import CheckResult, build_report, report_to_json, validate_report
 from .series_kernel import (
     CertifiedValue,
-    SeriesCoefficients,
     cos_eval,
     cos_eval_exact,
     ode_coefficients,

@@ -235,7 +235,7 @@ def arcsin_derivative_check(grid, h):
     Expected O(h^2) away from +-1; the grid must stay inside
     (-1 + h, 1 - h) so both stencil points are in-domain.
     """
-    if h <= 0.0:
+    if not h > 0.0:
         raise ValueError("h must be positive")
     worst = 0.0
     for x in grid:

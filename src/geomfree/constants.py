@@ -18,7 +18,6 @@ also yields a double-double representation of the full period 4Q.
 """
 
 import functools
-import math
 from collections import namedtuple
 from fractions import Fraction
 
@@ -73,18 +72,16 @@ def _round_half_even(n, d):
 def _certified_bisection(tol):
     """Bisection on [0, 2] with certified endpoint signs at every step.
 
-    Returns (lo, hi, iterations, history); cos(lo) > 0 and cos(hi) < 0
-    hold, certified, throughout.  history records the float brackets.
-    The bracket is kept as integer numerators a/2**n and b/2**n, so each
-    step builds one Fraction, its certified midpoint, and each history
-    float is exact.
+    Returns (lo, hi, iterations); cos(lo) > 0 and cos(hi) < 0 hold,
+    certified, throughout.  The bracket is kept as integer numerators
+    a/2**n and b/2**n, so each step builds one Fraction, its certified
+    midpoint.
     """
     lo, hi = Fraction(0), Fraction(2)
     if _certified_sign(lo) <= 0 or _certified_sign(hi) >= 0:
         raise AssertionError("initial bracket signs failed certification")
     tol_fr = Fraction(tol)
     a, b, n = 0, 2, 0
-    history = [(0.0, 2.0)]
     iterations = 0
     while (b - a) * tol_fr.denominator > tol_fr.numerator << n:  # hi - lo > tol
         m, a, b, n = a + b, 2 * a, 2 * b, n + 1
@@ -94,8 +91,7 @@ def _certified_bisection(tol):
         else:
             b, hi = m, mid
         iterations += 1
-        history.append((math.ldexp(a, -n), math.ldexp(b, -n)))
-    return lo, hi, iterations, history
+    return lo, hi, iterations
 
 
 def find_q(tol):
@@ -114,7 +110,7 @@ def find_q(tol):
     """
     _check_tol_floor(tol, 1e-15, "find_q")
 
-    lo, hi, iterations, _history = _certified_bisection(tol)
+    lo, hi, iterations = _certified_bisection(tol)
 
     # Newton polish with sin Q = 1: y <- y + cos y maps Q + e to Q + (e - sin e)
     # and increases with fixed point Q, so its iterates stay between the

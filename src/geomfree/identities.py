@@ -1,6 +1,5 @@
 """Numeric property suite for the standard sine/cosine identities,
-periodicity, a sampled cross-check of the least period, and the
-special-angle table.
+periodicity, and the special-angle table.
 
 Every check compares two certified evaluations: the pass criterion is
 |lhs - rhs| <= (sum of certified bounds) + a 4-ulp grid slack absorbing
@@ -190,6 +189,8 @@ def check_periodicity(n_samples):
     and cosine through its translated form cos x = -sin(x - Q).  Returns
     a single IdentityCheck carrying the worst grid point.
     """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     tbl = shared_table()
     four_q, four_q_lo = tbl.four_q_dd
     # |fl(4Q) - 4Q| <= |lo| + dd residual
@@ -204,37 +205,6 @@ def check_periodicity(n_samples):
         checks.append(_compare("periodicity_4q", s1, s0, [x]))
         checks.append(_compare("periodicity_4q", c0, m0, [x]))
     return worst_of(checks)
-
-
-def check_period_minimality(grid_size):
-    """A sampled cross-check of the proven `period_minimality` record.
-
-    On a strictly interior grid of (0, Q), certifies cos 2R away from both
-    1 and -1 while sin R > 0 and cos R > 0.  The proof itself, which `verify`
-    reports, evaluates no float; this grid is not part of `verify`.
-    """
-    if grid_size < 100:
-        raise ValueError("grid_size must be >= 100")
-    tbl = shared_table()
-    q = tbl.q
-    worst = None
-    all_pass = True
-    for j in range(1, grid_size + 1):
-        r = q * j / (grid_size + 1)
-        c2 = cos_eval(2.0 * r, _TOL)
-        s = sin_eval(r, _TOL)
-        c = cos_eval(r, _TOL)
-        dist = min(abs(c2.value - 1.0), abs(c2.value + 1.0))
-        ok = (dist > c2.abs_error_bound
-              and s.value > s.abs_error_bound
-              and c.value > c.abs_error_bound)
-        all_pass = all_pass and ok
-        margin = dist - c2.abs_error_bound
-        if worst is None or margin < worst[0]:
-            nearest = 1.0 if abs(c2.value - 1.0) <= abs(c2.value + 1.0) else -1.0
-            worst = (margin, c2.value, nearest, c2.abs_error_bound, r)
-    _, lv, rv, cb, wr = worst
-    return IdentityCheck("period_minimality", lv, rv, cb, all_pass, [wr])
 
 
 # --- special angles ----------------------------------------------------

@@ -133,19 +133,9 @@ def _pair(x):
     return (float(x), 0.0) if _is_real(x) else (None, None)
 
 
-class SeriesCoefficients(tuple):
-    """Power-series coefficients c_n generated by the defining recursion
-    (n+2)(n+1) c_{n+2} + c_n = 0 from c_0 = 0, c_1 = 1; a tuple indexed by n."""
-
-    __slots__ = ()
-
-    @property
-    def coeffs(self):
-        return tuple(self)
-
-
 def ode_coefficients(count):
-    """First `count` coefficients from the recursion, all exact.
+    """First `count` coefficients from the recursion, all exact, as a
+    tuple indexed by n.
 
     c_0 = 0 and c_1 = 1 are the initial conditions; every later
     coefficient is c_{n+2} = -c_n / ((n+2)(n+1)), run on integer
@@ -157,7 +147,7 @@ def ode_coefficients(count):
     for n in range(count - 2):
         num.append(-num[n])
         den.append(den[n] * (n + 2) * (n + 1))
-    return SeriesCoefficients(map(Fraction, num, den))
+    return tuple(map(Fraction, num, den))
 
 
 def _check_tol(tol):

@@ -180,6 +180,11 @@ class TestArcsinDerivative:
         with pytest.raises(DomainError):
             arcsin_derivative_check([0.9999999], 1e-5)
 
+    @pytest.mark.parametrize("h", [0.0, -1e-5, math.nan])
+    def test_rejects_a_step_that_is_not_positive(self, h):
+        with pytest.raises(ValueError, match="h must be positive"):
+            arcsin_derivative_check([0.0], h)
+
 
 class TestArcLength:
     def test_full_upper_semicircle(self):

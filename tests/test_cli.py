@@ -1,5 +1,6 @@
 """CLI contract tests: exit codes, JSON schema, determinism."""
 
+import hashlib
 import json
 import time
 import types
@@ -10,7 +11,7 @@ import pytest
 from geomfree import bench, cli, constants, identities, series_kernel
 from geomfree.cli import main, numeric_checks
 from geomfree.identities import registered_identities
-from geomfree.report import validate_report
+from geomfree.report import report_to_json, validate_report
 
 from oracles import PI_6, Q_REF
 
@@ -91,7 +92,21 @@ class TestConstants:
         assert payload["refined_radius"] == 1e-50
 
 
+# sha256 of report_to_json of `verify --format json` at its defaults (degree
+# 41, 1,000 samples, seed 0) with the timestamp removed.  Update it only in
+# a change that alters checks on purpose, and say so in CHANGES.md; a change
+# meant to keep every check must leave it alone.
+VERIFY_DIGEST = "bba87ada9ac5b2edeb0ffec3b42a5676d750bf59cf43307b54ce71103b8c953d"
+
+
 class TestVerify:
+    def test_verify_report_matches_the_recorded_digest(self, capsys):
+        rc, out, _ = run_cli(capsys, "verify", "--format", "json")
+        assert rc == 0
+        payload = json.loads(out)
+        del payload["timestamp"]
+        assert hashlib.sha256(report_to_json(payload).encode()).hexdigest() == VERIFY_DIGEST
+
     def test_exact_suite(self, capsys):
         rc, out, _ = run_cli(capsys, "verify", "--suite", "exact", "--degree", "41")
         assert rc == 0

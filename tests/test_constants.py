@@ -158,21 +158,31 @@ class TestCertificatePoints:
 
 
 class TestBisectionInvariants:
-    def test_bracket_signs_every_step(self):
-        lo, hi, iterations, history = _certified_bisection(1e-6)
-        assert cos_sign_oracle(lo) > 0 and cos_sign_oracle(hi) < 0
-        # brackets nest and halve
-        for (l0, h0), (l1, h1) in zip(history, history[1:]):
-            assert l0 <= l1 <= h1 <= h0
-            assert (h1 - l1) <= 0.5000001 * (h0 - l0)
-        # spot-check certified signs along the way
-        for l, h in history[:: max(1, len(history) // 6)]:
-            assert cos_sign_oracle(Fraction(l)) > 0
-            assert cos_sign_oracle(Fraction(h)) < 0
+    def test_bracket_signs_every_step(self, monkeypatch):
+        signs = []
+        real_sign = constants._certified_sign
+
+        def sign(x, or_zero=False):
+            signs.append((x, real_sign(x, or_zero)))
+            return signs[-1][1]
+
+        monkeypatch.setattr(constants, "_certified_sign", sign)
+        lo, hi, iterations = _certified_bisection(1e-6)
+        assert signs[:2] == [(0, 1), (2, -1)]
+        assert len(signs) == 2 + iterations
+        # one midpoint per step, certified as the oracle signs it; replaying
+        # the signs halves the bracket and ends at (lo, hi)
+        a, b = Fraction(0), Fraction(2)
+        for x, s in signs[2:]:
+            assert x == (a + b) / 2
+            assert s == cos_sign_oracle(x)
+            a, b = (x, b) if s > 0 else (a, x)
+        assert (a, b) == (lo, hi)
+        assert hi - lo <= 1e-6
 
     def test_iteration_count_bound(self):
         for tol in (1e-6, 1e-10, 1e-13):
-            _, _, iterations, _ = _certified_bisection(tol)
+            _, _, iterations = _certified_bisection(tol)
             assert iterations <= math.ceil(math.log2(2.0 / tol))
 
 

@@ -10,7 +10,6 @@ from geomfree.constants import shared_table
 from geomfree.errors import UnknownIdentity
 from geomfree.identities import (
     check_identity,
-    check_period_minimality,
     check_periodicity,
     default_samples,
     registered_identities,
@@ -86,6 +85,11 @@ class TestPeriodicity:
         assert chk.passed
         assert chk.discrepancy <= 5e-15
 
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    def test_rejects_an_empty_grid(self, n_samples):
+        with pytest.raises(ValueError, match="n_samples must be >= 1"):
+            check_periodicity(n_samples)
+
     def test_at_multiples(self):
         tbl = shared_table()
         four_q = tbl.four_q_dd[0]
@@ -96,10 +100,6 @@ class TestPeriodicity:
 
 
 class TestPeriodMinimality:
-    def test_witness_grid(self):
-        chk = check_period_minimality(500)
-        assert chk.passed
-
     def test_half_q(self):
         tbl = shared_table()
         c = cos_eval(2.0 * (tbl.q / 2.0), 1e-15)
@@ -109,10 +109,6 @@ class TestPeriodMinimality:
         tbl = shared_table()
         c = cos_eval(2.0 * tbl.q / 3.0, 1e-15)
         assert abs(c.value - 0.5) <= c.abs_error_bound + 1e-15
-
-    def test_grid_size_minimum(self):
-        with pytest.raises(ValueError):
-            check_period_minimality(99)
 
 
 class TestSpecialAngles:

@@ -80,7 +80,6 @@ class TestRuntimeGuard:
         identities.special_angles()
         identities.check_identity("cosine_sum", [(0.3, 1.1)])
         identities.check_periodicity(25)
-        identities.check_period_minimality(100)
         exact_checks(21)
         numeric_checks(30, 0)
 
