@@ -45,7 +45,6 @@ from .exact_series import (
 )
 from .identities import (
     IdentityCheck,
-    SpecialAngleTable,
     check_identity,
     check_periodicity,
     default_samples,

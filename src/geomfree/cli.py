@@ -183,7 +183,7 @@ def _special_angle_check():
         "pi/2": (1.0, 0.0),
     }
     worst = 0.0
-    for e in table.entries:
+    for e in table:
         rs, rc = refs[e.label]
         worst = max(worst, abs(e.sin_value - rs), abs(e.cos_value - rc),
                     abs(e.sin_value ** 2 + e.cos_value ** 2 - 1.0) / 2.0)
@@ -194,7 +194,7 @@ def _special_angle_check():
         kind="numeric",
         passed=ok,
         detail={"max_discrepancy": worst, "bound": bound},
-        samples=len(table.entries),
+        samples=len(table),
     )
 
 

@@ -75,23 +75,19 @@ def _certified_bisection(tol):
     Returns (lo, hi, iterations); cos(lo) > 0 and cos(hi) < 0 hold,
     certified, throughout.  The bracket is kept as integer numerators
     a/2**n and b/2**n, so each step builds one Fraction, its certified
-    midpoint.
+    midpoint; iterations is n, and lo and hi are built once at the end.
     """
-    lo, hi = Fraction(0), Fraction(2)
-    if _certified_sign(lo) <= 0 or _certified_sign(hi) >= 0:
+    if _certified_sign(0) <= 0 or _certified_sign(2) >= 0:
         raise AssertionError("initial bracket signs failed certification")
     tol_fr = Fraction(tol)
     a, b, n = 0, 2, 0
-    iterations = 0
     while (b - a) * tol_fr.denominator > tol_fr.numerator << n:  # hi - lo > tol
         m, a, b, n = a + b, 2 * a, 2 * b, n + 1
-        mid = Fraction(m, 1 << n)
-        if _certified_sign(mid) > 0:
-            a, lo = m, mid
+        if _certified_sign(Fraction(m, 1 << n)) > 0:
+            a = m
         else:
-            b, hi = m, mid
-        iterations += 1
-    return lo, hi, iterations
+            b = m
+    return Fraction(a, 1 << n), Fraction(b, 1 << n), n
 
 
 def find_q(tol):

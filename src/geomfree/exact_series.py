@@ -32,6 +32,7 @@ other, so the scale changes how fast they run, not what they prove.
 No floating point is used anywhere in this module.
 """
 
+import operator
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
@@ -57,10 +58,10 @@ class _Poly:
     arity = None
 
     def __init__(self, degree_cap, coeffs=None):
-        cap = int(degree_cap)
+        cap = operator.index(degree_cap)
         scaled = {}
         for key, v in (coeffs or {}).items():
-            e = (int(key),) if self.arity == 1 else tuple(map(int, key))
+            e = (operator.index(key),) if self.arity == 1 else tuple(map(operator.index, key))
             if len(e) != self.arity or min(e) < 0 or sum(e) > cap:
                 raise ValueError(f"key {key} outside cap {cap}")
             scaled[e] = Fraction(v) * _scale(e)
@@ -88,7 +89,7 @@ class _Poly:
 
     @classmethod
     def one(cls, degree_cap):
-        return cls._new(int(degree_cap), {(0,) * cls.arity: 1})
+        return cls._new(operator.index(degree_cap), {(0,) * cls.arity: 1})
 
     def _key(self, e):
         return e[0] if self.arity == 1 else e

@@ -133,10 +133,6 @@ def _lookup(name):
         raise UnknownIdentity(name) from None
 
 
-def identity_arity(name):
-    return _lookup(name)[0]
-
-
 def check_identity(name, samples):
     """Evaluate both sides of a registered identity at every sample.
 
@@ -164,8 +160,11 @@ def check_identity(name, samples):
 
 def default_samples(name, n, seed=0):
     """Deterministic sample set: adversarial points near 0, +-Q, +-2Q, then
-    uniform draws on [-2pi, 2pi] (pairs for two-argument identities)."""
-    arity = identity_arity(name)
+    uniform draws on [-2pi, 2pi] (pairs for two-argument identities).
+    Raises ValueError for n < 0."""
+    arity = _lookup(name)[0]
+    if n < 0:
+        raise ValueError("n must be >= 0")
     tbl = shared_table()
     q = tbl.q
     rng = random.Random(f"{seed}:{name}")
@@ -263,12 +262,11 @@ def solve_sine_cubic():
 
 SpecialAngleEntry = namedtuple("SpecialAngleEntry",
                                "label angle sin_exact cos_exact sin_value cos_value")
-SpecialAngleTable = namedtuple("SpecialAngleTable", "entries")
 
 
 def special_angles():
-    """The sin/cos table at 0, pi/6, pi/4, pi/3, pi/2, derived without any
-    platform trigonometry.
+    """A tuple of SpecialAngleEntry rows, the sin/cos table at 0, pi/6,
+    pi/4, pi/3, pi/2, derived without any platform trigonometry.
 
     sin(pi/4) comes from the reflection sin(pi/4) = cos(pi/4) combined
     with sin^2 + cos^2 = 1 (so 2 sin^2 = 1); sin(pi/6) is the root in
@@ -292,7 +290,7 @@ def special_angles():
     zero_row = tbl.q_multiples[0]   # (0, sin 0, cos 0)
     q_row = tbl.q_multiples[1]      # (1, sin Q, cos Q)
 
-    entries = [
+    return (
         SpecialAngleEntry("0", 0.0, str(zero_row[1]), str(zero_row[2]),
                           float(zero_row[1]), float(zero_row[2])),
         SpecialAngleEntry("pi/6", pi / 6.0, "1/2", "sqrt(3)/2",
@@ -303,5 +301,4 @@ def special_angles():
                           float(c_pi6), float(s_pi6)),
         SpecialAngleEntry("pi/2", q, str(q_row[1]), str(q_row[2]),
                           float(q_row[1]), float(q_row[2])),
-    ]
-    return SpecialAngleTable(entries)
+    )

@@ -379,7 +379,7 @@ cos_eval = _kernel(1)
 cos_eval.__doc__ = """Certified cosine; same contract as sin_eval, via cos x = sin(x + Q)."""
 
 
-def _series_sum(p, q, terms, odd, until_sign=False, with_den=True):
+def _series_sum(p, q, terms, odd, sign_only=False):
     """The sine (odd) or cosine series at x = p/q (q > 0), summed on integers.
 
     Returns (num, den, m, decided): num / den, not reduced, is the sum of
@@ -388,11 +388,11 @@ def _series_sum(p, q, terms, odd, until_sign=False, with_den=True):
     for sine and 0 for cosine, and d_n = (2n+o-1)(2n+o), term n is
     x**o (-P)**n / D_n, D_n = S**n d_1 ... d_n.  The sum runs forward over
     the common denominator, num <- num S d_n + (-P)**n.  m is `terms`,
-    raised until the omitted terms decrease (P <= S d_(m+1)); with
-    until_sign the sum stops earlier, at the first such m that is decided.
-    decided, times D_m / |x|**o, is |num| S d_m > P**m, so it needs no
-    Fraction.  Without with_den, den is None: a sign needs no power of S.
-    The exact evaluators and find_q's Newton polish share this one loop.
+    raised until the omitted terms decrease (P <= S d_(m+1)).  decided,
+    times D_m / |x|**o, is |num| S d_m > P**m, so it needs no Fraction.
+    With sign_only the sum stops earlier, at the first such m that is
+    decided, and den is None: a sign needs no power of S.  The exact
+    evaluators and find_q's Newton polish share this one loop.
     """
     if abs(p) > 4 * q:
         raise DomainError("exact series evaluation requires |x| <= 4")
@@ -406,7 +406,7 @@ def _series_sum(p, q, terms, odd, until_sign=False, with_den=True):
     while True:
         power *= P
         nxt = S * (2 * n + o + 1) * (2 * n + o + 2)
-        if P <= nxt and (n >= terms or until_sign and abs(num) * step > power):
+        if P <= nxt and (n >= terms or sign_only and abs(num) * step > power):
             break
         num = num * step + (power if n % 2 == 0 else -power)
         step = nxt
@@ -414,47 +414,44 @@ def _series_sum(p, q, terms, odd, until_sign=False, with_den=True):
     decided = abs(num) * step > power
     if odd:
         num = p * num
-    if not with_den:
+    if sign_only:
         return num, None, n, decided
     den = S ** (n - 1) * math.factorial(2 * n + o - 2)
     return num, q * den if odd else den, n, decided
 
 
-def _eval_series_exact(x, terms, odd, until_sign=False, sign_only=False):
+def _eval_series_exact(x, terms, odd, sign_only=False):
     """(sum of the first m terms, |term m|) of the sine (odd) or cosine
     series, both Fractions, by _series_sum; the sum is reduced once.
 
     |term m| is |x|**(2m+o) / (2m+o)!; p and q are coprime, so its reduction
-    needs only the gcd with the factorial.  sign_only implies until_sign
-    and returns only the certified sign: that of the partial sum if it is
-    decided, else 0.
+    needs only the gcd with the factorial.  With sign_only the sum stops at
+    the first decided truncation and only the certified sign is returned:
+    that of the partial sum if it is decided, else 0.
     """
     x = Fraction(x)
-    num, den, m, decided = _series_sum(x.numerator, x.denominator, terms, odd,
-                                       until_sign or sign_only, not sign_only)
+    num, den, m, decided = _series_sum(x.numerator, x.denominator, terms, odd, sign_only)
     if sign_only:
         return (num > 0) - (num < 0) if decided else 0
     e = 2 * m + (1 if odd else 0)
     return Fraction(num, den), abs(x) ** e / math.factorial(e)
 
 
-def sin_eval_exact(x, terms, until_sign=False):
+def sin_eval_exact(x, terms):
     """Exact partial sum of `terms` nonzero sine terms plus the remainder
     bound |first omitted term|.
 
     If the omitted terms are not yet decreasing at the requested
     truncation, more terms are added internally so the bound is valid.
-    With until_sign, the sum stops at the first valid truncation of at most
-    that many terms whose |partial sum| exceeds the bound, which then
-    certifies the sign.  Returns a pair of exact rationals (value, bound).
+    Returns a pair of exact rationals (value, bound).
     """
-    return _eval_series_exact(x, terms, True, until_sign)
+    return _eval_series_exact(x, terms, True)
 
 
-def cos_eval_exact(x, terms, until_sign=False, sign_only=False):
+def cos_eval_exact(x, terms, sign_only=False):
     """Exact cosine partial sum; identical contract to sin_eval_exact.
 
-    With sign_only, returns only the sign that until_sign certifies (no
-    Fraction is built), or 0 if no truncation within `terms` decides it.
+    With sign_only, returns only the sign of the first partial sum within
+    `terms` whose magnitude exceeds its bound (no Fraction is built), or 0.
     """
-    return _eval_series_exact(x, terms, False, until_sign, sign_only)
+    return _eval_series_exact(x, terms, False, sign_only)

@@ -128,7 +128,7 @@ def test_criterion_07_periodicity(capsys):
 
 
 def test_criterion_08_special_angles(capsys):
-    row = {e.label: e for e in special_angles().entries}
+    row = {e.label: e for e in special_angles()}
     ulps = [
         ulps_apart(row["pi/6"].sin_value, 0.5),
         ulps_apart(row["pi/6"].cos_value, SQRT3_OVER_2),

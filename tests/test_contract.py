@@ -125,6 +125,73 @@ def test_every_exported_name_resolves_once():
         assert hasattr(geomfree, name), name
 
 
+# every name in geomfree.__all__ with its signature; an exception class has
+# none and is recorded by its bare name.  Update it only in a change that
+# alters the public API on purpose, and list what changed in CHANGES.md; a
+# change meant to keep the API must leave it alone.
+PUBLIC_SURFACE = """\
+BiPoly(degree_cap, coeffs=None)
+CertifiedValue(value, abs_error_bound)
+CheckResult(name, kind, passed, detail=None, samples=1)
+ConstantsTable(q, pi, q_multiples, certified_bound, q_exact, refined_radius, q_float_err, four_q_dd, four_q_err, bisection_iterations)
+DomainError
+GeomfreeError
+IdentityCheck(name, lhs, rhs, combined_bound, passed, sample_points=())
+InvalidTolerance
+OdeTrajectory(step, points=(), energy_drift=0.0)
+QuadratureResult(value, est_error, evaluations)
+StepTooLarge
+ToleranceTooTight
+UniPoly(degree_cap, coeffs=None)
+UnknownIdentity
+arc_length(a, b, tol=1e-10)
+arcsin_derivative_check(grid, h)
+arcsin_newton(x, tol)
+arcsin_quadrature(x, tol=1e-10)
+build_report(checks)
+cauchy_product(p, q, D)
+check_identity(name, samples)
+check_periodicity(n_samples)
+cos_eval(x, tol)
+cos_eval_exact(x, terms, sign_only=False)
+default_samples(name, n, seed=0)
+find_q(tol)
+ode_coefficients(count)
+ode_oracle(t_end, step)
+pi_value()
+q_multiples_table()
+quarter_circle_area(tol=1e-10)
+registered_identities()
+report_to_json(report)
+shared_table()
+sin_eval(x, tol)
+sin_eval_exact(x, terms)
+sine_sum_split(n)
+solve_sine_cubic()
+special_angles()
+substitute_sum(s, D)
+truncated_cos(D)
+truncated_sin(D)
+uni_to_bi(p, var, degree_cap)
+unit_circle_point(a)
+validate_report(report)
+verify_pythagorean(D)
+verify_sine_sum(D)
+verify_sine_sum_split(n_max)
+"""
+
+
+def test_public_surface_is_the_recorded_list():
+    lines = []
+    for name in geomfree.__all__:
+        obj = getattr(geomfree, name)
+        if isinstance(obj, type) and issubclass(obj, BaseException):
+            lines.append(name)
+        else:
+            lines.append(f"{name}{inspect.signature(obj)}")
+    assert lines == PUBLIC_SURFACE.splitlines()
+
+
 @pytest.mark.parametrize("name,word", [("sin_eval", "sine"), ("cos_eval", "cosine")])
 def test_the_kernel_functions_keep_their_public_face(name, word):
     # both are built by one factory; each must still read as the module-level

@@ -221,6 +221,13 @@ class TestPolynomialBasics:
         with pytest.raises(ValueError):
             BiPoly(2, {(2, 1): 1})
 
+    def test_non_integer_exponent_or_cap_is_rejected(self):
+        # outside input: int() would silently read these as 2x, a cap of 2, x and one
+        for make in (lambda: UniPoly(3, {1.5: 2}), lambda: UniPoly(2.7, {1: 2}),
+                     lambda: BiPoly(3, {(1.9, 0): 1}), lambda: UniPoly.one(2.0)):
+            with pytest.raises(TypeError):
+                make()
+
     def test_bipoly_total_degree_truncation(self):
         p = BiPoly(4, {(2, 2): 1, (1, 1): 2})
         assert p.truncate(3).coeffs == {(1, 1): Fraction(2)}

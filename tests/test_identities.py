@@ -78,6 +78,14 @@ class TestCheckIdentity:
         c = default_samples("cosine_sum", 50, seed=10)
         assert a != c
 
+    @pytest.mark.parametrize("name", ["sine_triple_angle", "cosine_sum"])
+    def test_negative_sample_count_is_rejected(self, name):
+        # samples[:n] would slice a negative n from the end of the adversarial list
+        for n in (-1, -2):
+            with pytest.raises(ValueError, match="n must be >= 0"):
+                default_samples(name, n)
+        assert default_samples(name, 0) == []
+
 
 class TestPeriodicity:
     def test_grid(self):
@@ -114,22 +122,22 @@ class TestPeriodMinimality:
 class TestSpecialAngles:
     def test_pi_over_six(self):
         table = special_angles()
-        row = {e.label: e for e in table.entries}
+        row = {e.label: e for e in table}
         assert row["pi/6"].sin_value == 0.5
         assert ulps_apart(row["pi/6"].cos_value, SQRT3_OVER_2) <= 1
 
     def test_pi_over_four(self):
-        row = {e.label: e for e in special_angles().entries}
+        row = {e.label: e for e in special_angles()}
         assert ulps_apart(row["pi/4"].sin_value, SQRT2_OVER_2) <= 1
         assert row["pi/4"].sin_value == row["pi/4"].cos_value
 
     def test_rows_swap(self):
-        row = {e.label: e for e in special_angles().entries}
+        row = {e.label: e for e in special_angles()}
         assert row["pi/3"].sin_value == row["pi/6"].cos_value
         assert row["pi/3"].cos_value == row["pi/6"].sin_value
 
     def test_endpoints(self):
-        row = {e.label: e for e in special_angles().entries}
+        row = {e.label: e for e in special_angles()}
         assert (row["0"].sin_value, row["0"].cos_value) == (0.0, 1.0)
         assert (row["pi/2"].sin_value, row["pi/2"].cos_value) == (1.0, 0.0)
 
@@ -141,18 +149,18 @@ class TestSpecialAngles:
             "pi/3": (rational_sqrt(Fraction(3, 4)), Fraction(1, 2)),
             "pi/2": (Fraction(1), Fraction(0)),
         }
-        for e in special_angles().entries:
+        for e in special_angles():
             rs, rc = refs[e.label]
             assert ulps_apart(e.sin_value, float(rs)) <= 1
             assert ulps_apart(e.cos_value, float(rc)) <= 1
 
     def test_angle_column_close_to_pi_fractions(self):
-        row = {e.label: e for e in special_angles().entries}
+        row = {e.label: e for e in special_angles()}
         assert abs(row["pi/6"].angle - PI_6) <= 2e-16
         assert abs(row["pi/4"].angle - 0.7853981633974483) <= 2e-16
 
     def test_series_evaluation_agrees_with_table(self):
-        for e in special_angles().entries:
+        for e in special_angles():
             s = sin_eval(e.angle, 1e-15)
             c = cos_eval(e.angle, 1e-15)
             # angle column carries up to ~1 ulp of pi-division error

@@ -243,20 +243,31 @@ class TestExactEvaluatorsAgainstOracle:
             assert cos_eval_exact(x, 1) == cos_enclosure(x, 2)
             assert cos_eval_exact(x, 1) != cos_enclosure(x, 1)
 
-    def test_until_sign_stops_at_the_first_decisive_sum(self):
+    def test_sign_only_stops_at_the_first_decisive_sum(self):
         # the first valid truncation whose |sum| exceeds its bound, else the
-        # full request; points next to pi/2 and pi need many terms
+        # full request; points next to pi/2 and pi need many terms.  sign_only
+        # builds no Fraction and returns no denominator
         rng = random.Random(7)
         xs = [Fraction(0), Fraction(4), Fraction(-4), Fraction(355, 226), Fraction(355, 113)]
         xs += [Fraction(rng.randint(-(4 << 60), 4 << 60), 1 << 60) for _ in range(40)]
         for x in xs:
-            for exact, oracle, odd in ((sin_eval_exact, sin_enclosure, True),
-                                       (cos_eval_exact, cos_enclosure, False)):
+            for oracle, odd in ((sin_enclosure, True), (cos_enclosure, False)):
                 for terms in (1, 3, 30):
                     m = _terms_used(x, 1, odd)
                     while m < terms and not abs(oracle(x, m)[0]) > oracle(x, m)[1]:
                         m = _terms_used(x, m + 1, odd)
-                    assert exact(x, terms, until_sign=True) == oracle(x, m)
+                    s, b = oracle(x, m)
+                    num, den, used, decided = series_kernel._series_sum(
+                        x.numerator, x.denominator, terms, odd, sign_only=True)
+                    assert den is None
+                    # at x = 0 the odd loop tests sum/x, decided at m = 1
+                    # while the sum is exactly 0
+                    if x or not odd:
+                        assert (used, decided) == (m, abs(s) > b)
+                    assert (num > 0) - (num < 0) == (s > 0) - (s < 0)
+                    if not odd:
+                        want = (1 if s > 0 else -1) if abs(s) > b else 0
+                        assert cos_eval_exact(x, terms, sign_only=True) == want
 
 
 class TestCertifiedValue:
@@ -292,20 +303,6 @@ class TestCertifiedValue:
             assert abs(p.value - a_true * b_true) <= p.abs_error_bound * (1 + 1e-12)
             d = a - b
             assert abs(d.value - (a_true - b_true)) <= d.abs_error_bound * (1 + 1e-12)
-
-
-class TestSignOnly:
-    def test_sign_only_is_the_sign_until_sign_certifies(self):
-        # sign_only builds no Fraction; it must decide exactly when the
-        # until_sign pair does, and 0 where that pair leaves the sign open
-        rng = random.Random(11)
-        xs = [Fraction(0), Fraction(4), Fraction(-4), Fraction(355, 226), Fraction(-355, 113)]
-        xs += [Fraction(rng.randint(-(4 << 60), 4 << 60), 1 << 60) for _ in range(40)]
-        for x in xs:
-            for terms in (1, 3, 30):
-                s, b = cos_eval_exact(x, terms, until_sign=True)
-                want = (1 if s > 0 else -1) if abs(s) > b else 0
-                assert cos_eval_exact(x, terms, sign_only=True) == want
 
 
 class TestReflectedArithmetic:
