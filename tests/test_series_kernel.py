@@ -213,6 +213,15 @@ def _terms_used(x, terms, odd):
     return terms
 
 
+def _first_decisive(x, terms, odd, oracle):
+    """The oracle's count for a sign-only sum: the first valid truncation
+    whose |sum| exceeds its bound, else the full request."""
+    m = _terms_used(x, 1, odd)
+    while m < terms and not abs(oracle(x, m)[0]) > oracle(x, m)[1]:
+        m = _terms_used(x, m + 1, odd)
+    return m
+
+
 class TestExactEvaluatorsAgainstOracle:
     """The integer partial sums equal the oracle's per-term Fraction sums."""
 
@@ -243,19 +252,17 @@ class TestExactEvaluatorsAgainstOracle:
             assert cos_eval_exact(x, 1) == cos_enclosure(x, 2)
             assert cos_eval_exact(x, 1) != cos_enclosure(x, 1)
 
-    def test_sign_only_stops_at_the_first_decisive_sum(self):
-        # the first valid truncation whose |sum| exceeds its bound, else the
-        # full request; points next to pi/2 and pi need many terms.  sign_only
-        # builds no Fraction and returns no denominator
+    def test_until_sign_stops_at_the_first_decisive_sum(self):
+        # sign_only sums until the sign is decided: the first valid truncation
+        # whose |sum| exceeds its bound, else the full request; points next to
+        # pi/2 and pi need many terms.  It returns no denominator
         rng = random.Random(7)
         xs = [Fraction(0), Fraction(4), Fraction(-4), Fraction(355, 226), Fraction(355, 113)]
         xs += [Fraction(rng.randint(-(4 << 60), 4 << 60), 1 << 60) for _ in range(40)]
         for x in xs:
             for oracle, odd in ((sin_enclosure, True), (cos_enclosure, False)):
                 for terms in (1, 3, 30):
-                    m = _terms_used(x, 1, odd)
-                    while m < terms and not abs(oracle(x, m)[0]) > oracle(x, m)[1]:
-                        m = _terms_used(x, m + 1, odd)
+                    m = _first_decisive(x, terms, odd, oracle)
                     s, b = oracle(x, m)
                     num, den, used, decided = series_kernel._series_sum(
                         x.numerator, x.denominator, terms, odd, sign_only=True)
@@ -265,9 +272,6 @@ class TestExactEvaluatorsAgainstOracle:
                     if x or not odd:
                         assert (used, decided) == (m, abs(s) > b)
                     assert (num > 0) - (num < 0) == (s > 0) - (s < 0)
-                    if not odd:
-                        want = (1 if s > 0 else -1) if abs(s) > b else 0
-                        assert cos_eval_exact(x, terms, sign_only=True) == want
 
 
 class TestCertifiedValue:
@@ -303,6 +307,20 @@ class TestCertifiedValue:
             assert abs(p.value - a_true * b_true) <= p.abs_error_bound * (1 + 1e-12)
             d = a - b
             assert abs(d.value - (a_true - b_true)) <= d.abs_error_bound * (1 + 1e-12)
+
+
+class TestSignOnly:
+    def test_sign_only_is_the_sign_until_sign_certifies(self):
+        # sign_only builds no Fraction; it must be the sign of the oracle's
+        # first decisive sum, and 0 where that sum leaves the sign open
+        rng = random.Random(11)
+        xs = [Fraction(0), Fraction(4), Fraction(-4), Fraction(355, 226), Fraction(-355, 113)]
+        xs += [Fraction(rng.randint(-(4 << 60), 4 << 60), 1 << 60) for _ in range(40)]
+        for x in xs:
+            for terms in (1, 3, 30):
+                s, b = cos_enclosure(x, _first_decisive(x, terms, False, cos_enclosure))
+                want = (1 if s > 0 else -1) if abs(s) > b else 0
+                assert cos_eval_exact(x, terms, sign_only=True) == want
 
 
 class TestReflectedArithmetic:
