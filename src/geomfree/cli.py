@@ -1,5 +1,6 @@
 """Command-line surface: eval, constants, verify, integrate, bench.
 
+It holds no mathematics: each verify check lives in the module it checks.
 Exit codes: 0 success / all checks pass, 1 verification failure,
 2 usage or domain error.  JSON (--format json) is the machine interface;
 schema_version "1" is documented in report.py and the README.
@@ -7,13 +8,9 @@ schema_version "1" is documented in report.py and the README.
 
 import argparse
 import contextlib
-import math
-import operator
 import os
 import re
 import sys
-from fractions import Fraction
-from itertools import accumulate
 
 from . import analysis, bench, constants, exact_series, identities, report, series_kernel
 from .errors import GeomfreeError
@@ -83,159 +80,18 @@ def cmd_constants(args):
 
 # --- verify -------------------------------------------------------------
 
-def _cos2_certificate():
-    """Exact certification that cos 2 <= -131/315 from a 4-term partial sum."""
-    partial, bound = series_kernel.cos_eval_exact(Fraction(2), 4)
-    ok = (partial == Fraction(-19, 45)
-          and bound == Fraction(2, 315)
-          and partial + bound <= Fraction(-131, 315))
-    return report.CheckResult(
-        name="cos2_certified_negative",
-        kind="exact",
-        passed=ok,
-        detail={"partial_sum": str(partial), "bound": str(bound),
-                "certified_upper": str(partial + bound)},
-        samples=1,
-    )
-
-
-def _sin_lower_bound_holds(x_max):
-    """Whether sin x >= x - x^3/6 > 0 for every 0 < x <= x_max, decided on
-    the integers of x_max = p/q.
-
-    In pairs, sin x = (x - x^3/3!) + the sum over k >= 1 of
-    x^(4k+1)/(4k+1)! (1 - x^2/((4k+2)(4k+3))).  The first pair is positive
-    when x^2 < 6; each later pair is non-negative when x^2 <= (4k+2)(4k+3),
-    a limit that grows with k from 42 at k = 1.  Both conditions, met at
-    x_max, hold on all of (0, x_max].
-    """
-    p2, q2 = x_max.numerator ** 2, x_max.denominator ** 2
-    return p2 < 6 * q2 and p2 <= 42 * q2
-
-
-def _sin_positive_check():
-    """sin > 0 on (0, 2], so cos decreases strictly on [0, 2]: with cos 0 = 1
-    and cos 2 < 0 (_cos2_certificate), the zero that find_q brackets is the
-    only one in (0, 2), the least positive zero Q."""
-    x_max = Fraction(2)
-    return report.CheckResult(
-        name="sin_positive_on_0_2",
-        kind="exact",
-        passed=_sin_lower_bound_holds(x_max),
-        detail={"x_max": str(x_max), "x_max_squared": str(x_max ** 2),
-                "first_pair_limit": "6", "later_pair_limit": "42"},
-        samples=1,
-    )
-
-
-def _period_minimality_check(sin_positive, cos2):
-    """4Q is the least period of sin and cos, decided exactly.
-
-    sin > 0 on (0, Q] (`sin_positive`, the _sin_positive_check result, with
-    Q < 2 by `cos2`, the _cos2_certificate result).  The table's sin 2Q = 0
-    and cos 2Q = -1 give sin(2Q - x) = sin x and sin(x + 2Q) = -sin x, so
-    on (0, 4Q) sin vanishes only at 2Q, where cos 2Q = -1.  A period R has
-    sin R = sin 0 = 0 and cos R = cos 0 = 1, so none lies in (0, 4Q);
-    sin 4Q = 0 and cos 4Q = 1 make 4Q one.  No float is evaluated.
-    """
-    rows = {k: (s, c) for k, s, c in constants.q_multiples_table()}
-    premises = {
-        sin_positive.name: sin_positive.passed,
-        cos2.name: cos2.passed,
-        "q_multiples": rows[2] == (0, -1) and rows[4] == (0, 1),
-    }
-    failed = [name for name, held in premises.items() if not held]
-    return report.CheckResult(
-        name="period_minimality",
-        kind="exact",
-        passed=not failed,
-        detail={"failed": ", ".join(failed)} if failed else {"least_period": "4Q"},
-        samples=1,
-    )
-
-
-def _coefficient_recursion_check():
-    """Recursion-generated coefficients match the series coefficients up to degree 200."""
-    coeffs = series_kernel.ode_coefficients(201)
-    series = exact_series.truncated_sin(200)
-    num, den = series.num, series.den  # coefficient n is num[n] / (den n!)
-    facts = accumulate(range(1, 201), operator.mul, initial=1)  # n!, as a running product
-    ok = all(c.numerator * den * f == num.get((n,), 0) * c.denominator
-             for n, (c, f) in enumerate(zip(coeffs, facts)))
-    return report.CheckResult(
-        name="coefficient_recursion_n_le_200",
-        kind="exact",
-        passed=ok,
-        detail={"residual": "0"} if ok else {"residual": "mismatch"},
-        samples=201,
-    )
-
-
-def _special_angle_check():
-    """Float table values agree with the exact radicals to <= 2 ulp and
-    satisfy sin^2 + cos^2 = 1 to the same precision."""
-    table = identities.special_angles()
-    refs = {
-        "0": (0.0, 1.0),
-        "pi/6": (0.5, math.sqrt(0.75)),
-        "pi/4": (math.sqrt(0.5),) * 2,
-        "pi/3": (math.sqrt(0.75), 0.5),
-        "pi/2": (1.0, 0.0),
-    }
-    worst = 0.0
-    for e in table:
-        rs, rc = refs[e.label]
-        worst = max(worst, abs(e.sin_value - rs), abs(e.cos_value - rc),
-                    abs(e.sin_value ** 2 + e.cos_value ** 2 - 1.0) / 2.0)
-    bound = 4.0 * series_kernel._U  # 2 ulp(1)
-    ok = worst <= bound
-    return report.CheckResult(
-        name="special_angles_table",
-        kind="numeric",
-        passed=ok,
-        detail={"max_discrepancy": worst, "bound": bound},
-        samples=len(table),
-    )
-
-
-def _q_multiples_check():
-    expected = ((0, 0, 1), (1, 1, 0), (2, 0, -1), (3, -1, 0), (4, 0, 1))
-    got = constants.q_multiples_table()
-    return report.CheckResult(
-        name="q_multiples_table",
-        kind="exact",
-        passed=got == expected,
-        detail={"residual": "0"} if got == expected else {"got": str(got)},
-        samples=5,
-    )
-
-
-def _sin_q_check():
-    tbl = constants.shared_table()
-    cv = series_kernel.sin_eval(tbl.q, 1e-15)
-    bound = cv.abs_error_bound + tbl.q_float_err
-    disc = abs(cv.value - 1.0)
-    return report.CheckResult(
-        name="sin_q_equals_one",
-        kind="numeric",
-        passed=disc <= bound,
-        detail={"max_discrepancy": disc, "bound": bound},
-        samples=1,
-    )
-
-
 def exact_checks(degree):
     split_n = max(0, min(20, (degree - 1) // 2))
-    cos2, sin_positive = _cos2_certificate(), _sin_positive_check()
+    cos2, sin_positive = constants._cos2_certificate(), constants._sin_positive_check()
     return [
         exact_series.verify_pythagorean(degree),
         exact_series.verify_sine_sum(max(degree, 1)),
         exact_series.verify_sine_sum_split(split_n),
         cos2,
         sin_positive,
-        _coefficient_recursion_check(),
-        _q_multiples_check(),
-        _period_minimality_check(sin_positive, cos2),
+        exact_series._coefficient_recursion_check(),
+        constants._q_multiples_check(),
+        constants._period_minimality_check(sin_positive, cos2),
     ]
 
 
@@ -257,9 +113,15 @@ def numeric_checks(samples, seed):
     per = identities.check_periodicity(samples)
     checks.append(_numeric_result("periodicity_4q", per, samples,
                                   max_discrepancy=per.discrepancy))
-    checks.append(_special_angle_check())
-    checks.append(_sin_q_check())
+    checks.append(identities._special_angle_check())
+    checks.append(identities._sin_q_check())
     return checks
+
+
+_SUITES = {  # name -> the suite's checks for the parsed arguments, in report order
+    "exact": lambda args: exact_checks(args.degree),
+    "numeric": lambda args: numeric_checks(args.samples, args.seed),
+}
 
 
 def cmd_verify(args):
@@ -276,11 +138,7 @@ def cmd_verify(args):
         print(f"error: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
         return 2
     with out as fh:
-        checks = []
-        if args.suite in ("exact", "all"):
-            checks.extend(exact_checks(args.degree))
-        if args.suite in ("numeric", "all"):
-            checks.extend(numeric_checks(args.samples, args.seed))
+        checks = [c for name in _SUITES if args.suite in (name, "all") for c in _SUITES[name](args)]
         rep = report.build_report(checks)
         report.validate_report(rep)
         if fh:
@@ -385,7 +243,7 @@ def build_parser():
     pc.set_defaults(func=cmd_constants)
 
     pv = sub.add_parser("verify", help="run the identity/theorem check suites")
-    pv.add_argument("--suite", choices=["exact", "numeric", "all"], default="all")
+    pv.add_argument("--suite", choices=[*_SUITES, "all"], default="all")
     pv.add_argument("--degree", type=int, default=41)
     pv.add_argument("--samples", type=int, default=1000)
     pv.add_argument("--seed", type=int, default=0)

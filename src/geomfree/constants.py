@@ -22,6 +22,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import ToleranceTooTight
+from .report import CheckResult
 from .series_kernel import _check_tol_floor, _series_sum, cos_eval_exact
 
 _MAX_TERMS = 100          # series-degree budget: 2*100 = degree 200
@@ -96,9 +97,9 @@ def find_q(tol):
     Bisection keeps cos > 0 on the left end and cos < 0 on the right end
     until the bracket width is at most tol.  Cosine is strictly
     decreasing on [0, 2]: its derivative -sin is negative there, since
-    sin x >= x - x^3/6 > 0 for 0 < x <= 2, a lemma that
-    `verify --suite exact` decides on integers (sin_positive_on_0_2).  So
-    the bracketed zero is the only one in (0, 2), the least positive one.
+    sin x >= x - x^3/6 > 0 for 0 < x <= 2, as _sin_positive_check decides
+    on integers (cos 2 < 0 is _cos2_certificate).  So the bracketed zero
+    is the only one in (0, 2), the least positive one.
     A Newton polish on integers then refines the midpoint to a 2**-200
     dyadic, two exact sign checks at the dyadic points 2**-167 either
     side of it certify a bracket inside the reported radius 1e-50, and
@@ -198,3 +199,86 @@ def shared_table():
 def pi_value():
     """pi = 2Q from the shared table (built lazily on first use)."""
     return shared_table().pi
+
+
+def _cos2_certificate():
+    """Exact certification that cos 2 <= -131/315 from a 4-term partial sum."""
+    partial, bound = cos_eval_exact(Fraction(2), 4)
+    ok = (partial == Fraction(-19, 45)
+          and bound == Fraction(2, 315)
+          and partial + bound <= Fraction(-131, 315))
+    return CheckResult(
+        name="cos2_certified_negative",
+        kind="exact",
+        passed=ok,
+        detail={"partial_sum": str(partial), "bound": str(bound),
+                "certified_upper": str(partial + bound)},
+        samples=1,
+    )
+
+
+def _sin_lower_bound_holds(x_max):
+    """Whether sin x >= x - x^3/6 > 0 for every 0 < x <= x_max, decided on
+    the integers of x_max = p/q.
+
+    In pairs, sin x = (x - x^3/3!) + the sum over k >= 1 of
+    x^(4k+1)/(4k+1)! (1 - x^2/((4k+2)(4k+3))).  The first pair is positive
+    when x^2 < 6; each later pair is non-negative when x^2 <= (4k+2)(4k+3),
+    a limit that grows with k from 42 at k = 1.  Both conditions, met at
+    x_max, hold on all of (0, x_max].
+    """
+    p2, q2 = x_max.numerator ** 2, x_max.denominator ** 2
+    return p2 < 6 * q2 and p2 <= 42 * q2
+
+
+def _sin_positive_check():
+    """sin > 0 on (0, 2], so cos decreases strictly on [0, 2]: with cos 0 = 1
+    and cos 2 < 0 (_cos2_certificate), the zero that find_q brackets is the
+    only one in (0, 2), the least positive zero Q."""
+    x_max = Fraction(2)
+    return CheckResult(
+        name="sin_positive_on_0_2",
+        kind="exact",
+        passed=_sin_lower_bound_holds(x_max),
+        detail={"x_max": str(x_max), "x_max_squared": str(x_max ** 2),
+                "first_pair_limit": "6", "later_pair_limit": "42"},
+        samples=1,
+    )
+
+
+def _q_multiples_check():
+    expected = ((0, 0, 1), (1, 1, 0), (2, 0, -1), (3, -1, 0), (4, 0, 1))
+    got = q_multiples_table()
+    return CheckResult(
+        name="q_multiples_table",
+        kind="exact",
+        passed=got == expected,
+        detail={"residual": "0"} if got == expected else {"got": str(got)},
+        samples=5,
+    )
+
+
+def _period_minimality_check(sin_positive, cos2):
+    """4Q is the least period of sin and cos, decided exactly.
+
+    sin > 0 on (0, Q] (`sin_positive`, the _sin_positive_check result, with
+    Q < 2 by `cos2`, the _cos2_certificate result).  The table's sin 2Q = 0
+    and cos 2Q = -1 give sin(2Q - x) = sin x and sin(x + 2Q) = -sin x, so
+    on (0, 4Q) sin vanishes only at 2Q, where cos 2Q = -1.  A period R has
+    sin R = sin 0 = 0 and cos R = cos 0 = 1, so none lies in (0, 4Q);
+    sin 4Q = 0 and cos 4Q = 1 make 4Q one.  No float is evaluated.
+    """
+    rows = {k: (s, c) for k, s, c in q_multiples_table()}
+    premises = {
+        sin_positive.name: sin_positive.passed,
+        cos2.name: cos2.passed,
+        "q_multiples": rows[2] == (0, -1) and rows[4] == (0, 1),
+    }
+    failed = [name for name, held in premises.items() if not held]
+    return CheckResult(
+        name="period_minimality",
+        kind="exact",
+        passed=not failed,
+        detail={"failed": ", ".join(failed)} if failed else {"least_period": "4Q"},
+        samples=1,
+    )

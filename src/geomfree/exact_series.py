@@ -38,6 +38,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import factorial, gcd, lcm, prod
 
+from . import series_kernel
 from .report import CheckResult
 
 
@@ -58,18 +59,19 @@ class _Poly:
     arity = None
 
     def __init__(self, degree_cap, coeffs=None):
-        cap = operator.index(degree_cap)
         scaled = {}
         for key, v in (coeffs or {}).items():
             e = (operator.index(key),) if self.arity == 1 else tuple(map(operator.index, key))
-            if len(e) != self.arity or min(e) < 0 or sum(e) > cap:
-                raise ValueError(f"key {key} outside cap {cap}")
+            if len(e) != self.arity or min(e) < 0 or sum(e) > degree_cap:
+                raise ValueError(f"key {key} outside cap {degree_cap}")
             scaled[e] = Fraction(v) * _scale(e)
         den = lcm(*(v.denominator for v in scaled.values()))
-        self._fill(cap, {e: v.numerator * (den // v.denominator) for e, v in scaled.items()}, den)
+        num = {e: v.numerator * (den // v.denominator) for e, v in scaled.items()}
+        self._fill(degree_cap, num, den)
 
     def _fill(self, cap, num, den):
         # num is a fresh dict, kept as is unless it holds a zero
+        cap = operator.index(cap)
         if cap < 0:
             raise ValueError("degree_cap must be >= 0")
         if 0 in num.values():
@@ -89,7 +91,7 @@ class _Poly:
 
     @classmethod
     def one(cls, degree_cap):
-        return cls._new(operator.index(degree_cap), {(0,) * cls.arity: 1})
+        return cls._new(degree_cap, {(0,) * cls.arity: 1})
 
     def _key(self, e):
         return e[0] if self.arity == 1 else e
@@ -308,6 +310,23 @@ def verify_pythagorean(D):
         passed=not residual.num,
         detail=_residual_detail(residual),
         samples=1,
+    )
+
+
+def _coefficient_recursion_check():
+    """Recursion-generated coefficients match the series coefficients up to degree 200."""
+    coeffs = series_kernel.ode_coefficients(201)
+    series = truncated_sin(200)
+    num, den = series.num, series.den  # coefficient n is num[n] / (den n!)
+    facts = accumulate(range(1, 201), operator.mul, initial=1)  # n!, as a running product
+    ok = all(c.numerator * den * f == num.get((n,), 0) * c.denominator
+             for n, (c, f) in enumerate(zip(coeffs, facts)))
+    return CheckResult(
+        name="coefficient_recursion_n_le_200",
+        kind="exact",
+        passed=ok,
+        detail={"residual": "0"} if ok else {"residual": "mismatch"},
+        samples=201,
     )
 
 

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .constants import shared_table
 from .errors import UnknownIdentity
+from .report import CheckResult
 from .series_kernel import _U, CertifiedValue, _is_real, cos_eval, sin_eval
 
 _TOL = 1e-15       # tolerance of every certified evaluation in the suite
@@ -301,4 +302,45 @@ def special_angles():
                           float(c_pi6), float(s_pi6)),
         SpecialAngleEntry("pi/2", q, str(q_row[1]), str(q_row[2]),
                           float(q_row[1]), float(q_row[2])),
+    )
+
+
+def _special_angle_check():
+    """Float table values agree with the exact radicals to <= 2 ulp and
+    satisfy sin^2 + cos^2 = 1 to the same precision."""
+    table = special_angles()
+    refs = {
+        "0": (0.0, 1.0),
+        "pi/6": (0.5, math.sqrt(0.75)),
+        "pi/4": (math.sqrt(0.5),) * 2,
+        "pi/3": (math.sqrt(0.75), 0.5),
+        "pi/2": (1.0, 0.0),
+    }
+    worst = 0.0
+    for e in table:
+        rs, rc = refs[e.label]
+        worst = max(worst, abs(e.sin_value - rs), abs(e.cos_value - rc),
+                    abs(e.sin_value ** 2 + e.cos_value ** 2 - 1.0) / 2.0)
+    bound = 4.0 * _U  # 2 ulp(1)
+    ok = worst <= bound
+    return CheckResult(
+        name="special_angles_table",
+        kind="numeric",
+        passed=ok,
+        detail={"max_discrepancy": worst, "bound": bound},
+        samples=len(table),
+    )
+
+
+def _sin_q_check():
+    tbl = shared_table()
+    cv = sin_eval(tbl.q, 1e-15)
+    bound = cv.abs_error_bound + tbl.q_float_err
+    disc = abs(cv.value - 1.0)
+    return CheckResult(
+        name="sin_q_equals_one",
+        kind="numeric",
+        passed=disc <= bound,
+        detail={"max_discrepancy": disc, "bound": bound},
+        samples=1,
     )

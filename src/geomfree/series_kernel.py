@@ -42,6 +42,7 @@ No platform trigonometric function appears anywhere in this call graph.
 """
 
 import math
+import operator
 from collections import namedtuple
 from fractions import Fraction
 
@@ -396,7 +397,7 @@ def _series_sum(p, q, terms, odd, sign_only=False):
     """
     if abs(p) > 4 * q:
         raise DomainError("exact series evaluation requires |x| <= 4")
-    if terms < 1:
+    if operator.index(terms) < 1:
         raise ValueError("terms must be >= 1")
     o = 1 if odd else 0
     P, S = p * p, q * q

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from geomfree import bench, cli, constants, identities, series_kernel
+from geomfree import bench, cli, constants, exact_series, identities, series_kernel
 from geomfree.cli import main, numeric_checks
 from geomfree.identities import registered_identities
 from geomfree.report import report_to_json, validate_report
@@ -153,7 +153,7 @@ class TestVerify:
 
 class TestCoefficientRecursionCheck:
     def test_recursion_matches_the_series(self):
-        result = cli._coefficient_recursion_check()
+        result = exact_series._coefficient_recursion_check()
         assert (result.passed, result.detail, result.samples) == (True, {"residual": "0"}, 201)
 
     @pytest.mark.parametrize("n", [0, 3, 4, 200])
@@ -166,7 +166,7 @@ class TestCoefficientRecursionCheck:
             return c
 
         monkeypatch.setattr(series_kernel, "ode_coefficients", wrong)
-        result = cli._coefficient_recursion_check()
+        result = exact_series._coefficient_recursion_check()
         assert (result.passed, result.detail, result.samples) == (False, {"residual": "mismatch"}, 201)
 
 class TestIntegrate:
@@ -192,6 +192,22 @@ class TestIntegrate:
     def test_missing_args(self, capsys):
         rc, _, _ = run_cli(capsys, "integrate", "arclength", "0.5")
         assert rc == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["quarter-circle", "0.5"],
+        ["arcsin"],
+        ["arcsin", "0.1", "0.2"],
+    ])
+    def test_wrong_argument_count_exits_two_with_one_line(self, capsys, argv):
+        rc, out, err = run_cli(capsys, "integrate", *argv)
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_arcsin_json_keys(self, capsys):
+        rc, out, _ = run_cli(capsys, "integrate", "arcsin", "0.5", "--format", "json")
+        assert rc == 0
+        assert set(json.loads(out)) == {"target", "args", "value", "est_error", "evaluations"}
 
 
 class TestBench:
@@ -329,17 +345,17 @@ class TestNumericCheckDetail:
 
 class TestLeastPeriodProof:
     def test_the_lemma_check_passes(self):
-        chk = cli._sin_positive_check()
+        chk = constants._sin_positive_check()
         assert chk.name == "sin_positive_on_0_2" and chk.kind == "exact" and chk.passed
         assert chk.name in {c.name for c in cli.exact_checks(1)}
 
     def test_the_lemma_decision_fails_past_sqrt_6(self):
         # x - x^3/6 > 0 needs x^2 < 6: 2.4^2 = 5.76 passes, 2.45^2 = 6.0025
         # and (5/2)^2 = 6.25 do not
-        assert cli._sin_lower_bound_holds(Fraction(2))
-        assert cli._sin_lower_bound_holds(Fraction(12, 5))
-        assert not cli._sin_lower_bound_holds(Fraction(49, 20))
-        assert not cli._sin_lower_bound_holds(Fraction(5, 2))
+        assert constants._sin_lower_bound_holds(Fraction(2))
+        assert constants._sin_lower_bound_holds(Fraction(12, 5))
+        assert not constants._sin_lower_bound_holds(Fraction(49, 20))
+        assert not constants._sin_lower_bound_holds(Fraction(5, 2))
 
     def test_a_verify_pass_makes_at_most_3201_kernel_calls(self, capsys, monkeypatch):
         constants.shared_table()
@@ -375,11 +391,12 @@ class TestLeastPeriodProof:
     def test_period_minimality_fails_if_cos_2q_were_one(self, monkeypatch):
         rows = ((0, 0, 1), (1, 1, 0), (2, 0, 1), (3, -1, 0), (4, 0, 1))
         monkeypatch.setattr(constants, "q_multiples_table", lambda: rows)
-        chk = cli._period_minimality_check(cli._sin_positive_check(), cli._cos2_certificate())
+        chk = constants._period_minimality_check(constants._sin_positive_check(),
+                                                 constants._cos2_certificate())
         assert chk.kind == "exact" and not chk.passed
         assert chk.detail == {"failed": "q_multiples"}
 
     def test_period_minimality_fails_with_a_failed_premise(self):
-        sin_positive = cli._sin_positive_check()._replace(passed=False)
-        chk = cli._period_minimality_check(sin_positive, cli._cos2_certificate())
+        sin_positive = constants._sin_positive_check()._replace(passed=False)
+        chk = constants._period_minimality_check(sin_positive, constants._cos2_certificate())
         assert not chk.passed and chk.detail == {"failed": "sin_positive_on_0_2"}

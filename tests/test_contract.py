@@ -1,8 +1,11 @@
 """The input contract: one tolerance rule everywhere, non-finite arguments
 rejected, CLI usage errors that end in exit code 2 with a one-line message
 (bench's before any set-up), a public namespace whose every name resolves,
-the CertifiedValue result type, and the modules a fresh import loads."""
+the CertifiedValue result type, the modules a fresh import loads, and a CLI
+that holds no mathematics."""
 
+import argparse
+import ast
 import inspect
 import math
 import pickle
@@ -14,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import geomfree
-from geomfree import bench, constants, series_kernel
+from geomfree import bench, cli, constants, series_kernel
 from geomfree.analysis import (
     arc_length,
     arcsin_newton,
@@ -331,3 +334,21 @@ def test_certified_arithmetic_reads_ints_and_floats_as_exact():
     assert cv + 2 == 2 + cv == CertifiedValue(3.0, 3.0 * 2.0 ** -53)
     assert 3 - cv == CertifiedValue(2.0, 2.0 * 2.0 ** -53)
     assert (cv * 0.5).value == 0.5
+
+
+def test_cli_holds_no_mathematics():
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module)
+    assert imported <= {"argparse", "contextlib", "os", "re", "sys"}
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert not {name for name in defined if name.startswith("_") and (
+        name.endswith(("_check", "_certificate")) or name == "_sin_lower_bound_holds")}
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    suite = next(a for a in subparsers.choices["verify"]._actions if a.dest == "suite")
+    assert suite.choices == [*cli._SUITES, "all"]

@@ -228,6 +228,28 @@ class TestPolynomialBasics:
             with pytest.raises(TypeError):
                 make()
 
+    def test_every_operation_rejects_a_non_integer_cap(self):
+        # each builds its result through the one constructor path, which reads the cap
+        s = truncated_sin(5)
+        for make in (lambda: s.truncate(2.5), lambda: s.homogeneous_part(1.5),
+                     lambda: substitute_sum(s, 2.5), lambda: uni_to_bi(s, 0, 2.5)):
+            with pytest.raises(TypeError):
+                make()
+
     def test_bipoly_total_degree_truncation(self):
         p = BiPoly(4, {(2, 2): 1, (1, 1): 2})
         assert p.truncate(3).coeffs == {(1, 1): Fraction(2)}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: verify_pythagorean(-1),
+    lambda: verify_sine_sum(0),
+    lambda: verify_sine_sum_split(-1),
+    lambda: sine_sum_split(-1),
+    lambda: uni_to_bi(truncated_sin(3), 2, 3),
+    lambda: UniPoly(-1),
+], ids=["verify_pythagorean", "verify_sine_sum", "verify_sine_sum_split", "sine_sum_split",
+        "uni_to_bi", "UniPoly"])
+def test_out_of_range_arguments_raise_value_error(make):
+    with pytest.raises(ValueError):
+        make()

@@ -18,6 +18,7 @@ from geomfree.exact_series import (
     uni_to_bi,
     verify_pythagorean,
     verify_sine_sum,
+    verify_sine_sum_split,
 )
 
 from oracles import (
@@ -114,6 +115,18 @@ class TestFailureDetail:
         # x^4: (-1/3 from sin^2) + (1/9 + 2/24 from cos^2) = -5/36
         assert result.detail == {"residual": "-5/36", "max_degree_residual": "-5/36",
                                  "at": "4"}
+
+    def test_a_wrong_split_term_is_named_by_its_n(self, monkeypatch):
+        real = exact_series.sine_sum_split
+
+        def split(n):
+            part1, part2 = real(n)
+            return (-part1 if n == 2 else part1), part2
+
+        monkeypatch.setattr(exact_series, "sine_sum_split", split)
+        result = verify_sine_sum_split(5)
+        assert not result.passed
+        assert result.detail == {"failing_n": "[2]"}
 
     def test_ties_in_total_degree_go_to_the_highest_key(self, monkeypatch):
         # an odd x^3/6 term in the cosine adds x y^3/6 to sin x cos y and

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from geomfree import cli
+from geomfree import cli, identities
 from geomfree.constants import _certified_sign, shared_table
 from geomfree.errors import ToleranceTooTight
 from geomfree.report import CheckResult, build_report, report_to_json, validate_report
@@ -107,7 +107,7 @@ class TestVerifyFailurePath:
             return CheckResult("sin_q_equals_one", "numeric", False,
                                {"max_discrepancy": 1.0, "bound": 0.0}, 1)
 
-        monkeypatch.setattr(cli, "_sin_q_check", broken)
+        monkeypatch.setattr(identities, "_sin_q_check", broken)
         rc = cli.main(["verify", "--suite", "numeric", "--samples", "120"])
         out = capsys.readouterr().out
         assert rc == 1

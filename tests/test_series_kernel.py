@@ -203,6 +203,18 @@ class TestExactEvaluators:
         with pytest.raises(ValueError):
             cos_eval_exact(1, 0)
 
+    @pytest.mark.parametrize("terms", [2.5, "3"])
+    def test_terms_must_be_an_integer(self, terms):
+        for evaluate in (sin_eval_exact, cos_eval_exact,
+                         lambda x, t: cos_eval_exact(x, t, sign_only=True)):
+            with pytest.raises(TypeError):
+                evaluate(0.5, terms)
+
+    def test_an_integer_term_count_sums_as_before(self):
+        assert sin_eval_exact(0.5, 3) == (Fraction(1841, 3840), Fraction(1, 645120))
+        assert cos_eval_exact(0.5, 3) == (Fraction(337, 384), Fraction(1, 46080))
+        assert cos_eval_exact(0.5, 3, sign_only=True) == 1
+
 
 def _terms_used(x, terms, odd):
     """The count the exact evaluators sum: `terms`, raised until x**2 is at
