@@ -7,10 +7,10 @@ the complementary leg otherwise), and adaptive Simpson quadrature of
 1/sqrt(1 - t^2) with the endpoint singularity removed by the exact
 substitution u = sqrt(1 - t^2) past the sqrt(2)/2 split.
 
-The iteration starts from the half-angle series and takes Halley's steps
-on floats, so it sums the sine series at most twice; one certified
-sin_eval at the end bounds the result by the mean value theorem (see
-_newton_core).  The quadrature's est_error adds a roundoff floor to the
+The iteration starts from the half-angle series and takes two Halley
+steps on floats in one frame: the first from the value-only sine series,
+the second from one certified sin_eval, whose bound, carried through that
+step, bounds the result a posteriori (see arcsin_newton).  The quadrature's est_error adds a roundoff floor to the
 Richardson estimate, and its tolerance stops at 1e-15.  The ODE oracle
 integrates f'' = -f with classical RK4 and tracks the conserved quantity
 f^2 + f'^2.
@@ -21,8 +21,8 @@ from collections import namedtuple
 
 from .constants import shared_table
 from .errors import DomainError, StepTooLarge
-from .series_kernel import (_U, CertifiedValue, _check_tol, _check_tol_floor, _new_cv, _sin_value,
-                            cos_eval, sin_eval)
+from .series_kernel import (_INF, _U, _UNDERFLOW, CertifiedValue, _check_tol, _check_tol_floor,
+                            _new_cv, _sin_value, cos_eval, sin_eval)
 
 _SQRT_HALF = 0.7071067811865476  # float nearest sqrt(1/2)
 _MAX_DEPTH = 40
@@ -44,83 +44,112 @@ def _comp_sqrt(t):
     return math.sqrt((1.0 - t) * (1.0 + t))
 
 
-def _newton_core(a, c, tol):
-    """Solve sin y = a for a in [0, ~0.708]; returns (y, its error bound).
+def arcsin_newton(x, tol):
+    """Certified arcsin by Halley's iteration on the sine series, in one frame.
 
-    c is sqrt(1 - a^2) to within a few ulps; it only shapes the start.  By
-    the half-angle identity cos^2(y/2) = (1 + cos y)/2 and
-    sin y = 2 sin(y/2) cos(y/2), sin(y/2) = b = a / sqrt(2(1 + c)), and the
-    start is y0 = 2 arcsin b with the arcsin series cut after b^9.  Here
-    b <= sin(pi/8) ~ 0.383, so y0 is within 2 c5 b^11 / (1 - b^2) ~ 1.4e-6 of
-    arcsin a (c5 = 63/2816, the first coefficient left out).
+    For |x| <= sqrt(2)/2 the iteration solves sin y = a with a = |x| and
+    c = sqrt(1 - a^2) directly; otherwise the reflection
+    arcsin x = sign(x) (Q - arcsin u), u = sqrt(1 - x^2), keeps the step
+    conditioned, and the iteration solves sin v = a with a = u and c = |x|
+    (sqrt(1 - u^2) is |x| to rounding).  Either way a <= ~0.7072, and c
+    only shapes the start.
 
-    The steps run on floats, with s = sin y from the value-only series and
-    cos y = sqrt(1 - s^2), which holds because cos >= 0 on [0, Q].  Each is
-    Halley's step for sin y - a, whose error constant tan^2(y)/4 + 1/6 is at
-    most 0.42 here: the first step takes the start's error to about 1e-18,
-    below rounding, and the second, now of rounding size, meets the exit
-    rule |dy| <= 4u y and settles y, which keeps the residual |s - a| at
-    rounding level.  So the sine series is summed at most twice.
+    Start.  By the half-angle identity sin(y/2) = b = a / sqrt(2(1 + c)),
+    and y0 = 2 arcsin b with the arcsin series cut after b^9.  Here
+    b <= sin(pi/8) ~ 0.383, so y0 is within 2 c5 b^11 / (1 - b^2) ~ 1.4e-6
+    of arcsin a (c5 = 63/2816, the first coefficient left out).
 
-    Only the final residual is certified, by one sin_eval: s = sin y
-    within s_err.  By the mean value theorem
-    |y - arcsin a| = |sin y - a| / cos xi for some xi between y and
-    arcsin a.  Here arcsin a <= 0.786, so when 0 <= y <= 1.5 (< Q) xi lies
-    in [0, Q], where sin is increasing and cos = sqrt(1 - sin^2); then
-    sin xi <= m = max(a, s + s_err), and
-    cos xi >= sqrt((1-m)(1+m)) once m < 1.  On this branch m <= ~0.7072,
-    so the constant 1/sqrt((1-m)(1+m)) is at most ~1.415.  A start this
-    close keeps y near arcsin a, so the check of 0 <= y <= 1.5 and m < 1
-    never fails; it stays because the bound rests on it, and if it failed
-    an AssertionError would be raised instead of a bound that does not hold.
+    Steps.  Each is Halley's step for sin y - a, on floats, from s ~ sin y
+    and cos y = sqrt(1 - s^2) (cos >= 0 on [0, Q]):
+    dy = d c' / (c'^2 + d s/2), d = s - a, c' = sqrt(1 - s^2).  Its error
+    constant tan^2(y)/4 + 1/6 is at most 0.42 here, so the first step, from
+    the value-only series at y0, takes y1 to within about 1e-18 of the root,
+    below rounding.  The second starts from the certified s1, e1 = sin_eval(y1),
+    so the sine series is summed once by value and once certified.
+
+    Bound, a posteriori (Rump, Verification methods, Acta Numerica 19,
+    2010).  Let g = arcsin, y* = g(a) and sigma = sin y1, so
+    |s1 - sigma| <= e1.  The check below makes 0 <= y1 <= 1.5 (< Q, so
+    g(sigma) = y1), m = max(a, s1 + e1) <= 0.75 and |d| <= 2^-20 y1; a start
+    this close never fails it, and a failure raises AssertionError rather
+    than return a bound that does not hold.  Every sine met below lies in
+    [0, m], where g' = 1/sqrt(1 - t^2) <= 1/cos_lo, cos_lo = sqrt((1-m)(1+m))
+    rounded down.
+    - d == 0 (about 81% of direct calls): s1 = a, so the step is 0 and y1 is
+      returned.  By the mean value theorem |y1 - y*| = |g(sigma) - g(s1)|
+      <= e1/cos_lo = b1.
+    - Otherwise y2 = fl(y1 - dy) is returned, and with D = s1 - a,
+      y2 - y* = (y1 - g(s1)) + (g(s1) - g(a) - H) + (H - dy) - r,
+      where H is the step from D in exact arithmetic and r = y1 - dy - y2
+      its rounding, which Fast2Sum gives exactly (|dy| <= 2^-18 y1).  The
+      first term is at most e1/cos_lo, as above.  The second is the step's
+      Taylor remainder: with c1 = sqrt(1 - s1^2), eps = D s1/(2 c1^2) and
+      g'''(t) = (1 + 2t^2)/(1 - t^2)^(5/2),
+        g(s1) - g(s1 - D) = D/c1 - D^2 s1/(2 c1^3) + D^3 g'''(xi)/6,
+        H = (D/c1)/(1 + eps) = D/c1 - D^2 s1/(2 c1^3) + (D/c1) eps^2/(1 + eps),
+      so with c1 >= cos_lo >= 0.66 and |D| <= 2^-19.4 it is at most
+      4|D|^3 <= 2^-17 D^2, which d^2 covers.  The third is dy's own
+      rounding: about 10 roundings, so 16u|dy|, plus 256 times the smallest
+      subnormal for underflow.
+    Either bound's float terms are summed with their roundings rounded up.
+
+    The reflection subtracts v from Q as a pair: Q = q_hi + q_lo within
+    four_q_err/4 (the double-double 4Q over 4, exact), Fast2Sum gives
+    q_hi - v = w + e exactly (q_hi > v), and y = w + (e + q_lo).  Its bound
+    adds to v's that radius, the rounding of y (u|y|, and 2^-50 of the
+    whole for the rest) and u_err/|x| for the error of u, since
+    d arcsin(u)/du = 1/sqrt(1 - u^2) ~ 1/|x| <= sqrt(2) there.
     """
-    if a == 0.0:
-        return 0.0, 0.0
-    t = 2.0 * (1.0 + c)  # 4 cos^2(y/2), so sin(y/2) = a / sqrt(t)
-    b2 = a * a / t
-    y = 2.0 * a / math.sqrt(t) * (
-        1.0 + b2 * (1.0 / 6.0 + b2 * (0.075 + b2 * (5.0 / 112.0 + b2 * (35.0 / 1152.0)))))
-    for _ in range(8):
+    if not 0.0 < tol < _INF:  # _check_tol's test, so a valid tol costs no call
+        _check_tol(tol)
+    x = float(x)
+    if not -1.0 <= x <= 1.0:
+        raise DomainError(f"argument must lie in [-1, 1], got {x!r}")
+    ax = abs(x)
+    comp = math.sqrt((1.0 - ax) * (1.0 + ax))  # 1 - ax is exact for ax in [1/2, 1]
+    if ax <= _SQRT_HALF:
+        a, c = ax, comp
+    else:
+        a, c = comp, ax
+    y = bound = 0.0
+    if a != 0.0:
+        t = 2.0 * (1.0 + c)  # 4 cos^2(y/2), so sin(y/2) = a / sqrt(t)
+        b2 = a * a / t
+        y = 2.0 * a / math.sqrt(t) * (
+            1.0 + b2 * (1.0 / 6.0 + b2 * (0.075 + b2 * (5.0 / 112.0 + b2 * (35.0 / 1152.0)))))
         s = _sin_value(y)
         d = s - a
         c2 = (1.0 - s) * (1.0 + s)
-        dy = d * math.sqrt(c2) / (c2 + 0.5 * d * s)
-        y -= dy
-        if abs(dy) <= 2.0 ** -51 * y:  # 4u
-            break
-    s, s_err = sin_eval(y, tol)  # the kernel's bound does not depend on tol
-    m = max(a, s + s_err)
-    if not (0.0 <= y <= 1.5 and m < 1.0):
-        raise AssertionError(f"arcsin iteration left [0, Q] at a={a!r}: y={y!r}, m={m!r}")
-    # the square root rounded down; the bound's three roundings rounded up
-    cos_lo = _comp_sqrt(m) * (1.0 - 4.0 * _U)
-    bound = (abs(s - a) + s_err) / cos_lo * (1.0 + 4.0 * _U)
-    return y, bound
-
-
-def arcsin_newton(x, tol):
-    """Certified arcsin via iteration on the sine series (_newton_core).
-
-    For |x| <= sqrt(2)/2 the iteration runs directly; otherwise the
-    reflection arcsin x = sign(x) (Q - arcsin sqrt(1 - x^2)) keeps the
-    step conditioned.
-    """
-    _check_tol(tol)
-    x = float(x)
-    _check_unit_interval(x)
-    sign = math.copysign(1.0, x)
-    ax = abs(x)
-    if ax <= _SQRT_HALF:
-        y, bound = _newton_core(ax, _comp_sqrt(ax), tol)
-        return _new_cv(CertifiedValue, (sign * y, bound))
-    tbl = shared_table()
-    u = _comp_sqrt(ax)
-    u_err = 3.0 * _U * u  # two roundings plus the square root's half-ulp
-    v, v_err = _newton_core(u, ax, tol)  # sqrt(1 - u^2) is ax to rounding
-    y = tbl.q - v
-    # d arcsin(u)/du = 1/sqrt(1-u^2) = 1/ax <= sqrt(2) on this branch
-    bound = v_err + tbl.q_float_err + u_err / ax + _U * abs(y)
-    return _new_cv(CertifiedValue, (sign * y, bound))
+        y -= d * math.sqrt(c2) / (c2 + 0.5 * d * s)
+        s, e = sin_eval(y, tol)  # the kernel's bound does not depend on tol
+        m = s + e
+        if m < a:
+            m = a
+        d = s - a
+        if not (0.0 <= y <= 1.5 and m <= 0.75 and abs(d) <= 2.0 ** -20 * y):
+            raise AssertionError(f"arcsin iteration left its bracket at a={a!r}: y={y!r}, m={m!r}")
+        # the square root rounded down
+        cos_lo = math.sqrt((1.0 - m) * (1.0 + m)) * (1.0 - 4.0 * _U)
+        if d == 0.0:  # the step would be 0: y1 with b1, its roundings rounded up
+            bound = e / cos_lo * (1.0 + 4.0 * _U)
+        else:
+            c2 = (1.0 - s) * (1.0 + s)
+            dy = d * math.sqrt(c2) / (c2 + 0.5 * d * s)
+            y2 = y - dy
+            r = (y - y2) - dy  # Fast2Sum: y - dy = y2 + r exactly
+            bound = (e / cos_lo + d * d + 16.0 * _U * abs(dy) + abs(r) + _UNDERFLOW) * (
+                1.0 + 8.0 * _U)  # six roundings rounded up
+            y = y2
+    if ax > _SQRT_HALF:
+        tbl = shared_table()
+        q_hi, q_lo = tbl.four_q_dd
+        q_hi *= 0.25
+        w = q_hi - y
+        e = (q_hi - w) - y  # Fast2Sum: q_hi - y = w + e exactly
+        y = w + (e + 0.25 * q_lo)
+        # u = comp: two roundings plus the square root's half-ulp
+        bound = (bound + 0.25 * tbl.four_q_err + 3.0 * _U * comp / ax + _U * y) * (1.0 + 2.0 ** -50)
+    return _new_cv(CertifiedValue, (math.copysign(y, x), bound))  # y >= 0
 
 
 class _Counter:

@@ -81,9 +81,10 @@ class TestArcsinNewton:
             window = (hi.value - lo.value) + hi.abs_error_bound + lo.abs_error_bound
             assert abs(a.value - y) <= window + a.abs_error_bound + tbl.q_float_err
 
-    def test_sums_the_sine_series_at_most_twice(self, monkeypatch):
+    def test_sums_the_value_series_once(self, monkeypatch):
         # the half-angle start is within 1.4e-6 of the root: one Halley step
-        # converges and one settles
+        # from the value-only series converges, and the settling step starts
+        # from the certified sin_eval
         calls = []
         value_only = analysis._sin_value
         monkeypatch.setattr(analysis, "_sin_value", lambda y: calls.append(y) or value_only(y))
@@ -103,8 +104,8 @@ class TestArcsinNewton:
             calls.clear()
             arcsin_newton(x, 1e-15)
             counts.append(len(calls))
-        assert max(counts) <= 2
-        assert counts.count(2) > 4000  # the patch saw the iteration
+        assert max(counts) <= 1
+        assert counts.count(1) > 4000  # the patch saw the iteration
 
 
 class TestArcsinQuadrature:

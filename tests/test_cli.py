@@ -369,7 +369,6 @@ class TestLeastPeriodProof:
 
         monkeypatch.setattr(identities, "sin_eval", counted(identities.sin_eval))
         monkeypatch.setattr(identities, "cos_eval", counted(identities.cos_eval))
-        monkeypatch.setattr(cli.series_kernel, "sin_eval", counted(cli.series_kernel.sin_eval))
         rc, _, _ = run_cli(capsys, "verify", "--suite", "all", "--degree", "100",
                            "--samples", "100", "--seed", "1", "--format", "json")
         assert rc == 0

@@ -6,8 +6,8 @@ construction may use it: the evaluator that series_kernel._kernel builds
 (sin_eval and cos_eval) and analysis.arcsin_newton, plus
 CertifiedValue.__new__ itself, after its check.
 
-The same scan pins the float kernel's straight-line hot path: _kernel and
-_sin_value hold no loop, series_kernel never names math.fsum, and the
+The same scan pins the float kernel's straight-line hot path: _kernel,
+_sin_value and analysis.arcsin_newton hold no loop, series_kernel never names math.fsum, and the
 evaluator calls two_prod as the module global that perfbench wraps.
 """
 
@@ -66,9 +66,12 @@ def _function(path, name):
     return node
 
 
-@pytest.mark.parametrize("name", ["_kernel", "_sin_value"])
-def test_the_float_kernel_has_no_loop(name):
-    fn = _function(PKG_DIR / "series_kernel.py", name)
+@pytest.mark.parametrize("module, name", [("series_kernel", "_kernel"),
+                                          ("series_kernel", "_sin_value"),
+                                          ("analysis", "arcsin_newton")],
+                         ids=["_kernel", "_sin_value", "arcsin_newton"])
+def test_the_float_kernel_has_no_loop(module, name):
+    fn = _function(PKG_DIR / f"{module}.py", name)
     loops = [node for node in ast.walk(fn)
              if isinstance(node, (ast.For, ast.AsyncFor, ast.While, ast.comprehension))]
     assert loops == []
