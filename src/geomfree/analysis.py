@@ -54,7 +54,7 @@ def arcsin_newton(x, tol):
     (sqrt(1 - u^2) is |x| to rounding).  Either way a <= ~0.7072, and c
     only shapes the start.
 
-    Start.  By the half-angle identity sin(y/2) = b = a / sqrt(2(1 + c)),
+    Start.  By the half-angle identity, sin(y/2) = b = a / sqrt(2(1 + c)),
     and y0 = 2 arcsin b with the arcsin series cut after b^9.  Here
     b <= sin(pi/8) ~ 0.383, so y0 is within 2 c5 b^11 / (1 - b^2) ~ 1.4e-6
     of arcsin a (c5 = 63/2816, the first coefficient left out).
@@ -95,7 +95,7 @@ def arcsin_newton(x, tol):
 
     The reflection subtracts v from Q as a pair: Q = q_hi + q_lo within
     four_q_err/4 (the double-double 4Q over 4, exact), Fast2Sum gives
-    q_hi - v = w + e exactly (q_hi > v), and y = w + (e + q_lo).  Its bound
+    q_hi - v = w + lo exactly (q_hi > v), and y = w + (lo + q_lo).  Its bound
     adds to v's that radius, the rounding of y (u|y|, and 2^-50 of the
     whole for the rest) and u_err/|x| for the error of u, since
     d arcsin(u)/du = 1/sqrt(1 - u^2) ~ 1/|x| <= sqrt(2) there.
@@ -145,9 +145,9 @@ def arcsin_newton(x, tol):
         q_hi, q_lo = tbl.four_q_dd
         q_hi *= 0.25
         w = q_hi - y
-        e = (q_hi - w) - y  # Fast2Sum: q_hi - y = w + e exactly
-        y = w + (e + 0.25 * q_lo)
-        # u = comp: two roundings plus the square root's half-ulp
+        lo = (q_hi - w) - y  # Fast2Sum: q_hi - y = w + lo exactly
+        y = w + (lo + 0.25 * q_lo)
+        # u_err = 3u u, u = comp: two roundings plus the square root's half-ulp
         bound = (bound + 0.25 * tbl.four_q_err + 3.0 * _U * comp / ax + _U * y) * (1.0 + 2.0 ** -50)
     return _new_cv(CertifiedValue, (math.copysign(y, x), bound))  # y >= 0
 

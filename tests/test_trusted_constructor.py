@@ -7,8 +7,9 @@ construction may use it: the evaluator that series_kernel._kernel builds
 CertifiedValue.__new__ itself, after its check.
 
 The same scan pins the float kernel's straight-line hot path: _kernel,
-_sin_value and analysis.arcsin_newton hold no loop, series_kernel never names math.fsum, and the
-evaluator calls two_prod as the module global that perfbench wraps.
+_sin_value and analysis.arcsin_newton hold no loop, series_kernel never
+names math.fsum, and the evaluator calls two_prod as the module global that
+perfbench wraps.
 """
 
 import ast
