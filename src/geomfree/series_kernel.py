@@ -13,7 +13,10 @@ Evaluation pipeline:
    integer nearest |x|/Q and r = |x| - kQ comes from a Cody-Waite split of
    the certified Q into Q1 + Q2 + Q3 (27, 27 and 53 bits), carried as a
    float pair (r_hi, r_lo); r_lo comes from Knuth's TwoSum, written out in
-   the evaluator.
+   the evaluator.  Below 5Q/2, where k is 1 or 2, k comes from comparisons
+   with two edges derived from the nearest-k formula itself, and k's
+   products from a table; above, they are computed.  Both paths then run
+   the one TwoSum block, with bit-identical results.
 2. Pick the quadrant.  With j = k mod 4, sin(jQ + r) is +-sin r or +-cos r
    by the exact Q-multiples table; cos x is sin(x + Q).  The sign of x is
    applied last, so sin(-x) == -sin(x) bit for bit.
@@ -181,6 +184,16 @@ def _bind_reduction():
     float.  k_err bounds |Q1 + Q2 + Q3 - Q| per unit of k.  quadrants[j]
     says how sin(jQ + r) = sin(jQ) cos r + cos(jQ) sin r reduces, from the
     exact Q-multiples table: (whether it is the cosine series, its sign).
+
+    k = 1 and 2 come from a table.  edge2 and edge3 are the smallest doubles
+    at which the nearest-k formula of the general path, int(a * inv_q + 0.5),
+    gives 2 and 3, found by stepping from (k - 1/2) Q; the formula never
+    decreases in a, so above Q/2 it gives 1 below edge2 and 2 below edge3,
+    and the table takes the formula's k on every double.  rows[shift] holds
+    k = 0's quadrant and, for k = 1 and 2, (k Q1, -k Q2, k Q3, |k Q3|,
+    k k_err, quadrants[(k + shift) & 3]): doubling is exact, so each entry is
+    what the general path computes.  general holds what it computes them
+    from, for |x| >= edge3.
     """
     global _reduction
     from .constants import shared_table  # deferred: constants builds on the exact evaluators
@@ -194,8 +207,21 @@ def _bind_reduction():
     # rounded up past the float conversions of split and refined_radius
     k_err = (float(split) + tbl.refined_radius) * (1.0 + 2.0 ** -49)
     half_q = math.nextafter(float(q / 2), 0.0)  # below Q/2: q_exact is within 1e-50 of Q
+    inv_q = 1.0 / tbl.q
     quadrants = tuple((s != 0, s or c) for _, s, c in tbl.q_multiples[:4])
-    _reduction = (half_q, 1.0 / tbl.q, q1, q2, q3, k_err, quadrants)
+
+    def edge(k):  # the smallest double a with int(a * inv_q + 0.5) >= k
+        a = (k - 0.5) * tbl.q
+        while int(a * inv_q + 0.5) >= k:
+            a = math.nextafter(a, 0.0)
+        while int(a * inv_q + 0.5) < k:
+            a = math.nextafter(a, _INF)
+        return a
+
+    rows = tuple((quadrants[shift],) + tuple(
+        (k * q1, -k * q2, k * q3, abs(k * q3), k * k_err, quadrants[(k + shift) & 3])
+        for k in (1, 2)) for shift in (0, 1))
+    _reduction = (half_q, edge(2), edge(3), rows, (inv_q, q1, q2, q3, k_err, quadrants))
     return _reduction
 
 
@@ -309,25 +335,29 @@ def _kernel(shift):
             return _COS_TINY_ONE
         if not ax <= _MAX_ARG:
             raise DomainError(f"|x| must be <= {_MAX_ARG:g} and finite, got {x!r}")
-        half_q, inv_q, q1, q2, q3, k_err, quadrants = _reduction or _bind_reduction()
+        half_q, edge2, edge3, rows, general = _reduction or _bind_reduction()
         if ax <= half_q:
-            r, r_lo, red_err, j = ax, 0.0, 0.0, shift
+            r, r_lo, red_err = ax, 0.0, 0.0
+            use_cos, sign = rows[shift][0]
         else:
-            ki = int(ax * inv_q + 0.5)
-            k = float(ki)
-            t = ax - k * q1  # exact: k*q1 is exact and within a factor 2 of ax
-            w = k * q2       # exact: 26 + 27 bits
-            s = t - w        # Knuth's TwoSum of t and -w, written out: s + e = t - w
+            if ax < edge3:  # k = 1 or 2, the formula's k by the edges: read, not computed
+                kq1, nkq2, p, ap, red_err, (use_cos, sign) = rows[shift][1 if ax < edge2 else 2]
+            else:
+                inv_q, q1, q2, q3, k_err, quadrants = general
+                ki = int(ax * inv_q + 0.5)
+                k = float(ki)
+                kq1, nkq2, p = k * q1, -k * q2, k * q3
+                ap, red_err = abs(p), k * k_err
+                use_cos, sign = quadrants[(ki + shift) & 3]
+            t = ax - kq1     # exact: k*q1 is exact and within a factor 2 of ax
+            s = t + nkq2     # Knuth's TwoSum of t and -k*q2 (exact, 26 + 27 bits), written out
             v = s - t
-            e = (t - (s - v)) + (-w - v)
-            p = k * q3
+            e = (t - (s - v)) + (nkq2 - v)
             lo = e - p
             r = s + lo       # TwoSum of s and lo, written out: r + r_lo = s + lo
             v = r - s
             r_lo = (s - (r - v)) + (lo - v)
-            red_err = k * k_err + _U * (abs(p) + abs(lo))
-            j = (ki + shift) & 3
-        use_cos, sign = quadrants[j]
+            red_err += _U * (ap + abs(lo))  # the two roundings, on k k_err
         z = r * r
         if use_cos:
             if z <= _COS_Z_ONE:  # row 0 would round to 1 here (bound comment)
@@ -371,9 +401,12 @@ sin_eval.__doc__ = """Certified sine: quadrant reduction mod Q, then the float s
     Raises DomainError for |x| > 1e8 (the reduction is certified only
     below) and InvalidTolerance unless 0 < tol < inf.  At any tol the
     series is cut where the rest is below half an ulp of its leading part,
-    so results are accurate relative to their size and the bound does not
-    depend on tol; requests below an ulp or so are satisfied best-effort,
-    and the honest, larger bound is reported.
+    so the bound does not depend on tol; requests below an ulp or so are
+    satisfied best-effort, and the honest, larger bound is reported.  The
+    absolute bound always holds.  The relative error is about an ulp except
+    next to a zero of sin or cos at large k = |x|/Q: there the reduced
+    argument keeps Q to 107 bits, so the relative error grows with k (66.9
+    ulp at x = 45.553093477052, 8.0 million ulp at x = 14461176.67027838).
     """
 
 cos_eval = _kernel(1)

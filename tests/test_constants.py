@@ -116,10 +116,17 @@ class TestTablePinned:
             (6.283185307179586, 2.4492935982947064e-16), 5.98953962542622e-33, 45)
 
     def test_reduction_constants(self):
+        quadrants = ((False, 1), (True, 1), (False, -1), (True, -1))
+        k1 = (1.570796325802803, -9.920935739593517e-10, 5.721188726109832e-18,
+              5.721188726109832e-18, 4.335905065061899e-35)
+        k2 = (3.141592651605606, -1.9841871479187034e-09, 1.1442377452219664e-17,
+              1.1442377452219664e-17, 8.671810130123798e-35)
         assert series_kernel._bind_reduction() == (
-            0.7853981633974482, 0.6366197723675814, 1.570796325802803,
-            9.920935739593517e-10, 5.721188726109832e-18, 4.335905065061899e-35,
-            ((False, 1), (True, 1), (False, -1), (True, -1)))
+            0.7853981633974482, 2.356194490192345, 3.9269908169872414,
+            ((quadrants[0], k1 + (quadrants[1],), k2 + (quadrants[2],)),
+             (quadrants[1], k1 + (quadrants[2],), k2 + (quadrants[3],))),
+            (0.6366197723675814, 1.570796325802803, 9.920935739593517e-10,
+             5.721188726109832e-18, 4.335905065061899e-35, quadrants))
 
 
 class TestCertificatePoints:

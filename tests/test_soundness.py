@@ -202,22 +202,28 @@ def test_top_of_the_unreduced_range_is_unbiased(evaluate, truth_fn):
 
 # --- cosine's constant row ----------------------------------------------
 
+def _reduced(x, shift):
+    """(r, r_lo, red_err, quadrant) of x, restated from the kernel's general
+    reduction: k from int and float, its Cody-Waite products and two_sum."""
+    sk = series_kernel
+    half_q, _, _, _, (inv_q, q1, q2, q3, k_err, quadrants) = sk._reduction or sk._bind_reduction()
+    ax = abs(x)
+    if ax <= half_q:
+        return ax, 0.0, 0.0, quadrants[shift]
+    ki = int(ax * inv_q + 0.5)
+    k = float(ki)
+    s, e = two_sum(ax - k * q1, -(k * q2))
+    p = k * q3
+    r, r_lo = two_sum(s, e - p)
+    return r, r_lo, k * k_err + sk._U * (abs(p) + abs(e - p)), quadrants[(ki + shift) & 3]
+
+
 def _cosine_row_zero(x, shift):
     """(value, bound, r_lo, z) of row 0 of the cosine series at x, restated
     from the kernel's parts: its reduction, two_prod, Fast2Sum and _COS_K0."""
     sk = series_kernel
-    half_q, inv_q, q1, q2, q3, k_err, quadrants = sk._reduction or sk._bind_reduction()
-    ax = abs(x)
-    r, r_lo, red_err, j = ax, 0.0, 0.0, shift
-    if ax > half_q:
-        ki = int(ax * inv_q + 0.5)
-        k = float(ki)
-        s, e = two_sum(ax - k * q1, -(k * q2))
-        p = k * q3
-        r, r_lo = two_sum(s, e - p)
-        red_err = k * k_err + sk._U * (abs(p) + abs(e - p))
-        j = (ki + shift) & 3
-    assert quadrants[j][0]  # the cosine series
+    r, r_lo, red_err, (use_cos, _) = _reduced(x, shift)
+    assert use_cos  # the cosine series
     z, zl = two_prod(r, r)
     h = 0.5 * z
     lead = 1.0 - h
@@ -294,6 +300,92 @@ def test_inline_two_sum_matches_the_library_two_sum_bit_for_bit():
     assert above >= 0.9 * len(cases)  # most points are past the constant row
 
 
+# --- k = 1 and 2 from the reduction's table --------------------------------
+
+def _nearest_k(ax):
+    """The kernel's general nearest-k formula, int(|x| / Q + 0.5) in floats."""
+    sk = series_kernel
+    inv_q = (sk._reduction or sk._bind_reduction())[4][0]
+    return int(ax * inv_q + 0.5)
+
+
+def test_table_edges_are_where_the_nearest_k_formula_switches():
+    half_q, edge2, edge3, _, _ = series_kernel._reduction or series_kernel._bind_reduction()
+    assert _nearest_k(math.nextafter(half_q, math.inf)) == 1
+    for k, edge in ((2, edge2), (3, edge3)):
+        assert _nearest_k(edge) == k
+        assert _nearest_k(math.nextafter(edge, 0.0)) == k - 1
+
+
+_SIN_COEFFS = [(-1) ** n / math.factorial(2 * n + 1) for n in range(1, 9)]
+_COS_COEFFS = [(-1) ** n / math.factorial(2 * n) for n in range(2, 9)]
+
+
+def _horner(coeffs, z):
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = c + z * acc
+    return acc
+
+
+def _restated_eval(x, shift):
+    """(value, bound) of sin_eval (shift 0) or cos_eval (shift 1) at x,
+    restated from the kernel's parts on _reduced's general reduction."""
+    sk = series_kernel
+    r, r_lo, red_err, (use_cos, sign) = _reduced(x, shift)
+    z = r * r
+    if use_cos:
+        if z <= sk._COS_Z_ONE:
+            val, k = 1.0, sk._COS_K0
+        else:
+            z, zl = two_prod(r, r)
+            h = 0.5 * z
+            lead = 1.0 - h
+            low = ((1.0 - lead) - h - 0.5 * zl) - r_lo * r
+            if z <= sk._COS_Z0:
+                val, k = lead + low, sk._COS_K0
+            else:
+                val, k = lead + (low + z * z * _horner(_COS_COEFFS, z)), sk._COS_K
+        m, c_lo = z, 0.081
+    else:
+        if z <= sk._SIN_Z0:
+            val, k = r, sk._SIN_K0
+        else:
+            val = r + (r * z * _horner(_SIN_COEFFS, z) + r_lo * (1.0 - 0.5 * z))
+            k = sk._SIN_K
+        m, c_lo = abs(r), 0.016
+    bound = (k * m * z + c_lo * abs(r_lo) + red_err + sk._U * abs(val)
+             + sk._UNDERFLOW) * sk._ROUND_UP
+    if shift == 0 and x < 0.0:
+        sign = -sign
+    return val if sign > 0 else -val, bound
+
+
+def _table_edge_points():
+    """Every double within 64 ulps of Q/2's edge, edge2 and edge3, at both signs."""
+    half_q, edge2, edge3, _, _ = series_kernel._reduction or series_kernel._bind_reduction()
+    return [sign * _steps(edge, steps) for edge in (half_q, edge2, edge3)
+            for steps in range(-64, 65) for sign in (1.0, -1.0)]
+
+
+def test_table_reduction_matches_the_general_reduction_bit_for_bit():
+    rng = random.Random(20261020)
+    q = shared_table().q
+    xs = _table_edge_points()
+    xs += [sign * rng.uniform(q / 2, 2.5 * q) for _ in range(2000) for sign in (1.0, -1.0)]
+    for x in xs:
+        for evaluate, shift in ((sin_eval, 0), (cos_eval, 1)):
+            cv = evaluate(x, 1e-15)
+            assert (cv.value, cv.abs_error_bound) == _restated_eval(x, shift), x
+    assert {_nearest_k(abs(x)) for x in xs} == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("evaluate,truth_fn", FUNCTIONS, ids=("sin", "cos"))
+def test_bound_holds_at_the_table_edges(evaluate, truth_fn):
+    violations = [x for x in _table_edge_points() if _excess(evaluate, truth_fn, x, 1e-15) > 0]
+    assert violations == []
+
+
 # --- the tiny row: sin x = x and cos x = 1 before the reduction -----------
 
 def _sine_row_zero(x):
@@ -301,7 +393,7 @@ def _sine_row_zero(x):
     from the kernel's parts: r = |x| with no low part and no reduction error,
     _SIN_K0, and the sign of x."""
     sk = series_kernel
-    half_q, *_, quadrants = sk._reduction or sk._bind_reduction()
+    half_q, *_, (*_, quadrants) = sk._reduction or sk._bind_reduction()
     r, r_lo, red_err = abs(x), 0.0, 0.0
     assert r <= half_q and quadrants[0] == (False, 1)  # the sine series, unreduced
     z = r * r
