@@ -218,9 +218,10 @@ def _bind_reduction():
             a = math.nextafter(a, _INF)
         return a
 
-    rows = tuple((quadrants[shift],) + tuple(
-        (k * q1, -k * q2, k * q3, abs(k * q3), k * k_err, quadrants[(k + shift) & 3])
-        for k in (1, 2)) for shift in (0, 1))
+    def entry(k, shift):  # what the general path computes for this k
+        return k * q1, -k * q2, k * q3, abs(k * q3), k * k_err, quadrants[(k + shift) & 3]
+
+    rows = tuple((quadrants[shift], entry(1, shift), entry(2, shift)) for shift in (0, 1))
     _reduction = (half_q, edge(2), edge(3), rows, (inv_q, q1, q2, q3, k_err, quadrants))
     return _reduction
 

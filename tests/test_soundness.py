@@ -303,7 +303,7 @@ def test_inline_two_sum_matches_the_library_two_sum_bit_for_bit():
 # --- k = 1 and 2 from the reduction's table --------------------------------
 
 def _nearest_k(ax):
-    """The kernel's general nearest-k formula, int(|x| / Q + 0.5) in floats."""
+    """The nearest-k formula of the kernel's general path, int(|x| * inv_q + 0.5)."""
     sk = series_kernel
     inv_q = (sk._reduction or sk._bind_reduction())[4][0]
     return int(ax * inv_q + 0.5)
@@ -322,6 +322,7 @@ _COS_COEFFS = [(-1) ** n / math.factorial(2 * n) for n in range(2, 9)]
 
 
 def _horner(coeffs, z):
+    """c_0 + z (c_1 + ... + z c_n), rounded in the kernel's written-out order."""
     acc = coeffs[-1]
     for c in reversed(coeffs[:-1]):
         acc = c + z * acc
