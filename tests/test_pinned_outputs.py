@@ -1,0 +1,77 @@
+"""Bit identity of the ODE oracle, the quadratures, the identity suite's
+exact parts and the CLI's eval, constants and integrate output.
+
+Each group is hashed from the repr of its results (repr of a float or a
+Fraction round-trips exactly), so any change in any bit of any result
+changes its digest.  Update a digest only in a change that alters those
+results on purpose, and say so in CHANGES.md; a change meant to keep them
+must leave it alone.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from geomfree import cli
+from geomfree.analysis import arc_length, arcsin_quadrature, ode_oracle, quarter_circle_area
+from geomfree.constants import shared_table
+from geomfree.identities import default_samples, registered_identities, solve_sine_cubic
+
+QUAD_XS = (0.3, -0.7, 0.71, 0.9999, 1.0, -1.0, 1e-300)
+QUAD_TOLS = (1e-5, 1e-10, 1e-15)
+
+
+def _ode():
+    # t_end 0.0105 at step 1e-3 ends on a remainder step
+    runs = ((2.0 * shared_table().pi, 1e-3), (0.0105, 1e-3), (100.0, 1e-2))
+    return [tuple(ode_oracle(t_end, step)) for t_end, step in runs]
+
+
+def _quadrature():
+    out = [tuple(arcsin_quadrature(x, tol)) for x in QUAD_XS for tol in QUAD_TOLS]
+    out += [tuple(quarter_circle_area(tol)) for tol in QUAD_TOLS]
+    out += [tuple(arc_length(a, b, tol)) for a, b in ((-0.5, 0.8), (0.71, 1.0), (-1.0, 1.0))
+            for tol in (1e-5, 1e-10, 2e-15)]
+    return out
+
+
+def _identities():
+    samples = [default_samples(name, n, seed) for name in registered_identities()
+               for seed in (0, 7) for n in (0, 3, 10, 37)]
+    return [solve_sine_cubic(), samples]
+
+
+CLI_ARGVS = (
+    ("eval", "sin", "0.5"), ("eval", "cos", "5"), ("eval", "sin", "-1e-5", "--tol", "1e-8"),
+    ("eval", "arcsin", "0.3"), ("eval", "arcsin", "-0.9"),
+    ("constants",), ("constants", "--digits", "4"),
+    ("integrate", "quarter-circle"), ("integrate", "arcsin", "0.9999", "--tol", "1e-13"),
+    ("integrate", "arclength", "-0.5", "0.8"),
+)
+
+
+def _cli():
+    out = []
+    for argv in CLI_ARGVS:
+        for fmt in ("text", "json"):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                assert cli.main([*argv, "--format", fmt]) == 0
+            out.append(buf.getvalue())
+    return out
+
+
+GROUPS = {  # name -> (results, sha256 of their repr)
+    "ode": (_ode, "7ba44210ba2d629b2c8a1bc7d930da25b6894b9f1962bf8049e1b478f67d4d66"),
+    "quadrature": (_quadrature, "89b8edca553c674fb3a962731444b0603f59e26876367d8ca2fa1b0812fb7993"),
+    "identities": (_identities, "070d7bc9813c23c6a751524ad5e057c1ef13d35977da3614c1d624df132eda4a"),
+    "cli": (_cli, "dd500e95a5e6a81cde054f3b8dfead150e52a0a57ecd644f450b230ae07886d7"),
+}
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_outputs_match_the_recorded_digest(group):
+    results, digest = GROUPS[group]
+    assert hashlib.sha256(repr(results()).encode()).hexdigest() == digest
