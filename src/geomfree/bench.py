@@ -39,8 +39,8 @@ def run_bench(n, interval, seed=0, functions=("sin", "cos", "arcsin")):
     and arcsin samples are drawn from it clipped to [-1, 1].  The arguments
     are checked before any work, the certified pi included.
     """
-    if n < 100:
-        raise ValueError("n must be >= 100")
+    if not 100 <= n <= 1_000_000:  # the samples are all drawn before any is timed
+        raise ValueError("n must be between 100 and 1e6")
     if not functions:
         raise ValueError("no function to bench")
     for fn in functions:

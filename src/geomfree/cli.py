@@ -28,6 +28,14 @@ def _mark(passed):
     return word
 
 
+def _emit(args, payload, lines):
+    """Print payload as JSON under --format json, and the text lines otherwise."""
+    if args.format == "json":
+        print(report.report_to_json(payload))
+    else:
+        print(*lines, sep="\n")
+
+
 # --- eval ---------------------------------------------------------------
 
 def cmd_eval(args):
@@ -37,15 +45,12 @@ def cmd_eval(args):
         "arcsin": analysis.arcsin_newton,
     }
     cv = fns[args.function](args.x, args.tol)
-    if args.format == "json":
-        print(report.report_to_json({
-            "function": args.function,
-            "x": args.x,
-            "value": cv.value,
-            "abs_error_bound": cv.abs_error_bound,
-        }))
-    else:
-        print(f"{cv.value:.17g} ± {cv.abs_error_bound:.1e}")
+    _emit(args, {
+        "function": args.function,
+        "x": args.x,
+        "value": cv.value,
+        "abs_error_bound": cv.abs_error_bound,
+    }, [f"{cv.value:.17g} ± {cv.abs_error_bound:.1e}"])
     return 0
 
 
@@ -56,25 +61,23 @@ def cmd_constants(args):
         print("error: --digits must be between 1 and 15", file=sys.stderr)
         return 2
     tbl = constants.shared_table()
-    if args.format == "json":
-        print(report.report_to_json({
-            "q": tbl.q,
-            "pi": tbl.pi,
-            "bracket_radius": tbl.certified_bound,
-            "refined_radius": tbl.refined_radius,
-            "bisection_iterations": tbl.bisection_iterations,
-            "q_multiples": [list(row) for row in tbl.q_multiples],
-        }))
-        return 0
     d = args.digits
-    print(f"Q  = {tbl.q:.{d}f}")
-    print(f"pi = {tbl.pi:.{d}f}")
-    print(f"certified bracket radius = {tbl.certified_bound:.3g}"
-          f" ({tbl.bisection_iterations} bisection steps)")
-    print(f"refined radius of q_exact = {tbl.refined_radius:.3g}")
-    print("k   sin kQ   cos kQ")
-    for k, s, c in tbl.q_multiples:
-        print(f"{k}   {s:6d}   {c:6d}")
+    _emit(args, {
+        "q": tbl.q,
+        "pi": tbl.pi,
+        "bracket_radius": tbl.certified_bound,
+        "refined_radius": tbl.refined_radius,
+        "bisection_iterations": tbl.bisection_iterations,
+        "q_multiples": [list(row) for row in tbl.q_multiples],
+    }, [
+        f"Q  = {tbl.q:.{d}f}",
+        f"pi = {tbl.pi:.{d}f}",
+        f"certified bracket radius = {tbl.certified_bound:.3g}"
+        f" ({tbl.bisection_iterations} bisection steps)",
+        f"refined radius of q_exact = {tbl.refined_radius:.3g}",
+        "k   sin kQ   cos kQ",
+        *(f"{k}   {s:6d}   {c:6d}" for k, s, c in tbl.q_multiples),
+    ])
     return 0
 
 
@@ -144,14 +147,10 @@ def cmd_verify(args):
         if fh:
             fh.write(report.report_to_json(rep))
             fh.write("\n")
-    if args.format == "json":
-        print(report.report_to_json(rep))
-    else:
-        for c in checks:
-            print(f"{_mark(c.passed)}  {c.name}")
-        s = rep["summary"]
-        print(f"{s['passed']}/{s['total']} checks passed")
-    return 0 if rep["summary"]["failed"] == 0 else 1
+    s = rep["summary"]
+    _emit(args, rep, [*(f"{_mark(c.passed)}  {c.name}" for c in checks),
+                      f"{s['passed']}/{s['total']} checks passed"])
+    return 0 if s["failed"] == 0 else 1
 
 
 # --- integrate ----------------------------------------------------------
@@ -174,16 +173,13 @@ def cmd_integrate(args):
             print("error: integrate arclength needs two arguments A B", file=sys.stderr)
             return 2
         res = analysis.arc_length(vals[0], vals[1], args.tol)
-    if args.format == "json":
-        print(report.report_to_json({
-            "target": target,
-            "args": vals,
-            "value": res.value,
-            "est_error": res.est_error,
-            "evaluations": res.evaluations,
-        }))
-    else:
-        print(f"{res.value:.17g}  (est err {res.est_error:.1e}, {res.evaluations} evals)")
+    _emit(args, {
+        "target": target,
+        "args": vals,
+        "value": res.value,
+        "est_error": res.est_error,
+        "evaluations": res.evaluations,
+    }, [f"{res.value:.17g}  (est err {res.est_error:.1e}, {res.evaluations} evals)"])
     return 0
 
 
@@ -196,14 +192,11 @@ def cmd_bench(args):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.format == "json":
-        print(report.report_to_json([r._asdict() for r in records]))
-    else:
-        for r in records:
-            print(f"{r.function:6s} on [{r.interval[0]:.6g}, {r.interval[1]:.6g}] "
-                  f"n={r.n}  max|err|={r.max_abs_error_vs_platform:.2e}  "
-                  f"self {r.ns_per_eval_self:.0f} ns/eval, "
-                  f"platform {r.ns_per_eval_platform:.0f} ns/eval")
+    _emit(args, [r._asdict() for r in records], [
+        f"{r.function:6s} on [{r.interval[0]:.6g}, {r.interval[1]:.6g}] "
+        f"n={r.n}  max|err|={r.max_abs_error_vs_platform:.2e}  "
+        f"self {r.ns_per_eval_self:.0f} ns/eval, "
+        f"platform {r.ns_per_eval_platform:.0f} ns/eval" for r in records])
     return 0
 
 

@@ -19,6 +19,7 @@ from .report import CheckResult
 from .series_kernel import _U, CertifiedValue, _is_real, cos_eval, sin_eval
 
 _TOL = 1e-15       # tolerance of every certified evaluation in the suite
+_ISQRT_BITS = 240  # precision of the special angles' exact square roots
 
 
 class IdentityCheck(namedtuple("IdentityCheck", "name lhs rhs combined_bound passed sample_points",
@@ -47,16 +48,10 @@ def worst_of(checks):
     return worst._replace(passed=all(c.passed for c in checks))
 
 
-def _inflate(cv, extra):
-    return CertifiedValue(cv.value, cv.abs_error_bound + extra)
-
-
-def _sin_at(arg, arg_err=0.0):
-    return _inflate(sin_eval(arg, _TOL), _U * abs(arg) + arg_err)
-
-
-def _cos_at(arg, arg_err=0.0):
-    return _inflate(cos_eval(arg, _TOL), _U * abs(arg) + arg_err)
+def _at(f, arg, arg_err=0.0):
+    """f(arg) with the rounding of a formed argument, u|arg| + arg_err, in its bound."""
+    cv = f(arg, _TOL)
+    return CertifiedValue(cv.value, cv.abs_error_bound + (_U * abs(arg) + arg_err))
 
 
 # --- identity registry -------------------------------------------------
@@ -66,7 +61,7 @@ def _cos_at(arg, arg_err=0.0):
 # binary floating point, so 2x adds nothing.
 
 def _sine_difference(x, y):
-    return (_sin_at(x - y),
+    return (_at(sin_eval, x - y),
             sin_eval(x, _TOL) * cos_eval(y, _TOL) - cos_eval(x, _TOL) * sin_eval(y, _TOL))
 
 
@@ -76,21 +71,21 @@ def _sine_double_angle(x):
 
 def _cofunction_sine(x):
     tbl = shared_table()
-    return _sin_at(tbl.q - x, arg_err=tbl.q_float_err), cos_eval(x, _TOL)
+    return _at(sin_eval, tbl.q - x, arg_err=tbl.q_float_err), cos_eval(x, _TOL)
 
 
 def _cofunction_cosine(x):
     tbl = shared_table()
-    return _cos_at(tbl.q - x, arg_err=tbl.q_float_err), sin_eval(x, _TOL)
+    return _at(cos_eval, tbl.q - x, arg_err=tbl.q_float_err), sin_eval(x, _TOL)
 
 
 def _cosine_sum(x, y):
-    return (_cos_at(x + y),
+    return (_at(cos_eval, x + y),
             cos_eval(x, _TOL) * cos_eval(y, _TOL) - sin_eval(x, _TOL) * sin_eval(y, _TOL))
 
 
 def _cosine_difference(x, y):
-    return (_cos_at(x - y),
+    return (_at(cos_eval, x - y),
             cos_eval(x, _TOL) * cos_eval(y, _TOL) + sin_eval(x, _TOL) * sin_eval(y, _TOL))
 
 
@@ -106,7 +101,7 @@ def _cosine_squared(x):
 
 def _sine_triple_angle(x):
     s = sin_eval(x, _TOL)
-    return _sin_at(3.0 * x), 3.0 * s - 4.0 * (s * s * s)
+    return _at(sin_eval, 3.0 * x), 3.0 * s - 4.0 * (s * s * s)
 
 
 _IDENTITIES = {  # name -> (arity, function)
@@ -171,14 +166,9 @@ def default_samples(name, n, seed=0):
     rng = random.Random(f"{seed}:{name}")
     special = [0.0, 1e-9, -1e-9, q, -q, q - 1e-9, q + 1e-9, 2 * q, -2 * q, 2 * q - 1e-12]
     two_pi = 2.0 * tbl.pi
-    if arity == 1:
-        samples = list(special)
-        while len(samples) < n:
-            samples.append(rng.uniform(-two_pi, two_pi))
-    else:
-        samples = [(a, b) for a, b in zip(special, reversed(special))]
-        while len(samples) < n:
-            samples.append((rng.uniform(-two_pi, two_pi), rng.uniform(-two_pi, two_pi)))
+    samples = special if arity == 1 else list(zip(special, reversed(special)))
+    draws = iter([rng.uniform(-two_pi, two_pi) for _ in range(arity * (n - len(samples)))])
+    samples += draws if arity == 1 else zip(draws, draws)  # a pair takes two draws in turn
     return samples[:n]
 
 
@@ -198,10 +188,10 @@ def check_periodicity(n_samples):
     checks = []
     for i in range(n_samples):
         x = -10.0 + 20.0 * i / max(n_samples - 1, 1)
-        s1 = _sin_at(x + four_q, arg_err=shift_err)
+        s1 = _at(sin_eval, x + four_q, arg_err=shift_err)
         s0 = sin_eval(x, _TOL)
         c0 = cos_eval(x, _TOL)
-        m0 = -_sin_at(x - tbl.q, arg_err=tbl.q_float_err)
+        m0 = -_at(sin_eval, x - tbl.q, arg_err=tbl.q_float_err)
         checks.append(_compare("periodicity_4q", s1, s0, [x]))
         checks.append(_compare("periodicity_4q", c0, m0, [x]))
     return worst_of(checks)
@@ -209,16 +199,16 @@ def check_periodicity(n_samples):
 
 # --- special angles ----------------------------------------------------
 
-def _isqrt_fraction(fr, bits=240):
-    """Floor-based rational square root, accurate to ~2**-bits relative.
+def _isqrt_fraction(fr):
+    """Floor-based rational square root, accurate to ~2**-_ISQRT_BITS relative.
 
     Uses only integer arithmetic (math.isqrt); independent of any libm
     routine.
     """
     if fr < 0:
         raise ValueError("negative radicand")
-    n = fr.numerator * fr.denominator << (2 * bits)
-    return Fraction(math.isqrt(n), fr.denominator << bits)
+    n = fr.numerator * fr.denominator << (2 * _ISQRT_BITS)
+    return Fraction(math.isqrt(n), fr.denominator << _ISQRT_BITS)
 
 
 def solve_sine_cubic():
@@ -231,33 +221,27 @@ def solve_sine_cubic():
     """
     # ascending coefficients of 4s^3 - 3s + 1
     poly = [Fraction(1), Fraction(-3), Fraction(0), Fraction(4)]
-    candidates = [Fraction(s, d) for d in (1, 2, 4) for s in (1, -1)]
+    candidates = sorted(Fraction(s, d) for d in (1, 2, 4) for s in (1, -1))
 
-    def eval_poly(p, s):
-        acc = Fraction(0)
-        for c in reversed(p):
-            acc = acc * s + c
-        return acc
-
-    def deflate(p, root):
-        # divide by (s - root); remainder must be zero
+    def divide(p, root):
+        # p = (s - root) quotient + remainder, and the remainder is p(root)
         out = []
         acc = Fraction(0)
         for c in reversed(p):
             acc = acc * root + c
             out.append(acc)
-        assert out[-1] == 0
-        return list(reversed(out[:-1]))
+        return list(reversed(out[:-1])), out[-1]
 
     roots = []
     for cand in candidates:
         mult = 0
-        while len(poly) > 1 and eval_poly(poly, cand) == 0:
-            poly = deflate(poly, cand)
+        quotient, remainder = divide(poly, cand)
+        while remainder == 0:  # ends by the constant [4], whose remainder is 4
+            poly = quotient
             mult += 1
+            quotient, remainder = divide(poly, cand)
         if mult:
             roots.append((cand, mult))
-    roots.sort(key=lambda rm: rm[0])
     return roots
 
 

@@ -103,12 +103,8 @@ class CertifiedValue(namedtuple("CertifiedValue", "value abs_error_bound")):
         v = self.value - w
         return CertifiedValue(v, self.abs_error_bound + e + _U * abs(v))
 
-    def __rsub__(self, other):
-        w, e = _pair(other)
-        if e is None:
-            return NotImplemented
-        v = w - self.value
-        return CertifiedValue(v, self.abs_error_bound + e + _U * abs(v))
+    def __rsub__(self, other):  # w - v and w + (-v) round alike
+        return self.__neg__().__add__(other)
 
     def __mul__(self, other):
         w, e = _pair(other)

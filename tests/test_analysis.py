@@ -270,6 +270,11 @@ class TestOdeOracle:
         with pytest.raises(DomainError):
             ode_oracle(101.0, 1e-3)
 
+    @pytest.mark.parametrize("t_end, step", [(1.0, 5e-324), (100.0, 9.9e-5)])
+    def test_more_than_1e6_steps_is_rejected_before_any_step(self, t_end, step):
+        with pytest.raises(StepTooLarge, match="more than 1e6 steps"):
+            ode_oracle(t_end, step)
+
     def test_lands_exactly_on_t_end(self):
         tr = ode_oracle(0.0105, 1e-3)
         assert tr.points[-1][0] == 0.0105

@@ -243,6 +243,13 @@ class TestBench:
         rc, _, _ = run_cli(capsys, "bench", "--n", "50")
         assert rc == 2
 
+    def test_n_past_1e6_is_the_one_line_message(self, capsys):
+        # rejected before any sample is drawn, as verify --samples is
+        rc, out, err = run_cli(capsys, "bench", "--n", "1000001")
+        assert rc == 2
+        assert out == ""
+        assert err == "error: n must be between 100 and 1e6\n"
+
     def test_bad_interval(self, capsys):
         rc, _, _ = run_cli(capsys, "bench", "--n", "200", "--interval", "2", "1")
         assert rc == 2
