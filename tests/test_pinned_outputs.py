@@ -1,5 +1,6 @@
 """Bit identity of the ODE oracle, the quadratures, the identity suite's
-exact parts and the CLI's eval, constants and integrate output.
+exact parts, the numeric identity checks, the exact verifiers, certified
+arithmetic and the CLI's eval, constants and integrate output.
 
 Each group is hashed from the repr of its results (repr of a float or a
 Fraction round-trips exactly), so any change in any bit of any result
@@ -11,13 +12,16 @@ must leave it alone.
 import contextlib
 import hashlib
 import io
+import random
 
 import pytest
 
 from geomfree import cli
 from geomfree.analysis import arc_length, arcsin_quadrature, ode_oracle, quarter_circle_area
 from geomfree.constants import shared_table
-from geomfree.identities import default_samples, registered_identities, solve_sine_cubic
+from geomfree.identities import (check_identity, check_periodicity, default_samples,
+                                 registered_identities, solve_sine_cubic)
+from geomfree.series_kernel import CertifiedValue
 
 QUAD_XS = (0.3, -0.7, 0.71, 0.9999, 1.0, -1.0, 1e-300)
 QUAD_TOLS = (1e-5, 1e-10, 1e-15)
@@ -41,6 +45,31 @@ def _identities():
     samples = [default_samples(name, n, seed) for name in registered_identities()
                for seed in (0, 7) for n in (0, 3, 10, 37)]
     return [solve_sine_cubic(), samples]
+
+
+def _identity_checks():
+    checks = [check_identity(name, default_samples(name, 100, seed))
+              for name in registered_identities() for seed in (0, 7)]
+    return [checks, check_periodicity(100)]
+
+
+def _exact_checks():
+    return cli.exact_checks(100)
+
+
+def _arithmetic():
+    # every operator over certified, float and small-int operands, in both orders
+    rng = random.Random(28)
+    values = [CertifiedValue(rng.uniform(-4.0, 4.0), rng.choice((0.0, rng.uniform(0.0, 1e-15))))
+              for _ in range(40)]
+    others = values[::-1] + [rng.uniform(-4.0, 4.0) for _ in range(20)] + list(range(-5, 6))
+    out = []
+    for a in values:
+        out.append(tuple(-a))
+        for b in others:
+            out += [tuple(a + b), tuple(b + a), tuple(a - b), tuple(b - a), tuple(a * b),
+                    tuple(b * a)]
+    return out
 
 
 CLI_ARGVS = (
@@ -67,6 +96,11 @@ GROUPS = {  # name -> (results, sha256 of their repr)
     "ode": (_ode, "7ba44210ba2d629b2c8a1bc7d930da25b6894b9f1962bf8049e1b478f67d4d66"),
     "quadrature": (_quadrature, "89b8edca553c674fb3a962731444b0603f59e26876367d8ca2fa1b0812fb7993"),
     "identities": (_identities, "070d7bc9813c23c6a751524ad5e057c1ef13d35977da3614c1d624df132eda4a"),
+    "identity_checks": (_identity_checks,
+                        "473a2e99937ed37e86d644c4a83684c2cefe6526ee9553c8b93f93079aa55615"),
+    "exact_checks": (_exact_checks,
+                     "322f2172520fd727d80544e1cd0ce64d80ba567439b51aeabc1ed78ac58b5b61"),
+    "arithmetic": (_arithmetic, "73d8e541bba77046883c04ca9222ac0d083f647ce607abe6a4ba85fee5fd7f1a"),
     "cli": (_cli, "dd500e95a5e6a81cde054f3b8dfead150e52a0a57ecd644f450b230ae07886d7"),
 }
 
