@@ -229,16 +229,17 @@ def cauchy_product(p, q, D):
     binom = _binomial_table(D)
     terms = sorted(q.num.items(), key=lambda t: sum(t[0]))
     degrees = [sum(e) for e, _ in terms]
-    out = {}
-    get = out.get
     if p.arity == 1:
+        acc = [0] * (D + 1)  # indexed by degree
         for (i1,), a in p.num.items():
             if i1 <= D:
                 row = binom[i1]
                 for (i2,), b in terms[:bisect_right(degrees, D - i1)]:
-                    e = (i1 + i2,)
-                    out[e] = get(e, 0) + a * b * row[i2]
+                    acc[i1 + i2] += a * b * row[i2]
+        out = {(k,): v for k, v in enumerate(acc) if v}
     else:
+        out = {}
+        get = out.get
         for (i1, j1), a in p.num.items():
             if i1 + j1 <= D:
                 row_i, row_j = binom[i1], binom[j1]
@@ -334,11 +335,10 @@ def verify_sine_sum(D):
     """Check sin(x+y) = sin x cos y + cos x sin y coefficient-wise at cap D."""
     if D < 1:
         raise ValueError("D must be >= 1")
-    lhs = substitute_sum(truncated_sin(D), D)
-    sin_x = uni_to_bi(truncated_sin(D), 0, D)
-    cos_x = uni_to_bi(truncated_cos(D), 0, D)
-    sin_y = uni_to_bi(truncated_sin(D), 1, D)
-    cos_y = uni_to_bi(truncated_cos(D), 1, D)
+    s, c = truncated_sin(D), truncated_cos(D)
+    lhs = substitute_sum(s, D)
+    sin_x, cos_x = uni_to_bi(s, 0, D), uni_to_bi(c, 0, D)
+    sin_y, cos_y = uni_to_bi(s, 1, D), uni_to_bi(c, 1, D)
     rhs = cauchy_product(sin_x, cos_y, D) + cauchy_product(cos_x, sin_y, D)
     residual = lhs - rhs
     return CheckResult(

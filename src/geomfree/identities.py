@@ -33,25 +33,47 @@ class IdentityCheck(namedtuple("IdentityCheck", "name lhs rhs combined_bound pas
         return abs(self.lhs - self.rhs)
 
 
+_new_check = IdentityCheck.__new__  # called as a function, without type()'s dispatch
+_checked = CertifiedValue.__new__     # the checked constructor, likewise
+
+
 def _compare(name, lhs, rhs, points):
     """The IdentityCheck of two CertifiedValues that should be equal."""
-    combined = lhs.abs_error_bound + rhs.abs_error_bound
+    lv, lb = lhs
+    rv, rb = rhs
+    combined = lb + rb
     # 4 ulp (8u) on top of the certified bounds, scaled to the values compared
-    slack = 8.0 * _U * max(1.0, abs(lhs.value), abs(rhs.value))
-    passed = abs(lhs.value - rhs.value) <= combined + slack
-    return IdentityCheck(name, lhs.value, rhs.value, combined, passed, points)
+    m = 1.0  # max(1.0, |lv|, |rv|), written out
+    if abs(lv) > m:
+        m = abs(lv)
+    if abs(rv) > m:
+        m = abs(rv)
+    passed = abs(lv - rv) <= combined + 8.0 * _U * m
+    return _new_check(IdentityCheck, name, lv, rv, combined, passed, points)
 
 
 def worst_of(checks):
-    """The first check of largest discrepancy, passed only if all passed."""
-    worst = max(checks, key=lambda c: c.discrepancy)
-    return worst._replace(passed=all(c.passed for c in checks))
+    """The first check of largest discrepancy, passed only if all passed.
+
+    Raises ValueError for no checks.
+    """
+    worst = most = None
+    passed = True
+    for c in checks:
+        d = c.discrepancy
+        if worst is None or d > most:  # strictly larger: the first of equals stays, as in max
+            worst, most = c, d
+        if not c.passed:
+            passed = False
+    if worst is None:
+        raise ValueError("worst_of needs at least one check")
+    return worst._replace(passed=passed)
 
 
 def _at(f, arg, arg_err=0.0):
     """f(arg) with the rounding of a formed argument, u|arg| + arg_err, in its bound."""
-    cv = f(arg, _TOL)
-    return CertifiedValue(cv.value, cv.abs_error_bound + (_U * abs(arg) + arg_err))
+    value, bound = f(arg, _TOL)
+    return _checked(CertifiedValue, value, bound + (_U * abs(arg) + arg_err))
 
 
 # --- identity registry -------------------------------------------------
@@ -145,9 +167,11 @@ def check_identity(name, samples):
             values = tuple(sample) if arity == 2 else (sample,)
         except TypeError:
             raise TypeError(f"{name} takes {arity} arguments per sample, got {sample!r}") from None
-        if not all(_is_real(v) for v in values):
-            raise TypeError(f"{name} takes real numbers, got {sample!r}")
-        points = [float(v) for v in values]
+        points = []
+        for v in values:
+            if not _is_real(v):
+                raise TypeError(f"{name} takes real numbers, got {sample!r}")
+            points.append(float(v))
         if len(points) != arity:
             raise ValueError(f"{name} takes {arity} arguments per sample, got {sample!r}")
         out.append(_compare(name, *fn(*points), points))
@@ -166,8 +190,11 @@ def default_samples(name, n, seed=0):
     rng = random.Random(f"{seed}:{name}")
     special = [0.0, 1e-9, -1e-9, q, -q, q - 1e-9, q + 1e-9, 2 * q, -2 * q, 2 * q - 1e-12]
     two_pi = 2.0 * tbl.pi
+    width = 2.0 * two_pi  # two_pi - (-two_pi), exact: doubling
+    draw = rng.random
     samples = special if arity == 1 else list(zip(special, reversed(special)))
-    draws = iter([rng.uniform(-two_pi, two_pi) for _ in range(arity * (n - len(samples)))])
+    # random.uniform(-two_pi, two_pi) is -two_pi + width * random(), written out
+    draws = iter([-two_pi + width * draw() for _ in range(arity * (n - len(samples)))])
     samples += draws if arity == 1 else zip(draws, draws)  # a pair takes two draws in turn
     return samples[:n]
 

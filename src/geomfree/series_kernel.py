@@ -39,7 +39,11 @@ that the bound is finite and >= 0; their bounds are so by construction,
 and nothing else may call it (a static audit in the tests checks this).
 CertifiedValue(value, bound) and its arithmetic keep the check, because an
 overflow can make a bound infinite.  Each of +, - and * reads a plain
-number as an exact (value, 0.0) pair and builds its result once.
+number as a (value, bound) pair: a float as exact, an int as float(n) with
+its conversion error, 0 up to 2**53 and half an ulp of float(n) where
+float(n) != n.  The constructor reads an int value the same way.  Each
+operation builds its result once, through the checked constructor called
+as a function.
 
 No platform trigonometric function appears anywhere in this call graph.
 """
@@ -75,6 +79,10 @@ class CertifiedValue(namedtuple("CertifiedValue", "value abs_error_bound")):
     def __new__(cls, value, abs_error_bound):
         if not 0.0 <= abs_error_bound < _INF:  # also false for nan
             raise ValueError("abs_error_bound must be finite and >= 0")
+        if value.__class__ is not float and _is_real(value):  # an int, read as _pair reads it
+            value, err = _pair(value)
+            if err:  # checked again: the sum can overflow
+                return _checked(cls, value, abs_error_bound + err)
         return _new_cv(cls, (value, abs_error_bound))
 
     @classmethod
@@ -82,43 +90,62 @@ class CertifiedValue(namedtuple("CertifiedValue", "value abs_error_bound")):
         return cls(*iterable)
 
     # Interval-style propagation; each operation also accounts for its own
-    # rounding so chained checks stay honest.  A plain int or float is exact;
-    # any other operand is NotImplemented, so Python raises TypeError.
+    # rounding so chained checks stay honest.  A CertifiedValue operand is
+    # unpacked in place; a plain int or float goes through _pair, and any
+    # other operand is NotImplemented, so Python raises TypeError.  Results
+    # are built by the checked __new__ called as a function (_checked).
     def __add__(self, other):
-        w, e = _pair(other)
-        if e is None:
-            return NotImplemented
-        v = self.value + w
-        return CertifiedValue(v, self.abs_error_bound + e + _U * abs(v))
+        if isinstance(other, CertifiedValue):
+            w, e = other
+        else:
+            w, e = _pair(other)
+            if e is None:
+                return NotImplemented
+        v = self[0] + w
+        return _checked(CertifiedValue, v, self[1] + e + _U * abs(v))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CertifiedValue(-self.value, self.abs_error_bound)
+        return _checked(CertifiedValue, -self[0], self[1])
 
     def __sub__(self, other):
+        if isinstance(other, CertifiedValue):
+            w, e = other
+        else:
+            w, e = _pair(other)
+            if e is None:
+                return NotImplemented
+        v = self[0] - w
+        return _checked(CertifiedValue, v, self[1] + e + _U * abs(v))
+
+    def __rsub__(self, other):  # a plain number minus self; two CertifiedValues take __sub__
         w, e = _pair(other)
         if e is None:
             return NotImplemented
-        v = self.value - w
-        return CertifiedValue(v, self.abs_error_bound + e + _U * abs(v))
-
-    def __rsub__(self, other):  # w - v and w + (-v) round alike
-        return self.__neg__().__add__(other)
+        v = w - self[0]  # rounds as w + (-v) does
+        return _checked(CertifiedValue, v, self[1] + e + _U * abs(v))
 
     def __mul__(self, other):
-        w, e = _pair(other)
-        if e is None:
-            return NotImplemented
-        v = self.value * w
-        b = (abs(self.value) * e
-             + abs(w) * self.abs_error_bound
-             + self.abs_error_bound * e
+        if isinstance(other, CertifiedValue):
+            w, e = other
+        else:
+            w, e = _pair(other)
+            if e is None:
+                return NotImplemented
+        sv, se = self
+        v = sv * w
+        b = (abs(sv) * e
+             + abs(w) * se
+             + se * e
              + _U * abs(v)
              + _TINY)  # a product below the normal range loses up to _TINY / 2
-        return CertifiedValue(v, b)
+        return _checked(CertifiedValue, v, b)
 
     __rmul__ = __mul__
+
+
+_checked = CertifiedValue.__new__  # the checked constructor, called without type()'s dispatch
 
 
 def _is_real(x):
@@ -127,10 +154,15 @@ def _is_real(x):
 
 
 def _pair(x):
-    """(value, bound) of a CertifiedValue or a plain number, else (None, None)."""
-    if isinstance(x, CertifiedValue):
-        return x
-    return (float(x), 0.0) if _is_real(x) else (None, None)
+    """(value, bound) of a plain number, else (None, None).
+
+    A float is exact.  An int is float(n), exact up to 2**53; beyond, where
+    float(n) != n, its bound is the conversion error, half an ulp of float(n).
+    """
+    if not _is_real(x):
+        return None, None
+    f = float(x)
+    return f, (0.0 if f == x else 0.5 * math.ulp(f))
 
 
 def ode_coefficients(count):

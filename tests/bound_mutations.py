@@ -1,8 +1,9 @@
 """Which terms of the certified bounds do the tests need?
 
 Drops one bound term at a time on a temporary copy of the package and runs
-tests/test_soundness.py, tests/test_analysis.py and tests/test_series_kernel.py
-on it, without the two digest tests, which catch any change at all.  A drop
+tests/test_soundness.py, tests/test_analysis.py, tests/test_series_kernel.py,
+tests/test_contract.py and tests/test_identities.py on it, without the two
+digest tests, which catch any change at all.  A drop
 that fails a test is "caught"; one that passes every test is "missed": either
 the term is larger than it has to be or the tests lack an input that needs it.
 
@@ -22,7 +23,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 KERNEL = "src/geomfree/series_kernel.py"
 ANALYSIS = "src/geomfree/analysis.py"
-TEST_FILES = ("tests/test_soundness.py", "tests/test_analysis.py", "tests/test_series_kernel.py")
+IDENTITIES = "src/geomfree/identities.py"
+TEST_FILES = ("tests/test_soundness.py", "tests/test_analysis.py", "tests/test_series_kernel.py",
+              "tests/test_contract.py", "tests/test_identities.py")
 DIGEST_TESTS = ("tests/test_soundness.py::test_kernel_outputs_match_the_recorded_digest",
                 "tests/test_soundness.py::test_arcsin_outputs_match_the_recorded_digest")
 
@@ -57,6 +60,27 @@ MUTATIONS = (
     ("arcsin: 3u comp/|x|", ANALYSIS, " + 3.0 * _U * comp / ax", ""),
     ("arcsin: reflected u |y|", ANALYSIS, " + _U * y) * (1.0 + 2.0 ** -50)",
      ") * (1.0 + 2.0 ** -50)"),
+    ("sum: e", KERNEL, "v = self[0] + w\n        return _checked(CertifiedValue, v, self[1] + e + _U",
+     "v = self[0] + w\n        return _checked(CertifiedValue, v, self[1] + _U"),
+    ("sum: u |v|", KERNEL, "v = self[0] + w\n        return _checked(CertifiedValue, v, self[1] + e + _U"
+     " * abs(v))", "v = self[0] + w\n        return _checked(CertifiedValue, v, self[1] + e)"),
+    ("difference: e", KERNEL, "v = self[0] - w\n        return _checked(CertifiedValue, v, self[1] + e",
+     "v = self[0] - w\n        return _checked(CertifiedValue, v, self[1]"),
+    ("difference: u |v|", KERNEL, "v = self[0] - w\n        return _checked(CertifiedValue, v, self[1] + e"
+     " + _U * abs(v))", "v = self[0] - w\n        return _checked(CertifiedValue, v, self[1] + e)"),
+    ("reflected difference: e", KERNEL, "v = w - self[0]  # rounds as w + (-v) does\n"
+     "        return _checked(CertifiedValue, v, self[1] + e", "v = w - self[0]\n"
+     "        return _checked(CertifiedValue, v, self[1]"),
+    ("reflected difference: u |v|", KERNEL, "v = w - self[0]  # rounds as w + (-v) does\n"
+     "        return _checked(CertifiedValue, v, self[1] + e + _U * abs(v))",
+     "v = w - self[0]\n        return _checked(CertifiedValue, v, self[1] + e)"),
+    ("product: |sv| e", KERNEL, "b = (abs(sv) * e\n             + abs(w) * se", "b = (abs(w) * se"),
+    ("product: |w| se", KERNEL, "\n             + abs(w) * se\n", "\n"),
+    ("product: se e", KERNEL, "\n             + se * e\n", "\n"),
+    ("product: u |v|", KERNEL, "\n             + _U * abs(v)\n             + _TINY)",
+     "\n             + _TINY)"),
+    ("product: _TINY", KERNEL, "\n             + _TINY)  #", ")  #"),
+    ("_at: u |arg|", IDENTITIES, "bound + (_U * abs(arg) + arg_err)", "bound + arg_err"),
 )
 
 

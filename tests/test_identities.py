@@ -15,6 +15,7 @@ from geomfree.identities import (
     registered_identities,
     solve_sine_cubic,
     special_angles,
+    worst_of,
 )
 from geomfree.series_kernel import CertifiedValue, cos_eval, sin_eval
 
@@ -304,3 +305,22 @@ def test_a_bare_number_for_a_two_argument_identity_is_a_type_error(sample):
     message = f"cosine_sum takes 2 arguments per sample, got {sample!r}"
     with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
         check_identity("cosine_sum", [(0.1, 0.2), sample])
+
+
+def test_worst_of_no_checks_is_a_value_error_that_names_it():
+    with pytest.raises(ValueError, match="^worst_of needs at least one check$"):
+        worst_of([])
+
+
+def test_worst_of_reads_its_checks_once():
+    # the first of two equal largest discrepancies wins, and a failure
+    # after it still fails the result, from a one-pass iterator too
+    checks = check_identity("sine_double_angle", default_samples("sine_double_angle", 40, 3))
+    largest = max(c.discrepancy for c in checks)
+    first = next(i for i, c in enumerate(checks) if c.discrepancy == largest)
+    failed = checks[-1]._replace(passed=False)
+    checks = checks[:first + 1] + [checks[first]._replace(name="later")] + checks[first + 1:-1]
+    for given in (checks + [failed], iter(checks + [failed])):
+        worst = worst_of(given)
+        assert worst == checks[first]._replace(passed=False)
+    assert worst_of(iter(checks)) == checks[first]

@@ -321,6 +321,54 @@ class TestCertifiedValue:
             assert abs(d.value - (a_true - b_true)) <= d.abs_error_bound * (1 + 1e-12)
 
 
+class TestLargeInts:
+    """An int that float() does not hold exactly carries its conversion
+    error, half an ulp of float(n), as an operand and as a constructor value."""
+
+    @staticmethod
+    def _encloses(r, truth):
+        return abs(Fraction(r.value) - truth) <= Fraction(r.abs_error_bound)
+
+    def test_operands_and_values_beyond_2_53_enclose_the_truth(self):
+        rng = random.Random(28)
+        for _ in range(10_000):
+            n = rng.getrandbits(rng.randint(54, 70)) | 1 << 53
+            n = n if rng.random() < 0.5 else -n
+            e = rng.choice((0.0, rng.uniform(0, 1e-12)))
+            cv = CertifiedValue(rng.uniform(-2, 2), e)
+            t = Fraction(cv.value) + Fraction(rng.uniform(-e, e))  # within e of cv.value
+            assert self._encloses(cv + n, t + n)
+            assert self._encloses(n + cv, t + n)
+            assert self._encloses(cv - n, t - n)
+            assert self._encloses(n - cv, n - t)
+            assert self._encloses(cv * n, t * n)
+            assert self._encloses(n * cv, t * n)
+            big = CertifiedValue(n, e)
+            assert self._encloses(big, n)
+            assert self._encloses(big - cv.value, n - Fraction(cv.value))
+
+    @pytest.mark.parametrize("op, a, n", [
+        ("-", 1.2273876683416012, 18014398509481991),
+        ("*", 1.7563669634938592, 1152921504606847403),
+        ("rev-", 1.2273876683416012, 18014398509481991),
+    ])
+    def test_the_recorded_misses_hold(self, op, a, n):
+        if op == "-":
+            r, truth = CertifiedValue(a, 0.0) - n, Fraction(a) - n
+        elif op == "*":
+            r, truth = CertifiedValue(a, 0.0) * n, Fraction(a) * n
+        else:
+            r, truth = CertifiedValue(n, 0.0) - a, n - Fraction(a)
+        assert self._encloses(r, truth)
+
+    def test_an_int_float_holds_is_read_as_that_float(self):
+        for n in (0, 3, -(2 ** 53), 2 ** 53, 2 ** 60, -(2 ** 70)):
+            assert CertifiedValue(n, 0.0) == (float(n), 0.0)
+            assert type(CertifiedValue(n, 0.0).value) is float
+            assert CertifiedValue(1.0, 0.0) * n == CertifiedValue(1.0, 0.0) * float(n)
+        assert CertifiedValue(2 ** 53 + 1, 0.0) == (2.0 ** 53, 1.0)
+
+
 class TestSignOnly:
     def test_sign_only_is_the_sign_until_sign_certifies(self):
         # sign_only builds no Fraction; it must be the sign of the oracle's
