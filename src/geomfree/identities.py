@@ -16,7 +16,7 @@ from fractions import Fraction
 from .constants import shared_table
 from .errors import UnknownIdentity
 from .report import CheckResult
-from .series_kernel import _U, CertifiedValue, _is_real, cos_eval, sin_eval
+from .series_kernel import _U, CertifiedValue, _checked, _is_real, cos_eval, sin_eval
 
 _TOL = 1e-15       # tolerance of every certified evaluation in the suite
 _ISQRT_BITS = 240  # precision of the special angles' exact square roots
@@ -34,7 +34,6 @@ class IdentityCheck(namedtuple("IdentityCheck", "name lhs rhs combined_bound pas
 
 
 _new_check = IdentityCheck.__new__  # called as a function, without type()'s dispatch
-_checked = CertifiedValue.__new__     # the checked constructor, likewise
 
 
 def _compare(name, lhs, rhs, points):

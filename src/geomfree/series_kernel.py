@@ -95,12 +95,9 @@ class CertifiedValue(namedtuple("CertifiedValue", "value abs_error_bound")):
     # other operand is NotImplemented, so Python raises TypeError.  Results
     # are built by the checked __new__ called as a function (_checked).
     def __add__(self, other):
-        if isinstance(other, CertifiedValue):
-            w, e = other
-        else:
-            w, e = _pair(other)
-            if e is None:
-                return NotImplemented
+        w, e = other if isinstance(other, CertifiedValue) else _pair(other)
+        if e is None:
+            return NotImplemented
         v = self[0] + w
         return _checked(CertifiedValue, v, self[1] + e + _U * abs(v))
 
@@ -110,12 +107,9 @@ class CertifiedValue(namedtuple("CertifiedValue", "value abs_error_bound")):
         return _checked(CertifiedValue, -self[0], self[1])
 
     def __sub__(self, other):
-        if isinstance(other, CertifiedValue):
-            w, e = other
-        else:
-            w, e = _pair(other)
-            if e is None:
-                return NotImplemented
+        w, e = other if isinstance(other, CertifiedValue) else _pair(other)
+        if e is None:
+            return NotImplemented
         v = self[0] - w
         return _checked(CertifiedValue, v, self[1] + e + _U * abs(v))
 
@@ -127,12 +121,9 @@ class CertifiedValue(namedtuple("CertifiedValue", "value abs_error_bound")):
         return _checked(CertifiedValue, v, self[1] + e + _U * abs(v))
 
     def __mul__(self, other):
-        if isinstance(other, CertifiedValue):
-            w, e = other
-        else:
-            w, e = _pair(other)
-            if e is None:
-                return NotImplemented
+        w, e = other if isinstance(other, CertifiedValue) else _pair(other)
+        if e is None:
+            return NotImplemented
         sv, se = self
         v = sv * w
         b = (abs(sv) * e
