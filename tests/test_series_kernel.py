@@ -320,6 +320,18 @@ class TestCertifiedValue:
             d = a - b
             assert abs(d.value - (a_true - b_true)) <= d.abs_error_bound * (1 + 1e-12)
 
+    def test_product_bound_holds_at_the_corners_of_wide_intervals(self):
+        # errors as large as the values, so the product of the two errors
+        # counts; eighths in [-2, 2] keep every product and sum exact
+        rng = random.Random(28)
+        for _ in range(500):
+            a, b = (CertifiedValue(rng.randint(-16, 16) / 8, rng.randint(1, 16) / 8)
+                    for _ in range(2))
+            p = a * b
+            for ta in (a.value - a.abs_error_bound, a.value + a.abs_error_bound):
+                for tb in (b.value - b.abs_error_bound, b.value + b.abs_error_bound):
+                    assert abs(p.value - ta * tb) <= p.abs_error_bound
+
 
 class TestLargeInts:
     """An int that float() does not hold exactly carries its conversion
