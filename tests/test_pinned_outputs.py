@@ -1,5 +1,6 @@
-"""Bit identity of the ODE oracle, the quadratures, the identity suite's
-exact parts, the numeric identity checks, the exact verifiers, certified
+"""Bit identity of the ODE oracle, the quadratures (arcsin's also at +-0
+and at the edge between one piece and two), the identity suite's exact
+parts, the numeric identity checks, the exact verifiers, certified
 arithmetic and the CLI's eval, constants and integrate output.
 
 Each group is hashed from the repr of its results (repr of a float or a
@@ -12,6 +13,7 @@ must leave it alone.
 import contextlib
 import hashlib
 import io
+import math
 import random
 
 import pytest
@@ -39,6 +41,14 @@ def _quadrature():
     out += [tuple(arc_length(a, b, tol)) for a, b in ((-0.5, 0.8), (0.71, 1.0), (-1.0, 1.0))
             for tol in (1e-5, 1e-10, 2e-15)]
     return out
+
+
+def _quadrature_edges():
+    # +-0.0, and fl(sqrt(1/2)) and the next double up: the last x integrated
+    # as one piece and the first split into two
+    edge = 0.7071067811865476
+    xs = [s * x for x in (0.0, edge, math.nextafter(edge, 1.0)) for s in (1.0, -1.0)]
+    return [tuple(arcsin_quadrature(x, tol)) for x in xs for tol in QUAD_TOLS]
 
 
 def _identities():
@@ -95,6 +105,8 @@ def _cli():
 GROUPS = {  # name -> (results, sha256 of their repr)
     "ode": (_ode, "7ba44210ba2d629b2c8a1bc7d930da25b6894b9f1962bf8049e1b478f67d4d66"),
     "quadrature": (_quadrature, "89b8edca553c674fb3a962731444b0603f59e26876367d8ca2fa1b0812fb7993"),
+    "quadrature_edges": (_quadrature_edges,
+                         "95f9f8ee5c202f265976e65321ae8fe47ebcc30c00bc8c6e21f2e60148b7cc6a"),
     "identities": (_identities, "070d7bc9813c23c6a751524ad5e057c1ef13d35977da3614c1d624df132eda4a"),
     "identity_checks": (_identity_checks,
                         "473a2e99937ed37e86d644c4a83684c2cefe6526ee9553c8b93f93079aa55615"),

@@ -282,6 +282,40 @@ def _cosine_row_zero_cases():
     return cases
 
 
+def _reduced_constant_row_cases():
+    """(evaluate, truth, shift, x) for about 1,000 seeded x = k*Q + r, k
+    log-uniform up to 6.3e7 (odd for sin_eval, even for cos_eval, so the
+    cosine series runs), |r| log-uniform in [2**-60, 2**-27] at either sign,
+    so that z mostly lies in cosine's constant row, and both signs of x."""
+    rng = random.Random(20261020)
+    q = shared_table().q_exact
+    cases = []
+    for evaluate, truth_fn, shift, parity in ((sin_eval, mpmath.sin, 0, 1),
+                                              (cos_eval, mpmath.cos, 1, 0)):
+        for _ in range(250):
+            k = int(math.exp(rng.uniform(0.0, math.log(6.3e7))))
+            k += (k - parity) % 2
+            r = math.copysign(2.0 ** rng.uniform(-60.0, -27.0), rng.choice((1.0, -1.0)))
+            x = float(k * q + Fraction(r))
+            cases += [(evaluate, truth_fn, shift, x), (evaluate, truth_fn, shift, -x)]
+    return cases
+
+
+def test_reduced_constant_row_matches_the_restated_kernel():
+    # _restated_eval keeps cosine's constant row, z <= 2**-54 giving (1, row 0's
+    # bound) before two_prod, as the reference for the reduced path at every k
+    cases = _reduced_constant_row_cases()
+    taken = 0
+    for evaluate, truth_fn, shift, x in cases:
+        cv = evaluate(x, 1e-15)
+        assert (cv.value, cv.abs_error_bound) == _restated_eval(x, shift), x
+        assert abs(cv.value) == 1.0, x
+        assert _excess(evaluate, truth_fn, x, 1e-15) <= 0, x
+        r = _reduced(x, shift)[0]
+        taken += r * r <= series_kernel._COS_Z_ONE
+    assert taken >= 0.9 * len(cases)  # most points reach the constant row
+
+
 def test_inline_two_sum_matches_the_library_two_sum_bit_for_bit():
     # the kernel writes Knuth's TwoSum out; _cosine_row_zero restates the reduction
     # with doubledouble.two_sum, so equal values and bounds pin r, r_lo and
