@@ -10,10 +10,12 @@ substitution u = sqrt(1 - t^2) past the sqrt(2)/2 split.
 The iteration starts from the half-angle series and takes two Halley
 steps on floats in one frame: the first from the value-only sine series,
 the second from one certified sin_eval, whose bound, carried through that
-step, bounds the result a posteriori (see arcsin_newton).  The
-quadrature's est_error adds a roundoff floor to the Richardson estimate,
-and its tolerance stops at 1e-15.  The ODE oracle integrates f'' = -f
-with classical RK4 and tracks the conserved quantity f^2 + f'^2.
+step, bounds the result a posteriori (see arcsin_newton).  Both circle
+integrals, arcsin's and the quarter-circle area, are lists of pieces
+(f, a, b) for one adaptive Simpson driver, _integrate, whose est_error
+adds a roundoff floor to the Richardson estimate; tol stops at 1e-15.
+The ODE oracle integrates f'' = -f with classical RK4 and tracks the
+conserved quantity f^2 + f'^2.
 """
 
 import math
@@ -152,62 +154,54 @@ def arcsin_newton(x, tol):
     return _new_cv(CertifiedValue, (math.copysign(y, x), bound))  # y >= 0
 
 
-class _Counter:
-    __slots__ = ("n", "depth")
+def _integrate(pieces, tol):
+    """The sum of the integrals of f over [a, b] for the pieces (f, a, b),
+    each by adaptive Simpson with Richardson correction (Lyness, J. ACM
+    16(3), 1969) to tol / len(pieces).
 
-    def __init__(self):
-        self.n = 0
-        self.depth = 0  # deepest accepted panel
-
-
-def _quad_result(value, est, counter):
-    """The QuadratureResult with a roundoff floor added to est_error.
-
-    An integrand value is within 4.5u (the roundings under the square root,
-    the root, the division, and u*u in the area's outer piece), a panel's
-    weighted sum and its Richardson correction add 7u, the tail's endpoint
-    sqrt(1 - x^2) 2.5u, and every level of pairwise sums, head + tail
-    included, u.  All the integrands are positive, so the rounding is at
-    most (14 + depth) u |value|.
+    A panel is accepted once |S2 - S1| <= 15 tol or at _MAX_DEPTH (the
+    integrands here are regular, so the cap never binds at the tolerances
+    accepted); a NaN stops it at once.  est_error is the sum of |S2 - S1|/15
+    over the accepted panels plus a roundoff floor.  An integrand value is
+    within 4.5u (the roundings under the square root, the root, the
+    division, and u*u in the area's outer piece), a panel's weighted sum and
+    its Richardson correction add 7u, the tail's endpoint sqrt(1 - x^2)
+    2.5u, and every level of pairwise sums, the sum of the pieces included,
+    u.  The integrands are positive and the pieces of a call run the same
+    way, so every panel has the sign of the value and the rounding is at
+    most (14 + depth) u |value|, depth that of the deepest accepted panel.
     """
-    floor = (14 + counter.depth) * _U * abs(value)
-    return QuadratureResult(value, est + floor, max(counter.n, 1))
+    evaluations = deepest = 0
 
-
-def _adaptive_simpson(f, a, b, tol, counter):
-    """Standard adaptive Simpson with Richardson correction.
-
-    Returns (value, est_error); est_error accumulates |S2 - S1|/15 over
-    accepted panels, and counter.depth records the deepest of them.
-    Recursion depth is capped; the integrands here are regular, so the cap
-    is never the binding constraint at the tolerances accepted.
-    """
-    def recurse(a, fa, m, fm, b, fb, whole, tol, depth):
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm = f(lm)
-        frm = f(rm)
-        counter.n += 2
+    def panel(f, a, fa, m, fm, b, fb, whole, tol, depth):
+        nonlocal evaluations, deepest
+        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+        flm, frm = f(lm), f(rm)
+        evaluations += 2
         left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
         right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         delta = left + right - whole
         if depth >= _MAX_DEPTH or not abs(delta) > 15.0 * tol:  # a NaN delta stops at once
-            if depth > counter.depth:
-                counter.depth = depth
+            if depth > deepest:
+                deepest = depth
             return left + right + delta / 15.0, abs(delta) / 15.0
-        lv, le = recurse(a, fa, lm, flm, m, fm, left, tol / 2.0, depth + 1)
-        rv, re = recurse(m, fm, rm, frm, b, fb, right, tol / 2.0, depth + 1)
+        lv, le = panel(f, a, fa, lm, flm, m, fm, left, tol / 2.0, depth + 1)
+        rv, re = panel(f, m, fm, rm, frm, b, fb, right, tol / 2.0, depth + 1)
         return lv + rv, le + re
 
-    if a == b:
-        return 0.0, 0.0
-    fa = f(a)
-    fb = f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    counter.n += 3
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return recurse(a, fa, m, fm, b, fb, whole, tol, 0)
+    tol /= len(pieces)
+    value, est = -0.0, 0.0  # -0.0 + v is v, even for v = -0.0
+    for f, a, b in pieces:
+        if a == b:  # an empty piece: b - a is a zero with the sign of its direction
+            value += b - a
+            continue
+        m = 0.5 * (a + b)
+        fa, fm, fb = f(a), f(m), f(b)
+        evaluations += 3
+        v, e = panel(f, a, fa, m, fm, b, fb, (b - a) / 6.0 * (fa + 4.0 * fm + fb), tol, 0)
+        value += v
+        est += e
+    return QuadratureResult(value, est + (14 + deepest) * _U * abs(value), max(evaluations, 1))
 
 
 def _recip_circle(t):
@@ -220,23 +214,21 @@ def arcsin_quadrature(x, tol=1e-10):
     Past the sqrt(2)/2 split the tail integral is transformed by
     u = sqrt(1 - t^2), which maps it onto the regular head interval and
     removes the endpoint singularity; x = +-1 is therefore an ordinary
-    evaluation, reproducing +-pi/2.  Raises InvalidTolerance for tol below
-    1e-15, where the rounding of the sums outgrows the truncation error.
+    evaluation, reproducing +-pi/2.  The integrand is even, so a negative x
+    integrates the mirrored pieces, which gives the negated value bit for
+    bit.  Raises InvalidTolerance for tol below 1e-15, where the rounding of
+    the sums outgrows the truncation error.
     """
     _check_tol_floor(tol, _MIN_QUAD_TOL, "quadrature")
     x = float(x)
     _check_unit_interval(x)
-    sign = math.copysign(1.0, x)
-    ax = abs(x)
-    counter = _Counter()
-    if ax <= _SQRT_HALF:
-        value, est = _adaptive_simpson(_recip_circle, 0.0, ax, tol, counter)
+    if abs(x) <= _SQRT_HALF:
+        pieces = [(_recip_circle, 0.0, x)]
     else:
-        head, e1 = _adaptive_simpson(_recip_circle, 0.0, _SQRT_HALF, tol / 2.0, counter)
-        u_b = _comp_sqrt(ax)
-        tail, e2 = _adaptive_simpson(_recip_circle, u_b, _SQRT_HALF, tol / 2.0, counter)
-        value, est = head + tail, e1 + e2
-    return _quad_result(sign * value, est, counter)
+        split = math.copysign(_SQRT_HALF, x)
+        pieces = [(_recip_circle, 0.0, split),
+                  (_recip_circle, math.copysign(_comp_sqrt(x), x), split)]
+    return _integrate(pieces, tol)
 
 
 def quarter_circle_area(tol=1e-10):
@@ -246,14 +238,8 @@ def quarter_circle_area(tol=1e-10):
     the regular integral of u^2/sqrt(1 - u^2) over [0, sqrt(2)/2].
     """
     _check_tol_floor(tol, _MIN_QUAD_TOL, "quadrature")
-    counter = _Counter()
-
-    def outer(u):
-        return u * u / _comp_sqrt(u)
-
-    head, e1 = _adaptive_simpson(_comp_sqrt, 0.0, _SQRT_HALF, tol / 2.0, counter)
-    tail, e2 = _adaptive_simpson(outer, 0.0, _SQRT_HALF, tol / 2.0, counter)
-    return _quad_result(head + tail, e1 + e2, counter)
+    return _integrate([(_comp_sqrt, 0.0, _SQRT_HALF),
+                       (lambda u: u * u / _comp_sqrt(u), 0.0, _SQRT_HALF)], tol)
 
 
 def arcsin_derivative_check(grid, h):
