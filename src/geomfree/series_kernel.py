@@ -3,12 +3,12 @@
 Evaluation pipeline:
 
 0. Tolerance, then tiny arguments.  A valid tol costs one comparison; a bad
-   one goes to _check_tol, which raises.  For |x| <= 2**-27, where fl(x*x)
-   reaches cosine's constant row, sin x = x and cos x = 1 with row 0's bound
-   (for cosine a constant, and the result one CertifiedValue built at
-   import), returned before the domain test and before the reduction
-   constants (and so the shared table) are read.  Only then is x tested
-   against the domain, |x| <= 1e8 and finite.
+   one goes to _check_tol, which raises.  For |x| <= 2**-27, where
+   fl(x*x) <= 2**-54 and cosine's row 0 rounds to 1, sin x = x and cos x = 1
+   with row 0's bound (for cosine a constant, and the result one
+   CertifiedValue built at import), returned before the domain test and
+   before the reduction constants (and so the shared table) are read.  Only
+   then is x tested against the domain, |x| <= 1e8 and finite.
 1. Reduce mod Q.  |x| below Q/2 is used as is (k = 0).  Otherwise k is the
    integer nearest |x|/Q and r = |x| - kQ comes from a Cody-Waite split of
    the certified Q into Q1 + Q2 + Q3 (27, 27 and 53 bits), carried as a
@@ -22,10 +22,9 @@ Evaluation pipeline:
    applied last, so sin(-x) == -sin(x) bit for bit.
 3. Evaluate in floats, straight-line: a Horner polynomial in z = r_hi**2 of
    degree 17 (sine) or 16 (cosine), or only the leading part where the rest
-   is below 2**-54 of it, by the degree table derived at import; cosine is 1,
-   with no two_prod, where z <= 2**-54.  Only the leading part is error-free
-   (cosine's 1 - z/2 through two_prod and Fast2Sum); r_lo enters as a
-   first-order correction.
+   is below 2**-54 of it, by the degree table derived at import.  Only the
+   leading part is error-free (cosine's 1 - z/2 through two_prod and
+   Fast2Sum); r_lo enters as a first-order correction.
 4. Bound.  The returned CertifiedValue's absolute bound is the row's
    truncation constant + the derived Horner rounding + the reduction error
    (k times the certified error of Q1 + Q2 + Q3, plus its roundings) + one
@@ -268,7 +267,7 @@ _ODE = ode_coefficients(20)  # c_(2n+1) = (-1)**n / (2n+1)!; cosine's are (2n+1)
 _COS_A = [(2 * n + 1) * _ODE[2 * n + 1] for n in range(10)]
 _SIN_TABLE = _degree_table([_ODE[2 * n + 1] for n in range(10)], 1)
 _COS_TABLE = _degree_table(_COS_A, 2)
-_COS_Z_ONE = float(Fraction(_HALF_U) / 2 / abs(_COS_A[1]))  # cosine's constant row: |a_1| z <= 2**-55
+_COS_Z_ONE = float(Fraction(_HALF_U) / 2 / abs(_COS_A[1]))  # cosine's row 0 is 1: |a_1| z <= 2**-55
 
 # Error bound of the evaluator that _kernel builds, sin_eval and cos_eval.
 # u = 2**-53, gamma_n = nu/(1 - nu).  |r| <= 0.7854 (k is nearest |x|/Q up to
@@ -285,16 +284,16 @@ _COS_Z_ONE = float(Fraction(_HALF_U) / 2 / abs(_COS_A[1]))  # cosine's constant 
 #   (z z) q, q loses 0.067, the products gamma_4 |q| <= 0.167 (z = r**2 - zl,
 #   |zl| <= u z), the sum with the low parts u|tail| <= 0.042: H = 0.28.
 # - Row 0 has no tail, H = 0; its sine is r, which is r_hi + r_lo rounded.
-# - Cosine's constant row, z <= 2**-54, returns 1 before two_prod, as row 0
-#   would: there h <= 2**-55 gives lead = 1 - h = 1, and low = -h - zl/2 - r_lo r
-#   (|zl| <= u z, |r_lo| <= u|r|) has |low| < 2**-54, so fl(lead + low) = 1.
-#   Its bound is row 0's, term for term.
+# - Cosine's row 0 gives 1 where z <= _COS_Z_ONE = 2**-54: there h <= 2**-55
+#   gives lead = 1 - h = 1, and low = -h - zl/2 - r_lo r (|zl| <= u z,
+#   |r_lo| <= u|r|) has |low| < 2**-54, so fl(lead + low) = 1.  The tiny row
+#   below returns that 1 without running the row; a reduced r runs it.
 # - The tiny row, |x| <= _ROW0_EDGE, runs right after the tolerance test and
 #   before the domain test and the reduction: a tiny x is finite and in range,
 #   and nan and +-inf fail the row's test and go on to the domain test.  There
 #   k = 0, r = |x|, r_lo = 0 and the reduction error is 0, and z = fl(x*x) <=
-#   _COS_Z_ONE < _SIN_Z0, so sine is in row 0 (value x) and cosine in its
-#   constant row (value 1).  Its bound is row 0's, term for term: the two terms
+#   _COS_Z_ONE < _SIN_Z0, so sine is in row 0 (value x) and cosine's row 0
+#   gives 1 (above).  Its bound is row 0's, term for term: the two terms
 #   it leaves out, c_lo |r_lo| and the reduction error, are +0.0, and adding
 #   +0.0 to a float >= 0 is exact.  x = +-0.0 keeps the exact (x or 1, 0).
 #   Cosine's is the constant _COS_TINY: with z <= 2**-54 and _COS_K0 < 2**-4.58,
@@ -380,21 +379,18 @@ def _kernel(shift):
             red_err += _U * (ap + abs(lo))  # the two roundings, on k k_err
         z = r * r
         if use_cos:
-            if z <= _COS_Z_ONE:  # row 0 would round to 1 here (bound comment)
-                val, k = 1.0, _COS_K0
+            z, zl = two_prod(r, r)
+            h = 0.5 * z
+            lead = 1.0 - h
+            # Fast2Sum's exact error of 1 - h first
+            low = ((1.0 - lead) - h - 0.5 * zl) - r_lo * r
+            if z <= _COS_Z0:
+                val, k = lead + low, _COS_K0
             else:
-                z, zl = two_prod(r, r)
-                h = 0.5 * z
-                lead = 1.0 - h
-                # Fast2Sum's exact error of 1 - h first
-                low = ((1.0 - lead) - h - 0.5 * zl) - r_lo * r
-                if z <= _COS_Z0:
-                    val, k = lead + low, _COS_K0
-                else:
-                    val = lead + (low + z * z * (1 / 24 + z * (-1 / 720 + z * (1 / 40320 + z * (
-                        -1 / 3628800 + z * (1 / 479001600 + z * (-1 / 87178291200
-                                                                 + z * (1 / 20922789888000))))))))
-                    k = _COS_K
+                val = lead + (low + z * z * (1 / 24 + z * (-1 / 720 + z * (1 / 40320 + z * (
+                    -1 / 3628800 + z * (1 / 479001600 + z * (-1 / 87178291200
+                                                             + z * (1 / 20922789888000))))))))
+                k = _COS_K
             m, c_lo = z, 0.081
         else:
             if z <= _SIN_Z0:
