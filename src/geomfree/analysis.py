@@ -155,21 +155,21 @@ def arcsin_newton(x, tol):
 
 
 def _integrate(pieces, tol):
-    """The sum of the integrals of f over [a, b] for the pieces (f, a, b),
-    each by adaptive Simpson with Richardson correction (Lyness, J. ACM
-    16(3), 1969) to tol / len(pieces).
+    """The sum over the pieces (f, a, b) of the integral of f from a to b, each
+    by adaptive Simpson with Richardson correction (Lyness, J. ACM 16(3),
+    1969) to tol / len(pieces).  A panel is accepted once |S2 - S1| <= 15 tol
+    or at _MAX_DEPTH (the integrands here are regular, so the cap never binds
+    at the tolerances accepted); a NaN stops it at once.
 
-    A panel is accepted once |S2 - S1| <= 15 tol or at _MAX_DEPTH (the
-    integrands here are regular, so the cap never binds at the tolerances
-    accepted); a NaN stops it at once.  est_error is the sum of |S2 - S1|/15
-    over the accepted panels plus a roundoff floor.  An integrand value is
-    within 4.5u (the roundings under the square root, the root, the
-    division, and u*u in the area's outer piece), a panel's weighted sum and
-    its Richardson correction add 7u, the tail's endpoint sqrt(1 - x^2)
-    2.5u, and every level of pairwise sums, the sum of the pieces included,
-    u.  The integrands are positive and the pieces of a call run the same
-    way, so every panel has the sign of the value and the rounding is at
-    most (14 + depth) u |value|, depth that of the deepest accepted panel.
+    est_error sums |S2 - S1|/15 over the accepted panels and adds a roundoff
+    floor.  An integrand value is within 4.5u (the roundings under the
+    square root, the root, the division, and u*u in the area's outer piece),
+    a panel's weighted sum and its Richardson correction add 7u, the tail's
+    endpoint sqrt(1 - x^2) 2.5u, and every level of pairwise sums, the sum
+    of the pieces included, u.  The integrands are positive and the pieces
+    of a call run the same way, so every panel has the sign of the value and
+    the rounding is at most (14 + depth) u |value|, depth that of the
+    deepest accepted panel.
     """
     evaluations = deepest = 0
 
@@ -182,8 +182,7 @@ def _integrate(pieces, tol):
         right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         delta = left + right - whole
         if depth >= _MAX_DEPTH or not abs(delta) > 15.0 * tol:  # a NaN delta stops at once
-            if depth > deepest:
-                deepest = depth
+            deepest = max(deepest, depth)
             return left + right + delta / 15.0, abs(delta) / 15.0
         lv, le = panel(f, a, fa, lm, flm, m, fm, left, tol / 2.0, depth + 1)
         rv, re = panel(f, m, fm, rm, frm, b, fb, right, tol / 2.0, depth + 1)
@@ -192,13 +191,12 @@ def _integrate(pieces, tol):
     tol /= len(pieces)
     value, est = -0.0, 0.0  # -0.0 + v is v, even for v = -0.0
     for f, a, b in pieces:
-        if a == b:  # an empty piece: b - a is a zero with the sign of its direction
-            value += b - a
-            continue
-        m = 0.5 * (a + b)
-        fa, fm, fb = f(a), f(m), f(b)
-        evaluations += 3
-        v, e = panel(f, a, fa, m, fm, b, fb, (b - a) / 6.0 * (fa + 4.0 * fm + fb), tol, 0)
+        v, e = b - a, 0.0  # an empty piece: a zero with the sign of its direction
+        if a != b:
+            m = 0.5 * (a + b)
+            fa, fm, fb = f(a), f(m), f(b)
+            evaluations += 3
+            v, e = panel(f, a, fa, m, fm, b, fb, (b - a) / 6.0 * (fa + 4.0 * fm + fb), tol, 0)
         value += v
         est += e
     return QuadratureResult(value, est + (14 + deepest) * _U * abs(value), max(evaluations, 1))
@@ -214,10 +212,10 @@ def arcsin_quadrature(x, tol=1e-10):
     Past the sqrt(2)/2 split the tail integral is transformed by
     u = sqrt(1 - t^2), which maps it onto the regular head interval and
     removes the endpoint singularity; x = +-1 is therefore an ordinary
-    evaluation, reproducing +-pi/2.  The integrand is even, so a negative x
-    integrates the mirrored pieces, which gives the negated value bit for
-    bit.  Raises InvalidTolerance for tol below 1e-15, where the rounding of
-    the sums outgrows the truncation error.
+    evaluation, reproducing +-pi/2.  For x < 0 the pieces of the even
+    integrand are mirrored, which negates the value bit for bit.  Raises
+    InvalidTolerance for tol below 1e-15, where the rounding of the sums
+    outgrows the truncation error.
     """
     _check_tol_floor(tol, _MIN_QUAD_TOL, "quadrature")
     x = float(x)
