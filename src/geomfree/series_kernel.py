@@ -33,16 +33,17 @@ Evaluation pipeline:
 sin_eval and cos_eval are one evaluator, built twice by _kernel(shift) with
 the shift as a closure variable, so a call runs in one frame.  It and
 analysis.arcsin_newton build their results with the trusted
-constructor _new_cv(CertifiedValue, (value, bound)), which skips the check
-that the bound is finite and >= 0; their bounds are so by construction,
-and nothing else may call it (a static audit in the tests checks this).
-CertifiedValue(value, bound) and its arithmetic keep the check, because an
-overflow can make a bound infinite.  Each of +, - and * reads a plain
+constructor _new_cv(CertifiedValue, (value, bound)), which skips the checks
+of the value and the bound; their values are finite floats and their bounds
+finite and >= 0 by construction, and nothing else may call it (a static
+audit in the tests checks this).  CertifiedValue(value, bound) and its
+arithmetic keep the checks, because an overflow can make a bound infinite.  Each of +, - and * reads a plain
 number as a (value, bound) pair: a float as exact, an int as float(n) with
 its conversion error, 0 up to 2**53 and half an ulp of float(n) where
-float(n) != n.  The constructor reads an int value the same way.  Each
-operation builds its result once, through the checked constructor called
-as a function.
+float(n) != n.  The constructor reads an int value the same way, raises
+TypeError for any other kind of value, a bool included, and ValueError for
+an infinite or nan one.  Each operation builds its result once, through the
+checked constructor called as a function.
 
 No platform trigonometric function appears anywhere in this call graph.
 """
@@ -78,10 +79,15 @@ class CertifiedValue(namedtuple("CertifiedValue", "value abs_error_bound")):
     def __new__(cls, value, abs_error_bound):
         if not 0.0 <= abs_error_bound < _INF:  # also false for nan
             raise ValueError("abs_error_bound must be finite and >= 0")
-        if value.__class__ is not float and _is_real(value):  # an int, read as _pair reads it
-            value, err = _pair(value)
+        if value.__class__ is not float:  # an int, read as _pair reads it; no other kind
+            f, err = _pair(value)
+            if err is None:
+                raise TypeError(f"value must be an int or a float, got {value!r}")
             if err:  # checked again: the sum can overflow
-                return _checked(cls, value, abs_error_bound + err)
+                return _checked(cls, f, abs_error_bound + err)
+            value = f
+        if value - value != 0.0:  # nan for +-inf and nan, 0.0 for every finite float
+            raise ValueError(f"value must be finite, got {value!r}")
         return _new_cv(cls, (value, abs_error_bound))
 
     @classmethod

@@ -304,6 +304,26 @@ class TestCertifiedValue:
         for bound in (0.0, -0.0, 5e-324):
             assert CertifiedValue(1.0, bound).abs_error_bound == bound
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_invariant_rejects_a_value_that_is_not_finite(self, value):
+        for bound in (0.0, 1.0):
+            with pytest.raises(ValueError, match="^value must be finite"):
+                CertifiedValue(value, bound)
+        with pytest.raises(ValueError, match="^value must be finite"):
+            CertifiedValue(1.0, 0.0)._replace(value=value)
+
+    @pytest.mark.parametrize("value", [True, False, "a", None, Fraction(1, 3), 1j])
+    def test_invariant_rejects_a_value_that_is_not_an_int_or_a_float(self, value):
+        with pytest.raises(TypeError, match="^value must be an int or a float"):
+            CertifiedValue(value, 0.0)
+        with pytest.raises(TypeError, match="^value must be an int or a float"):
+            CertifiedValue(1.0, 0.0)._replace(value=value)
+
+    def test_invariant_keeps_the_bound_check_on_replace(self):
+        with pytest.raises(ValueError, match="^abs_error_bound"):
+            CertifiedValue(1.0, 0.0)._replace(abs_error_bound=math.inf)
+        assert CertifiedValue(1.0, 0.0)._replace(value=2, abs_error_bound=0.5) == (2.0, 0.5)
+
     def test_arithmetic_propagation_encloses_truth(self):
         rng = random.Random(15)
         for _ in range(200):
