@@ -11,9 +11,9 @@ The iteration starts from the half-angle series and takes two Halley
 steps on floats in one frame: the first from the value-only sine series,
 the second from one certified sin_eval, whose bound, carried through that
 step, bounds the result a posteriori (see arcsin_newton).  Both circle
-integrals, arcsin's and the quarter-circle area, are lists of pieces
-(f, a, b) for one adaptive Simpson driver, _integrate, whose est_error
-adds a roundoff floor to the Richardson estimate; tol stops at 1e-15.
+integrals are lists of pieces (f, a, b) for one adaptive Simpson driver,
+_integrate, which adds a roundoff floor to the Richardson estimate; its
+tol stops at 1e-15.
 The ODE oracle integrates f'' = -f with classical RK4 and tracks the
 conserved quantity f^2 + f'^2.
 """

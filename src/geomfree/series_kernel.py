@@ -37,13 +37,14 @@ constructor _new_cv(CertifiedValue, (value, bound)), which skips the checks
 of the value and the bound; their values are finite floats and their bounds
 finite and >= 0 by construction, and nothing else may call it (a static
 audit in the tests checks this).  CertifiedValue(value, bound) and its
-arithmetic keep the checks, because an overflow can make a bound infinite.  Each of +, - and * reads a plain
-number as a (value, bound) pair: a float as exact, an int as float(n) with
-its conversion error, 0 up to 2**53 and half an ulp of float(n) where
-float(n) != n.  The constructor reads an int value the same way, raises
-TypeError for any other kind of value, a bool included, and ValueError for
-an infinite or nan one.  Each operation builds its result once, through the
-checked constructor called as a function.
+arithmetic keep the checks, because an overflow can make a bound infinite.
+Each of +, - and * reads a plain number as a (value, bound) pair: a float
+as exact, an int as float(n) with its conversion error, 0 up to 2**53 and
+half an ulp of float(n) where float(n) != n.  The constructor reads an
+int value the same way, raises TypeError for any other kind of value, a
+bool included, and ValueError for an infinite or nan one.  Each operation
+builds its result once, through the checked constructor called as a
+function.
 
 No platform trigonometric function appears anywhere in this call graph.
 """
@@ -383,7 +384,6 @@ def _kernel(shift):
             v = r - s
             r_lo = (s - (r - v)) + (lo - v)
             red_err += _U * (ap + abs(lo))  # the two roundings, on k k_err
-        z = r * r
         if use_cos:
             z, zl = two_prod(r, r)
             h = 0.5 * z
@@ -399,6 +399,7 @@ def _kernel(shift):
                 k = _COS_K
             m, c_lo = z, 0.081
         else:
+            z = r * r
             if z <= _SIN_Z0:
                 val, k = r, _SIN_K0
             else:
