@@ -80,7 +80,7 @@ class CertifiedValue(namedtuple("CertifiedValue", "value abs_error_bound")):
     def __new__(cls, value, abs_error_bound):
         if not 0.0 <= abs_error_bound < _INF:  # also false for nan
             raise ValueError("abs_error_bound must be finite and >= 0")
-        if value.__class__ is not float:  # an int, read as _pair reads it; no other kind
+        if value.__class__ is not float:  # an int or a float subclass, read by _pair; no other kind
             f, err = _pair(value)
             if err is None:
                 raise TypeError(f"value must be an int or a float, got {value!r}")
@@ -153,13 +153,14 @@ def _is_real(x):
 def _pair(x):
     """(value, bound) of a plain number, else (None, None).
 
-    A float is exact.  An int is float(n), exact up to 2**53; beyond, where
-    float(n) != n, its bound is the conversion error, half an ulp of float(n).
+    A float is exact, a nan included (there f != x).  An int is float(n),
+    exact up to 2**53; beyond, where float(n) != n, its bound is the
+    conversion error, half an ulp of float(n).
     """
     if not _is_real(x):
         return None, None
     f = float(x)
-    return f, (0.0 if f == x else 0.5 * math.ulp(f))
+    return f, (0.0 if f == x or isinstance(x, float) else 0.5 * math.ulp(f))
 
 
 def ode_coefficients(count):

@@ -286,6 +286,10 @@ class TestExactEvaluatorsAgainstOracle:
                     assert (num > 0) - (num < 0) == (s > 0) - (s < 0)
 
 
+class _Float(float):
+    """A float subclass, which the constructor reads through _pair, as an int."""
+
+
 class TestCertifiedValue:
     def test_invariant_rejects_negative_bound(self):
         with pytest.raises(ValueError):
@@ -304,7 +308,7 @@ class TestCertifiedValue:
         for bound in (0.0, -0.0, 5e-324):
             assert CertifiedValue(1.0, bound).abs_error_bound == bound
 
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, _Float("nan"), _Float("-inf")])
     def test_invariant_rejects_a_value_that_is_not_finite(self, value):
         for bound in (0.0, 1.0):
             with pytest.raises(ValueError, match="^value must be finite"):
@@ -318,11 +322,6 @@ class TestCertifiedValue:
             CertifiedValue(value, 0.0)
         with pytest.raises(TypeError, match="^value must be an int or a float"):
             CertifiedValue(1.0, 0.0)._replace(value=value)
-
-    def test_invariant_keeps_the_bound_check_on_replace(self):
-        with pytest.raises(ValueError, match="^abs_error_bound"):
-            CertifiedValue(1.0, 0.0)._replace(abs_error_bound=math.inf)
-        assert CertifiedValue(1.0, 0.0)._replace(value=2, abs_error_bound=0.5) == (2.0, 0.5)
 
     def test_arithmetic_propagation_encloses_truth(self):
         rng = random.Random(15)
