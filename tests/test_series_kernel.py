@@ -308,7 +308,8 @@ class TestCertifiedValue:
         for bound in (0.0, -0.0, 5e-324):
             assert CertifiedValue(1.0, bound).abs_error_bound == bound
 
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, _Float("nan"), _Float("-inf")])
+    @pytest.mark.parametrize("value",
+                             [math.inf, -math.inf, math.nan, _Float("nan"), _Float("-inf")])
     def test_invariant_rejects_a_value_that_is_not_finite(self, value):
         for bound in (0.0, 1.0):
             with pytest.raises(ValueError, match="^value must be finite"):
