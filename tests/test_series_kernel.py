@@ -287,7 +287,7 @@ class TestExactEvaluatorsAgainstOracle:
 
 
 class _Float(float):
-    """A float subclass, which the constructor reads through _pair, as an int."""
+    """A float subclass: the constructor reads it through _pair, as it reads an int."""
 
 
 class TestCertifiedValue:
