@@ -16,6 +16,10 @@ from . import analysis, bench, constants, exact_series, identities, report, seri
 from .errors import GeomfreeError
 
 
+class _UsageError(GeomfreeError):
+    """A bad argument value, printed by main as its one `error:` line (exit 2)."""
+
+
 def _color_enabled():
     return sys.stdout.isatty() and not os.environ.get("GEOMFREE_NO_COLOR")
 
@@ -58,8 +62,7 @@ def cmd_eval(args):
 
 def cmd_constants(args):
     if not (1 <= args.digits <= 15):
-        print("error: --digits must be between 1 and 15", file=sys.stderr)
-        return 2
+        raise _UsageError("--digits must be between 1 and 15")
     tbl = constants.shared_table()
     d = args.digits
     _emit(args, {
@@ -98,24 +101,18 @@ def exact_checks(degree):
     ]
 
 
-def _numeric_result(name, chk, samples, **detail):
-    """The CheckResult of an IdentityCheck: its verdict, `detail` and its bound."""
-    return report.CheckResult(name=name, kind="numeric", passed=chk.passed,
-                              detail={**detail, "bound": chk.combined_bound}, samples=samples)
-
-
 def numeric_checks(samples, seed):
     checks = []
     for name in identities.registered_identities():
         results = identities.check_identity(
             name, identities.default_samples(name, samples, seed))
         worst = identities.worst_of(results)
-        checks.append(_numeric_result(f"identity_{name}", worst, len(results),
-                                      max_discrepancy=worst.discrepancy,
-                                      worst_sample=worst.sample_points))
+        checks.append(report._numeric_check(f"identity_{name}", worst.passed, worst.discrepancy,
+                                            worst.combined_bound, len(results),
+                                            worst_sample=worst.sample_points))
     per = identities.check_periodicity(samples)
-    checks.append(_numeric_result("periodicity_4q", per, samples,
-                                  max_discrepancy=per.discrepancy))
+    checks.append(report._numeric_check("periodicity_4q", per.passed, per.discrepancy,
+                                        per.combined_bound, samples))
     checks.append(identities._special_angle_check())
     checks.append(identities._sin_q_check())
     return checks
@@ -129,17 +126,14 @@ _SUITES = {  # name -> the suite's checks for the parsed arguments, in report or
 
 def cmd_verify(args):
     if not 0 <= args.degree <= 100:
-        print("error: --degree must be between 0 and 100", file=sys.stderr)
-        return 2
+        raise _UsageError("--degree must be between 0 and 100")
     if not 1 <= args.samples <= 1_000_000:
-        print("error: --samples must be between 1 and 1e6", file=sys.stderr)
-        return 2
+        raise _UsageError("--samples must be between 1 and 1e6")
     # open --out before the suites run, so a bad path costs no work
     try:
         out = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext()
     except OSError as exc:
-        print(f"error: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"cannot write --out {args.out}: {exc.strerror}") from None
     with out as fh:
         checks = [c for name in _SUITES if args.suite in (name, "all") for c in _SUITES[name](args)]
         rep = report.build_report(checks)
@@ -155,27 +149,22 @@ def cmd_verify(args):
 
 # --- integrate ----------------------------------------------------------
 
+_TARGETS = {  # target -> (argument count, usage message, function of (*args, tol))
+    "quarter-circle": (0, "quarter-circle takes no positional arguments",
+                       analysis.quarter_circle_area),
+    "arcsin": (1, "integrate arcsin needs exactly one argument X", analysis.arcsin_quadrature),
+    "arclength": (2, "integrate arclength needs two arguments A B", analysis.arc_length),
+}
+
+
 def cmd_integrate(args):
-    target = args.target
-    vals = args.args
-    if target == "quarter-circle":
-        if vals:
-            print("error: quarter-circle takes no positional arguments", file=sys.stderr)
-            return 2
-        res = analysis.quarter_circle_area(args.tol)
-    elif target == "arcsin":
-        if len(vals) != 1:
-            print("error: integrate arcsin needs exactly one argument X", file=sys.stderr)
-            return 2
-        res = analysis.arcsin_quadrature(vals[0], args.tol)
-    else:  # arclength
-        if len(vals) != 2:
-            print("error: integrate arclength needs two arguments A B", file=sys.stderr)
-            return 2
-        res = analysis.arc_length(vals[0], vals[1], args.tol)
+    count, usage, fn = _TARGETS[args.target]
+    if len(args.args) != count:
+        raise _UsageError(usage)
+    res = fn(*args.args, args.tol)
     _emit(args, {
-        "target": target,
-        "args": vals,
+        "target": args.target,
+        "args": args.args,
         "value": res.value,
         "est_error": res.est_error,
         "evaluations": res.evaluations,
@@ -190,8 +179,7 @@ def cmd_bench(args):
     try:
         records = bench.run_bench(args.n, args.interval, args.seed, functions)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(exc) from None
     _emit(args, [r._asdict() for r in records], [
         f"{r.function:6s} on [{r.interval[0]:.6g}, {r.interval[1]:.6g}] "
         f"n={r.n}  max|err|={r.max_abs_error_vs_platform:.2e}  "
@@ -208,11 +196,16 @@ class _Parser(argparse.ArgumentParser):
 
     argparse's own negative-number pattern has no exponent, so it takes
     -1e-5 for an option.  No option of this CLI looks like a number.
+    Its usage errors are one `error:` line, as main prints every other.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+    def error(self, message):
+        print(f"error: {message}", file=sys.stderr)
+        raise SystemExit(2)
 
 
 def build_parser():
@@ -245,7 +238,7 @@ def build_parser():
     pv.set_defaults(func=cmd_verify)
 
     pi = sub.add_parser("integrate", help="circle integrals and arc length")
-    pi.add_argument("target", choices=["quarter-circle", "arcsin", "arclength"])
+    pi.add_argument("target", choices=list(_TARGETS))
     pi.add_argument("args", type=float, nargs="*")
     pi.add_argument("--tol", type=float, default=1e-10)
     pi.add_argument("--format", choices=["text", "json"], default="text")

@@ -283,13 +283,18 @@ def sine_sum_split(n):
             BiPoly._new(cap, {(2 * n - 2 * i, 2 * i + 1): sign for i in range(n + 1)}))
 
 
-def _residual_detail(residual):
-    """The nonzero coefficient of highest total degree, ties to the highest key."""
+def _residual_check(name, residual):
+    """The exact CheckResult of a residual that must be the zero polynomial.
+
+    A nonzero residual is reported by its coefficient of highest total
+    degree, ties going to the highest key, and that key.
+    """
     if not residual.num:
-        return {"residual": "0", "max_degree_residual": "0"}
+        return CheckResult(name, "exact", True, {"residual": "0", "max_degree_residual": "0"})
     worst = max(residual.num, key=lambda e: (sum(e), e))
     value = str(residual.coefficient(*worst))
-    return {"residual": value, "max_degree_residual": value, "at": str(residual._key(worst))}
+    return CheckResult(name, "exact", False, {"residual": value, "max_degree_residual": value,
+                                              "at": str(residual._key(worst))})
 
 
 def verify_pythagorean(D):
@@ -301,17 +306,9 @@ def verify_pythagorean(D):
     """
     if D < 0:
         raise ValueError("D must be >= 0")
-    s = truncated_sin(D)
-    c = truncated_cos(D)
-    total = cauchy_product(s, s, D) + cauchy_product(c, c, D)
-    residual = total - UniPoly.one(D)
-    return CheckResult(
-        name=f"pythagorean_exact_degree_{D}",
-        kind="exact",
-        passed=not residual.num,
-        detail=_residual_detail(residual),
-        samples=1,
-    )
+    s, c = truncated_sin(D), truncated_cos(D)
+    residual = cauchy_product(s, s, D) + cauchy_product(c, c, D) - UniPoly.one(D)
+    return _residual_check(f"pythagorean_exact_degree_{D}", residual)
 
 
 def _coefficient_recursion_check():
@@ -340,14 +337,7 @@ def verify_sine_sum(D):
     sin_x, cos_x = uni_to_bi(s, 0, D), uni_to_bi(c, 0, D)
     sin_y, cos_y = uni_to_bi(s, 1, D), uni_to_bi(c, 1, D)
     rhs = cauchy_product(sin_x, cos_y, D) + cauchy_product(cos_x, sin_y, D)
-    residual = lhs - rhs
-    return CheckResult(
-        name=f"sine_sum_exact_degree_{D}",
-        kind="exact",
-        passed=not residual.num,
-        detail=_residual_detail(residual),
-        samples=1,
-    )
+    return _residual_check(f"sine_sum_exact_degree_{D}", lhs - rhs)
 
 
 def verify_sine_sum_split(n_max):

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .constants import shared_table
 from .errors import UnknownIdentity
-from .report import CheckResult
+from .report import _numeric_check
 from .series_kernel import _U, CertifiedValue, _checked, _is_real, cos_eval, sin_eval
 
 _TOL = 1e-15       # tolerance of every certified evaluation in the suite
@@ -332,14 +332,7 @@ def _special_angle_check():
         worst = max(worst, abs(e.sin_value - rs), abs(e.cos_value - rc),
                     abs(e.sin_value ** 2 + e.cos_value ** 2 - 1.0) / 2.0)
     bound = 4.0 * _U  # 2 ulp(1)
-    ok = worst <= bound
-    return CheckResult(
-        name="special_angles_table",
-        kind="numeric",
-        passed=ok,
-        detail={"max_discrepancy": worst, "bound": bound},
-        samples=len(table),
-    )
+    return _numeric_check("special_angles_table", worst <= bound, worst, bound, len(table))
 
 
 def _sin_q_check():
@@ -347,10 +340,4 @@ def _sin_q_check():
     cv = sin_eval(tbl.q, 1e-15)
     bound = cv.abs_error_bound + tbl.q_float_err
     disc = abs(cv.value - 1.0)
-    return CheckResult(
-        name="sin_q_equals_one",
-        kind="numeric",
-        passed=disc <= bound,
-        detail={"max_discrepancy": disc, "bound": bound},
-        samples=1,
-    )
+    return _numeric_check("sin_q_equals_one", disc <= bound, disc, bound)

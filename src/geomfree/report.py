@@ -41,6 +41,13 @@ class CheckResult(namedtuple("CheckResult", "name kind passed detail samples")):
         }
 
 
+def _numeric_check(name, passed, max_discrepancy, bound, samples=1, **detail):
+    """A numeric CheckResult whose detail holds its largest discrepancy, the
+    bound it was held to and any further `detail`."""
+    return CheckResult(name, "numeric", passed,
+                       {"max_discrepancy": max_discrepancy, "bound": bound, **detail}, samples)
+
+
 def build_report(checks):
     """Assemble the full report dict from a list of CheckResult."""
     from datetime import datetime, timezone  # deferred: most imports never build a report

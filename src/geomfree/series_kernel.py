@@ -78,17 +78,18 @@ class CertifiedValue(namedtuple("CertifiedValue", "value abs_error_bound")):
     __slots__ = ()
 
     def __new__(cls, value, abs_error_bound):
-        if not 0.0 <= abs_error_bound < _INF:  # also false for nan
-            raise ValueError("abs_error_bound must be finite and >= 0")
+        # the value first: an operation with a nan or infinite operand has a nan bound too
         if value.__class__ is not float:  # an int or a float subclass, read by _pair; no other kind
             f, err = _pair(value)
             if err is None:
                 raise TypeError(f"value must be an int or a float, got {value!r}")
-            if err:  # checked again: the sum can overflow
-                return _checked(cls, f, abs_error_bound + err)
+            if err and 0.0 <= abs_error_bound:  # a bound < 0 or nan fails below, err unadded
+                return _checked(cls, f, abs_error_bound + err)  # checked again: it can overflow
             value = f
         if value - value != 0.0:  # nan for +-inf and nan, 0.0 for every finite float
             raise ValueError(f"value must be finite, got {value!r}")
+        if not 0.0 <= abs_error_bound < _INF:  # also false for nan
+            raise ValueError("abs_error_bound must be finite and >= 0")
         return _new_cv(cls, (value, abs_error_bound))
 
     @classmethod

@@ -255,6 +255,46 @@ class TestBench:
         assert rc == 2
 
 
+    def test_an_arcsin_interval_outside_its_domain_falls_back_to_it(self):
+        (rec,) = bench.run_bench(100, (2.0, 3.0), functions=("arcsin",))
+        assert rec.interval == (-1.0, 1.0)
+        assert rec.max_abs_error_vs_platform <= 1e-13
+
+
+class TestOneErrorLine:
+    """Every bad input prints one `error:` line on stderr, nothing on stdout, and exits 2."""
+
+    @pytest.mark.parametrize("argv, fragment", [
+        (["eval", "tan", "1"], "argument function: invalid choice: 'tan'"),
+        (["eval", "sin"], "the following arguments are required: x"),
+        (["verify", "--degree", "abc"], "argument --degree: invalid int value: 'abc'"),
+    ], ids=["eval tan 1", "eval sin", "verify --degree abc"])
+    def test_argparse_errors(self, capsys, argv, fragment):
+        # argparse's wording varies across Python versions; the form does not
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: {fragment}") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["constants", "--digits", "0"], "--digits must be between 1 and 15"),
+        (["verify", "--degree", "101"], "--degree must be between 0 and 100"),
+        (["verify", "--samples", "0"], "--samples must be between 1 and 1e6"),
+        (["integrate", "quarter-circle", "1"], "quarter-circle takes no positional arguments"),
+        (["integrate", "arcsin"], "integrate arcsin needs exactly one argument X"),
+        (["integrate", "arclength", "0.5"], "integrate arclength needs two arguments A B"),
+        (["bench", "--n", "50"], "n must be between 100 and 1e6"),
+    ])
+    def test_argument_errors(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    def test_an_unwritable_out(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "report.json"
+        assert run_cli(capsys, "verify", "--out", str(path)) == (
+            2, "", f"error: cannot write --out {path}: No such file or directory\n")
+
+
 class TestNegativeExponentArguments:
     """A negative number in exponent form is a value, not an option."""
 

@@ -4,6 +4,7 @@ and the failure detail of the exact verifications."""
 from fractions import Fraction
 from math import factorial
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -103,6 +104,18 @@ class TestAgainstReference:
         assert (p - p) == type(p)(p.degree_cap)
         half = type(p)(p.degree_cap, {k: v / 2 for k, v in p.coeffs.items()})
         assert (half == p) == (not rp[1])
+
+
+class TestMixedArity:
+    def test_a_unipoly_and_a_bipoly_neither_compare_nor_combine(self):
+        p, q = UniPoly(2, {1: 1}), BiPoly(2, {(1, 0): 1})
+        assert p.__eq__(q) is NotImplemented and q.__eq__(p) is NotImplemented
+        assert p._combine(q, 1) is NotImplemented
+        assert p != q and not p == q
+        with pytest.raises(TypeError):
+            p + q
+        with pytest.raises(TypeError):
+            q - p
 
 
 class TestFailureDetail:

@@ -101,6 +101,50 @@ class TestReportFieldTypes:
             validate_report(rep)
 
 
+class TestValidateReportMessages:
+    """One case per rejection of validate_report, each with its message."""
+
+    def _report(self):
+        return build_report([CheckResult("alpha", "exact", True, {"residual": "0"}, 1)])
+
+    def test_a_report_that_is_not_a_dict(self):
+        with pytest.raises(ValueError, match="^report must be an object$"):
+            validate_report([])
+
+    def test_a_wrong_schema_version(self):
+        rep = self._report()
+        rep["schema_version"] = "2"
+        with pytest.raises(ValueError, match="^unsupported schema_version$"):
+            validate_report(rep)
+
+    def test_checks_that_are_not_a_list(self):
+        rep = self._report()
+        rep["checks"] = {}
+        with pytest.raises(ValueError, match="^checks must be a list$"):
+            validate_report(rep)
+
+    @pytest.mark.parametrize("key", ["name", "kind", "pass", "detail", "samples"])
+    def test_a_check_missing_a_key(self, key):
+        rep = self._report()
+        del rep["checks"][0][key]
+        with pytest.raises(ValueError, match=f"^check missing key: {key}$"):
+            validate_report(rep)
+
+    @pytest.mark.parametrize("value", [1, 0, "true", None])
+    def test_a_pass_that_is_not_a_bool(self, value):
+        rep = self._report()
+        rep["checks"][0]["pass"] = value
+        with pytest.raises(ValueError, match="^pass must be boolean$"):
+            validate_report(rep)
+
+    @pytest.mark.parametrize("value", [None, [], "0"])
+    def test_a_detail_that_is_not_a_dict(self, value):
+        rep = self._report()
+        rep["checks"][0]["detail"] = value
+        with pytest.raises(ValueError, match="^detail must be an object$"):
+            validate_report(rep)
+
+
 class TestVerifyFailurePath:
     def test_failing_check_exits_one(self, capsys, monkeypatch):
         def broken():

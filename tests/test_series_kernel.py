@@ -317,6 +317,18 @@ class TestCertifiedValue:
         with pytest.raises(ValueError, match="^value must be finite"):
             CertifiedValue(1.0, 0.0)._replace(value=value)
 
+    @pytest.mark.parametrize("make", [
+        lambda cv: cv + math.nan,
+        lambda cv: cv - math.nan,
+        lambda cv: math.nan - cv,
+        lambda cv: cv * math.inf,
+        lambda cv: math.inf * cv,
+    ], ids=["cv + nan", "cv - nan", "nan - cv", "cv * inf", "inf * cv"])
+    def test_an_operation_on_a_value_that_is_not_finite_names_the_value(self, make):
+        # the result's bound is nan as well; the message names the value, its cause
+        with pytest.raises(ValueError, match="^value must be finite, got (nan|inf)$"):
+            make(CertifiedValue(1.0, 0.0))
+
     @pytest.mark.parametrize("value", [True, False, "a", None, Fraction(1, 3), 1j])
     def test_invariant_rejects_a_value_that_is_not_an_int_or_a_float(self, value):
         with pytest.raises(TypeError, match="^value must be an int or a float"):
@@ -399,6 +411,12 @@ class TestLargeInts:
             assert type(CertifiedValue(n, 0.0).value) is float
             assert CertifiedValue(1.0, 0.0) * n == CertifiedValue(1.0, 0.0) * float(n)
         assert CertifiedValue(2 ** 53 + 1, 0.0) == (2.0 ** 53, 1.0)
+
+    @pytest.mark.parametrize("bound", [-1e-300, -0.5, math.nan, math.inf])
+    def test_an_inexact_int_keeps_the_check_of_its_bound(self, bound):
+        # the conversion error, 0.5 here, must not carry a negative bound past its check
+        with pytest.raises(ValueError, match="^abs_error_bound must be finite and >= 0$"):
+            CertifiedValue(2 ** 53 + 1, bound)
 
 
 class TestSignOnly:
