@@ -23,8 +23,8 @@ from collections import namedtuple
 
 from .constants import shared_table
 from .errors import DomainError, StepTooLarge
-from .series_kernel import (_INF, _U, _UNDERFLOW, CertifiedValue, _check_tol, _check_tol_floor,
-                            _new_cv, _sin_value, cos_eval, sin_eval)
+from .series_kernel import (_INF, _U, _UNDERFLOW, CertifiedValue, _agree, _check_tol,
+                            _check_tol_floor, _new_cv, _sin_value, cos_eval, sin_eval)
 
 _SQRT_HALF = 0.7071067811865476  # float nearest sqrt(1/2)
 _MAX_DEPTH = 40
@@ -282,15 +282,13 @@ def unit_circle_point(a):
     a = float(a)
     _check_unit_interval(a)
     tbl = shared_table()
-    inv = arcsin_newton(a, 1e-14)
-    s = tbl.q - inv.value
-    s_err = inv.abs_error_bound + tbl.q_float_err + _U * abs(s)
+    s, s_err = CertifiedValue(tbl.q, tbl.q_float_err) - arcsin_newton(a, 1e-14)
     cs = cos_eval(s, 1e-15)
     sn = sin_eval(s, 1e-15)
-    comp = _comp_sqrt(abs(a))
-    if abs(cs.value - a) > cs.abs_error_bound + s_err + 4.0 * _U:
+    comp = _comp_sqrt(abs(a))  # within 3u comp of sqrt(1 - a^2), as in arcsin_newton
+    if not _agree(cs, (a, s_err)):  # cos and sin are 1-Lipschitz: s_err passes through
         raise AssertionError("cos(arc length) failed to reproduce the abscissa")
-    if abs(sn.value - comp) > sn.abs_error_bound + s_err + 4.0 * _U * (1.0 + comp):
+    if not _agree(sn, (comp, s_err + 3.0 * _U * comp)):
         raise AssertionError("sin(arc length) failed to reproduce the ordinate")
     return cs.value, sn.value, s
 

@@ -1,9 +1,9 @@
 """Numeric property suite for the standard sine/cosine identities,
 periodicity, and the special-angle table.
 
-Every check compares two certified evaluations: the pass criterion is
-|lhs - rhs| <= (sum of certified bounds) + a 4-ulp grid slack absorbing
-the checker's own final arithmetic.  Argument formation (x - y, Q - x,
+Every check compares two certified evaluations and passes on their bounds
+alone: |lhs - rhs| <= (sum of certified bounds), decided by
+series_kernel._agree, with no slack.  Argument formation (x - y, Q - x,
 x + 4Q, ...) is folded into the lhs bound, so the records stay honest
 even where the identity's argument is not exactly representable.
 """
@@ -16,7 +16,7 @@ from fractions import Fraction
 from .constants import shared_table
 from .errors import UnknownIdentity
 from .report import _numeric_check
-from .series_kernel import _U, CertifiedValue, _checked, _is_real, cos_eval, sin_eval
+from .series_kernel import _U, CertifiedValue, _agree, _checked, _is_real, cos_eval, sin_eval
 
 _TOL = 1e-15       # tolerance of every certified evaluation in the suite
 _ISQRT_BITS = 240  # precision of the special angles' exact square roots
@@ -38,17 +38,8 @@ _new_check = IdentityCheck.__new__  # called as a function, without type()'s dis
 
 def _compare(name, lhs, rhs, points):
     """The IdentityCheck of two CertifiedValues that should be equal."""
-    lv, lb = lhs
-    rv, rb = rhs
-    combined = lb + rb
-    # 4 ulp (8u) on top of the certified bounds, scaled to the values compared
-    m = 1.0  # max(1.0, |lv|, |rv|), written out
-    if abs(lv) > m:
-        m = abs(lv)
-    if abs(rv) > m:
-        m = abs(rv)
-    passed = abs(lv - rv) <= combined + 8.0 * _U * m
-    return _new_check(IdentityCheck, name, lv, rv, combined, passed, points)
+    return _new_check(IdentityCheck, name, lhs[0], rhs[0], lhs[1] + rhs[1], _agree(lhs, rhs),
+                      points)
 
 
 def worst_of(checks):
@@ -337,7 +328,7 @@ def _special_angle_check():
 
 def _sin_q_check():
     tbl = shared_table()
-    cv = sin_eval(tbl.q, 1e-15)
-    bound = cv.abs_error_bound + tbl.q_float_err
-    disc = abs(cv.value - 1.0)
-    return _numeric_check("sin_q_equals_one", disc <= bound, disc, bound)
+    value, bound = sin_eval(tbl.q, _TOL)
+    bound += tbl.q_float_err
+    return _numeric_check("sin_q_equals_one", _agree((value, bound), (1.0, 0.0)),
+                          abs(value - 1.0), bound)

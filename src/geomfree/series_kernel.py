@@ -146,6 +146,14 @@ class CertifiedValue(namedtuple("CertifiedValue", "value abs_error_bound")):
 _checked = CertifiedValue.__new__  # the checked constructor, called without type()'s dispatch
 
 
+def _agree(lhs, rhs):
+    """|lv - rv| <= lb + rb for two (value, bound) pairs, in floats with no TwoSum: rounding
+    to nearest is monotone, so a true equality with sound bounds never fails, and a pass
+    admits at most the rounding of each side, under an ulp of lb + rb."""
+    (lv, lb), (rv, rb) = lhs, rhs
+    return abs(lv - rv) <= lb + rb
+
+
 def _is_real(x):
     """True for an int or a float, the plain numbers of the package; a bool is neither."""
     return isinstance(x, (int, float)) and not isinstance(x, bool)

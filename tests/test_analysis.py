@@ -236,6 +236,16 @@ class TestUnitCirclePoint:
         with pytest.raises(DomainError):
             unit_circle_point(2.0)
 
+    def test_reproduces_seeded_and_edge_points_within_the_bounds(self):
+        # each check is cos and sin's bound plus s's, and 3u sqrt(1 - a^2) for the ordinate
+        rng = random.Random(31)
+        points = [rng.uniform(-1.0, 1.0) for _ in range(2000)]
+        points += [1.0, -1.0, 0.0, -0.0, math.sqrt(0.5), -math.sqrt(0.5)]
+        points += [s * t for k in range(1, 54) for t in (1.0 - 2.0 ** -k, 2.0 ** -k)
+                   for s in (1.0, -1.0)]
+        for a in points:
+            unit_circle_point(a)  # raises AssertionError if a check fails
+
 
 class TestOdeOracle:
     def test_trivial_run(self):

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from geomfree import identities
+from geomfree.cli import numeric_checks
 from geomfree.constants import shared_table
 from geomfree.errors import UnknownIdentity
 from geomfree.identities import (
@@ -324,3 +326,24 @@ def test_worst_of_reads_its_checks_once():
         worst = worst_of(given)
         assert worst == checks[first]._replace(passed=False)
     assert worst_of(iter(checks)) == checks[first]
+
+
+def test_a_check_passes_on_the_certified_bounds_alone(monkeypatch):
+    # a sine 1e-20 off near zero, with its bound kept: sine_double_angle's
+    # combined bound at 1e-9 is about 1e-24, so the error must show
+    true_sin = identities.sin_eval
+
+    def off(x, tol):
+        value, bound = true_sin(x, tol)
+        return CertifiedValue(value + 1e-20 if abs(x) <= 1e-8 else value, bound)
+
+    assert check_identity("sine_double_angle", [1e-9])[0].passed
+    monkeypatch.setattr(identities, "sin_eval", off)
+    (check,) = check_identity("sine_double_angle", [1e-9])
+    assert not check.passed
+    assert check.combined_bound < 1e-23 < check.discrepancy
+
+
+@pytest.mark.parametrize("seed", [0, 4])
+def test_every_numeric_check_passes_on_its_bounds(seed):
+    assert [c.name for c in numeric_checks(1000, seed) if not c.passed] == []

@@ -11,6 +11,7 @@ from geomfree.constants import shared_table
 from geomfree.errors import DomainError, InvalidTolerance
 from geomfree.series_kernel import (
     CertifiedValue,
+    _agree,
     _sin_value,
     cos_eval,
     cos_eval_exact,
@@ -363,6 +364,25 @@ class TestCertifiedValue:
             for ta in (a.value - a.abs_error_bound, a.value + a.abs_error_bound):
                 for tb in (b.value - b.abs_error_bound, b.value + b.abs_error_bound):
                     assert abs(p.value - ta * tb) <= p.abs_error_bound
+
+
+class TestAgree:
+    """_agree decides |lv - rv| <= lb + rb on floats, with nothing added."""
+
+    @pytest.mark.parametrize("lv, rv, share", [(1.0, 1.0 + 2.0 ** -29, 0.5), (0.3, 0.31, 0.25),
+                                               (-2.5, -2.4999999, 0.0), (1e-300, 1.5e-300, 1.0)])
+    def test_a_gap_equal_to_the_bounds_agrees_and_the_next_float_does_not(self, lv, rv, share):
+        gap = rv - lv  # exact: the values are within a factor 2 (Sterbenz)
+        lb = gap * share
+        rb = gap - lb
+        assert Fraction(rv) - Fraction(lv) == Fraction(lb) + Fraction(rb) == Fraction(lb + rb)
+        assert _agree((lv, lb), (rv, rb)) and _agree((rv, rb), (lv, lb))
+        past = math.nextafter(rv, math.inf)
+        assert not _agree((lv, lb), (past, rb)) and not _agree((past, rb), (lv, lb))
+
+    def test_takes_certified_values_and_plain_pairs(self):
+        assert _agree(CertifiedValue(1.0, 0.5), (2.0, 0.5))
+        assert not _agree(CertifiedValue(1.0, 0.5), CertifiedValue(2.0, 0.25))
 
 
 class TestLargeInts:
