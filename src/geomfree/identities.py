@@ -16,7 +16,8 @@ from fractions import Fraction
 from .constants import shared_table
 from .errors import UnknownIdentity
 from .report import _numeric_check
-from .series_kernel import _U, CertifiedValue, _agree, _checked, _is_real, cos_eval, sin_eval
+from .series_kernel import (_U, _UP3, CertifiedValue, _agree, _checked, _is_real, cos_eval,
+                            sin_eval)
 
 _TOL = 1e-15       # tolerance of every certified evaluation in the suite
 _ISQRT_BITS = 240  # precision of the special angles' exact square roots
@@ -61,9 +62,10 @@ def worst_of(checks):
 
 
 def _at(f, arg, arg_err=0.0):
-    """f(arg) with the rounding of a formed argument, u|arg| + arg_err, in its bound."""
+    """f(arg) with the rounding of a formed argument, u|arg| + arg_err, in its bound,
+    rounded up (series_kernel's note above CertifiedValue)."""
     value, bound = f(arg, _TOL)
-    return _checked(CertifiedValue, value, bound + (_U * abs(arg) + arg_err))
+    return _checked(CertifiedValue, value, (bound + (_U * abs(arg) + arg_err)) * _UP3)
 
 
 # --- identity registry -------------------------------------------------

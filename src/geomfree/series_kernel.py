@@ -60,10 +60,29 @@ from .errors import DomainError, InvalidTolerance
 _U = 2.0 ** -53          # unit roundoff of binary64; 2 * _U is ulp(1)
 _HALF_U = 2.0 ** -54
 _TINY = 2.0 ** -1074     # smallest subnormal
+_UP3 = 1.0 + 4.0 * _U    # >= (1 + u)**3: a bound's roundings, two sums and this factor's
+_UP6 = 1.0 + 8.0 * _U    # >= (1 + u)**6: a product's bound, five roundings and this factor's
 _INF = math.inf
 _MAX_ARG = 1.0e8         # keeps k < 2**26, which the reduction's exact products need
 
 _new_cv = tuple.__new__  # the trusted constructor: no check of the bound (module docstring)
+
+# Rounding the bounds up (Higham, Accuracy and Stability of Numerical Algorithms,
+# 2nd ed., 2.2 and 3.1; gamma_n = nu/(1 - nu)).  Each bound below is a float sum of
+# terms >= 0, each at least the error it stands for: u|v| is at least half an ulp
+# of v, the rounding of a sum or product v, and an int's conversion error is exact.
+# A term that passes through n roundings is at most (1 + u)**n times its computed
+# share, so the true bound is at most (1 + u)**n times the computed sum, and the
+# factor's own product rounds once more: a factor >= (1 + u)**(n + 1), which is
+# below 1 + gamma_(n + 1), rounded up to a float, makes the bound hold.
+# - + and - (either side): se + e + u|v|, two sums, so n = 2: _UP3 = 1 + 4u.
+# - The constructor's bound + an int's conversion error, one sum, and
+#   identities._at's bound + (u|arg| + arg_err), two: _UP3.
+# - *: the products |sv| e, |w| se and se e pass through one product and four
+#   sums, so n = 5: _UP6 = 1 + 8u.  A product that lands below the normal range
+#   loses up to _TINY/2 outright; v's and the three terms' losses take 2 _TINY.
+# A sum below the normal range is exact, so a bound there needs no factor, and
+# the factor never lowers one.
 
 
 class CertifiedValue(namedtuple("CertifiedValue", "value abs_error_bound")):
@@ -84,7 +103,8 @@ class CertifiedValue(namedtuple("CertifiedValue", "value abs_error_bound")):
             if err is None:
                 raise TypeError(f"value must be an int or a float, got {value!r}")
             if err and 0.0 <= abs_error_bound:  # a bound < 0 or nan fails below, err unadded
-                return _checked(cls, f, abs_error_bound + err)  # checked again: it can overflow
+                # checked again: it can overflow
+                return _checked(cls, f, (abs_error_bound + err) * _UP3)
             value = f
         if value - value != 0.0:  # nan for +-inf and nan, 0.0 for every finite float
             raise ValueError(f"value must be finite, got {value!r}")
@@ -106,7 +126,7 @@ class CertifiedValue(namedtuple("CertifiedValue", "value abs_error_bound")):
         if e is None:
             return NotImplemented
         v = self[0] + w
-        return _checked(CertifiedValue, v, self[1] + e + _U * abs(v))
+        return _checked(CertifiedValue, v, (self[1] + e + _U * abs(v)) * _UP3)
 
     __radd__ = __add__
 
@@ -118,14 +138,14 @@ class CertifiedValue(namedtuple("CertifiedValue", "value abs_error_bound")):
         if e is None:
             return NotImplemented
         v = self[0] - w
-        return _checked(CertifiedValue, v, self[1] + e + _U * abs(v))
+        return _checked(CertifiedValue, v, (self[1] + e + _U * abs(v)) * _UP3)
 
     def __rsub__(self, other):  # a plain number minus self; two CertifiedValues take __sub__
         w, e = _pair(other)
         if e is None:
             return NotImplemented
         v = w - self[0]  # rounds as w + (-v) does
-        return _checked(CertifiedValue, v, self[1] + e + _U * abs(v))
+        return _checked(CertifiedValue, v, (self[1] + e + _U * abs(v)) * _UP3)
 
     def __mul__(self, other):
         w, e = other if isinstance(other, CertifiedValue) else _pair(other)
@@ -137,8 +157,8 @@ class CertifiedValue(namedtuple("CertifiedValue", "value abs_error_bound")):
              + abs(w) * se
              + se * e
              + _U * abs(v)
-             + _TINY)  # a product below the normal range loses up to _TINY / 2
-        return _checked(CertifiedValue, v, b)
+             + 2.0 * _TINY)  # v and the three products lose up to _TINY / 2 each
+        return _checked(CertifiedValue, v, b * _UP6)
 
     __rmul__ = __mul__
 

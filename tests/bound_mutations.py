@@ -29,6 +29,14 @@ TEST_FILES = ("tests/test_soundness.py", "tests/test_analysis.py", "tests/test_s
 DIGEST_TESTS = ("tests/test_soundness.py::test_kernel_outputs_match_the_recorded_digest",
                 "tests/test_soundness.py::test_arcsin_outputs_match_the_recorded_digest")
 
+# the three sums' bounds: (operation, the line before the return), and (term, its drop)
+_SUMS = (("sum", "v = self[0] + w"), ("difference", "v = self[0] - w"),
+         ("reflected difference", "v = w - self[0]  # rounds as w + (-v) does"))
+_RETURN = "\n        return _checked(CertifiedValue, v, "
+_SUM_BOUND = "(self[1] + e + _U * abs(v)) * _UP3)"
+_SUM_DROPS = (("e", "(self[1] + _U * abs(v)) * _UP3)"), ("u |v|", "(self[1] + e) * _UP3)"),
+              ("round-up", "(self[1] + e + _U * abs(v)))"))
+
 # (term, file, text, replacement): each text must occur exactly once
 MUTATIONS = (
     ("kernel: the row's t + H", KERNEL,
@@ -60,27 +68,22 @@ MUTATIONS = (
     ("arcsin: 3u comp/|x|", ANALYSIS, " + 3.0 * _U * comp / ax", ""),
     ("arcsin: reflected u |y|", ANALYSIS, " + _U * y) * (1.0 + 2.0 ** -50)",
      ") * (1.0 + 2.0 ** -50)"),
-    ("sum: e", KERNEL, "v = self[0] + w\n        return _checked(CertifiedValue, v, self[1] + e + _U",
-     "v = self[0] + w\n        return _checked(CertifiedValue, v, self[1] + _U"),
-    ("sum: u |v|", KERNEL, "v = self[0] + w\n        return _checked(CertifiedValue, v, self[1] + e + _U"
-     " * abs(v))", "v = self[0] + w\n        return _checked(CertifiedValue, v, self[1] + e)"),
-    ("difference: e", KERNEL, "v = self[0] - w\n        return _checked(CertifiedValue, v, self[1] + e",
-     "v = self[0] - w\n        return _checked(CertifiedValue, v, self[1]"),
-    ("difference: u |v|", KERNEL, "v = self[0] - w\n        return _checked(CertifiedValue, v, self[1] + e"
-     " + _U * abs(v))", "v = self[0] - w\n        return _checked(CertifiedValue, v, self[1] + e)"),
-    ("reflected difference: e", KERNEL, "v = w - self[0]  # rounds as w + (-v) does\n"
-     "        return _checked(CertifiedValue, v, self[1] + e", "v = w - self[0]\n"
-     "        return _checked(CertifiedValue, v, self[1]"),
-    ("reflected difference: u |v|", KERNEL, "v = w - self[0]  # rounds as w + (-v) does\n"
-     "        return _checked(CertifiedValue, v, self[1] + e + _U * abs(v))",
-     "v = w - self[0]\n        return _checked(CertifiedValue, v, self[1] + e)"),
+    *((f"{op}: {term}", KERNEL, line + _RETURN + _SUM_BOUND, line + _RETURN + dropped)
+      for op, line in _SUMS for term, dropped in _SUM_DROPS),
     ("product: |sv| e", KERNEL, "b = (abs(sv) * e\n             + abs(w) * se", "b = (abs(w) * se"),
     ("product: |w| se", KERNEL, "\n             + abs(w) * se\n", "\n"),
     ("product: se e", KERNEL, "\n             + se * e\n", "\n"),
-    ("product: u |v|", KERNEL, "\n             + _U * abs(v)\n             + _TINY)",
-     "\n             + _TINY)"),
-    ("product: _TINY", KERNEL, "\n             + _TINY)  #", ")  #"),
+    ("product: u |v|", KERNEL, "\n             + _U * abs(v)\n             + 2.0 * _TINY)",
+     "\n             + 2.0 * _TINY)"),
+    ("product: 2 _TINY", KERNEL, "\n             + 2.0 * _TINY)  #", ")  #"),
+    ("product: round-up", KERNEL, "return _checked(CertifiedValue, v, b * _UP6)",
+     "return _checked(CertifiedValue, v, b)"),
+    ("constructor: an int's round-up", KERNEL, "(abs_error_bound + err) * _UP3",
+     "(abs_error_bound + err)"),
     ("_at: u |arg|", IDENTITIES, "bound + (_U * abs(arg) + arg_err)", "bound + arg_err"),
+    ("_at: round-up", IDENTITIES, "(bound + (_U * abs(arg) + arg_err)) * _UP3",
+     "(bound + (_U * abs(arg) + arg_err))"),
+    ("unit_circle_point: 3u comp", ANALYSIS, "(comp, s_err + 3.0 * _U * comp)", "(comp, s_err)"),
 )
 
 

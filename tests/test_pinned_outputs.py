@@ -109,10 +109,10 @@ GROUPS = {  # name -> (results, sha256 of their repr)
                          "95f9f8ee5c202f265976e65321ae8fe47ebcc30c00bc8c6e21f2e60148b7cc6a"),
     "identities": (_identities, "070d7bc9813c23c6a751524ad5e057c1ef13d35977da3614c1d624df132eda4a"),
     "identity_checks": (_identity_checks,
-                        "473a2e99937ed37e86d644c4a83684c2cefe6526ee9553c8b93f93079aa55615"),
+                        "3e565e2e0515f15c30a2061723d34bafce753c1d5aa1cacf028166fc245f4a31"),
     "exact_checks": (_exact_checks,
                      "322f2172520fd727d80544e1cd0ce64d80ba567439b51aeabc1ed78ac58b5b61"),
-    "arithmetic": (_arithmetic, "73d8e541bba77046883c04ca9222ac0d083f647ce607abe6a4ba85fee5fd7f1a"),
+    "arithmetic": (_arithmetic, "bdc1dcdb5da0ee328e22d106f2c331869185d43928f6c7bc623fa46d3a0be366"),
     "cli": (_cli, "dd500e95a5e6a81cde054f3b8dfead150e52a0a57ecd644f450b230ae07886d7"),
 }
 

@@ -1,6 +1,7 @@
 """Tests for the certified sine/cosine kernel and the exact evaluators."""
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -385,6 +386,54 @@ class TestAgree:
         assert not _agree(CertifiedValue(1.0, 0.5), CertifiedValue(2.0, 0.25))
 
 
+class TestBoundsRoundedUp:
+    """Each operation's bound holds at every corner of its operands' intervals,
+    in exact rationals, with no allowance: values and errors are random
+    doubles, so the intervals are not dyadic and the bound sums round."""
+
+    @staticmethod
+    def _pairs(seed, scale, count):
+        rng = random.Random(seed)
+        for _ in range(count):
+            yield tuple(CertifiedValue(rng.uniform(-2.0, 2.0), rng.uniform(0.0, 2.0) * scale)
+                        for _ in range(2))
+
+    @staticmethod
+    def _corners(cv):
+        v, e = Fraction(cv.value), Fraction(cv.abs_error_bound)
+        return v - e, v + e
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-8])
+    def test_sums_differences_and_products_hold_at_the_corners(self, scale):
+        misses = []
+        for a, b in self._pairs(31, scale, 1000):
+            results = [(a + b, operator.add), (a - b, operator.sub), (a * b, operator.mul)]
+            for r, op in results:
+                v, e = Fraction(r.value), Fraction(r.abs_error_bound)
+                for ta in self._corners(a):
+                    for tb in self._corners(b):
+                        if abs(v - op(ta, tb)) > e:
+                            misses.append((a, b, op.__name__))
+        assert misses == []
+
+    def test_a_plain_number_on_either_side_holds_at_the_corners(self):
+        rng = random.Random(32)
+        for a, _ in self._pairs(33, 1.0, 500):
+            w = rng.uniform(-2.0, 2.0)
+            for r, truth in ((a + w, lambda t: t + Fraction(w)), (w - a, lambda t: Fraction(w) - t),
+                             (a * w, lambda t: t * Fraction(w))):
+                for t in self._corners(a):
+                    assert abs(Fraction(r.value) - truth(t)) <= Fraction(r.abs_error_bound)
+
+    def test_a_product_below_the_normal_range_holds_at_the_corners(self):
+        # each of the four products rounds to 0, losing just under _TINY / 2
+        x = 2.0 ** -538 * math.sqrt(2.0) * (1.0 - 2.0 ** -40)  # x * x just below 2**-1075
+        a = CertifiedValue(x, x)
+        p = a * a
+        assert 0 < Fraction(x) ** 2 < Fraction(1, 2 ** 1075) and p.value == 0.0
+        assert abs(Fraction(p.value) - (2 * Fraction(x)) ** 2) <= Fraction(p.abs_error_bound)
+
+
 class TestLargeInts:
     """An int that float() does not hold exactly carries its conversion
     error, half an ulp of float(n), as an operand and as a constructor value."""
@@ -430,7 +479,8 @@ class TestLargeInts:
             assert CertifiedValue(n, 0.0) == (float(n), 0.0)
             assert type(CertifiedValue(n, 0.0).value) is float
             assert CertifiedValue(1.0, 0.0) * n == CertifiedValue(1.0, 0.0) * float(n)
-        assert CertifiedValue(2 ** 53 + 1, 0.0) == (2.0 ** 53, 1.0)
+        # the conversion error, 1.0, added to the bound and rounded up
+        assert CertifiedValue(2 ** 53 + 1, 0.0) == (2.0 ** 53, 1.0 + 2.0 ** -51)
 
     @pytest.mark.parametrize("bound", [-1e-300, -0.5, math.nan, math.inf])
     def test_an_inexact_int_keeps_the_check_of_its_bound(self, bound):
