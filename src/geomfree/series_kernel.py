@@ -42,7 +42,9 @@ Each of +, - and * reads a plain number as a (value, bound) pair: a float
 as exact, an int as float(n) with its conversion error, 0 up to 2**53 and
 half an ulp of float(n) where float(n) != n.  The constructor reads an
 int value the same way, raises TypeError for any other kind of value, a
-bool included, and ValueError for an infinite or nan one.  Each operation
+bool included, and ValueError for an infinite or nan one.  It reads a
+bound by the same kinds, an int as float(n) rounded up where float(n) < n,
+and raises TypeError naming abs_error_bound for any other kind.  Each operation
 builds its result once, through the checked constructor called as a
 function.
 
@@ -97,6 +99,8 @@ class CertifiedValue(namedtuple("CertifiedValue", "value abs_error_bound")):
     __slots__ = ()
 
     def __new__(cls, value, abs_error_bound):
+        if abs_error_bound.__class__ is not float:  # an int or a float subclass; no other kind
+            abs_error_bound = _read_bound(abs_error_bound)
         # the value first: an operation with a nan or infinite operand has a nan bound too
         if value.__class__ is not float:  # an int or a float subclass, read by _pair; no other kind
             f, err = _pair(value)
@@ -177,6 +181,15 @@ def _agree(lhs, rhs):
 def _is_real(x):
     """True for an int or a float, the plain numbers of the package; a bool is neither."""
     return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _read_bound(b):
+    """An int or a float bound as a float, an int rounded up where float(n) < n;
+    TypeError for any other kind of bound, a bool included."""
+    if not _is_real(b):
+        raise TypeError(f"abs_error_bound must be an int or a float, got {b!r}")
+    f = float(b)
+    return math.nextafter(f, _INF) if f < b else f
 
 
 def _pair(x):

@@ -338,6 +338,27 @@ class TestCertifiedValue:
         with pytest.raises(TypeError, match="^value must be an int or a float"):
             CertifiedValue(1.0, 0.0)._replace(value=value)
 
+    @pytest.mark.parametrize("bound", [True, False, "a", None, Fraction(1, 3), 1j])
+    def test_invariant_rejects_a_bound_that_is_not_an_int_or_a_float(self, bound):
+        with pytest.raises(TypeError, match="^abs_error_bound must be an int or a float"):
+            CertifiedValue(1.0, bound)
+        with pytest.raises(TypeError, match="^abs_error_bound must be an int or a float"):
+            CertifiedValue(1.0, 0.0)._replace(abs_error_bound=bound)
+
+    @pytest.mark.parametrize("bound", [0, 3, 2 ** 53, 2 ** 53 + 1, 2 ** 60 + 1, 2 ** 70 - 1,
+                                       _Float(0.5)])
+    def test_an_int_or_a_float_subclass_bound_is_read_as_a_float_at_or_above_it(self, bound):
+        for cv in (CertifiedValue(1.0, bound), CertifiedValue(1.0, 0.0)._replace(
+                abs_error_bound=bound)):
+            b = cv.abs_error_bound
+            assert type(b) is float
+            assert Fraction(bound) <= Fraction(b) and math.nextafter(b, -math.inf) < bound
+
+    def test_a_negative_int_bound_is_a_value_error(self):
+        for bound in (-1, -(2 ** 60 + 1)):
+            with pytest.raises(ValueError, match="^abs_error_bound must be finite and >= 0$"):
+                CertifiedValue(1.0, bound)
+
     def test_arithmetic_propagation_encloses_truth(self):
         rng = random.Random(15)
         for _ in range(200):
