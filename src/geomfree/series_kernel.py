@@ -173,7 +173,7 @@ _checked = CertifiedValue.__new__  # the checked constructor, called without typ
 def _agree(lhs, rhs):
     """|lv - rv| <= lb + rb for two (value, bound) pairs, in floats with no TwoSum: rounding
     to nearest is monotone, so a true equality with sound bounds never fails, and a pass
-    admits at most the rounding of each side, under an ulp of lb + rb."""
+    admits at most the rounding of each side, together at most an ulp of lb + rb."""
     (lv, lb), (rv, rb) = lhs, rhs
     return abs(lv - rv) <= lb + rb
 

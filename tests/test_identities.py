@@ -235,7 +235,6 @@ class TestIdentitiesAgainstDirectEvaluation:
 
     U = 2.0 ** -53
     TOL = 1e-15
-
     UP = 1.0 + 2.0 ** -51  # the round-up of a bound with two sums
 
     @classmethod

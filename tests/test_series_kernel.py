@@ -300,7 +300,7 @@ class TestCertifiedValue:
             CertifiedValue(1.0, float("nan"))
 
     def test_invariant_rejects_infinite_and_negative_bounds(self):
-        for bound in (math.inf, -math.inf, -1e-300):
+        for bound in (math.inf, -math.inf, -1e-300, -1, -(2 ** 60 + 1)):  # an int rounds up
             with pytest.raises(ValueError):
                 CertifiedValue(1.0, bound)
         with pytest.raises(ValueError):  # the bound of the product overflows
@@ -353,11 +353,6 @@ class TestCertifiedValue:
             b = cv.abs_error_bound
             assert type(b) is float
             assert Fraction(bound) <= Fraction(b) and math.nextafter(b, -math.inf) < bound
-
-    def test_a_negative_int_bound_is_a_value_error(self):
-        for bound in (-1, -(2 ** 60 + 1)):
-            with pytest.raises(ValueError, match="^abs_error_bound must be finite and >= 0$"):
-                CertifiedValue(1.0, bound)
 
     def test_arithmetic_propagation_encloses_truth(self):
         rng = random.Random(15)
