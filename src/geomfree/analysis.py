@@ -24,7 +24,7 @@ from collections import namedtuple
 from .constants import shared_table
 from .errors import DomainError, StepTooLarge
 from .series_kernel import (_INF, _U, _UNDERFLOW, CertifiedValue, _agree, _check_tol,
-                            _check_tol_floor, _new_cv, _sin_value, cos_eval, sin_eval)
+                            _check_tol_floor, _new_cv, _real, _sin_value, cos_eval, sin_eval)
 
 _SQRT_HALF = 0.7071067811865476  # float nearest sqrt(1/2)
 _MAX_DEPTH = 40
@@ -104,7 +104,8 @@ def arcsin_newton(x, tol):
     """
     if not 0.0 < tol < _INF:  # _check_tol's test, so a valid tol costs no call
         _check_tol(tol)
-    x = float(x)
+    if x.__class__ is not float:
+        x = _real(x, "x")[0]  # an int in [-1, 1] is exact
     if not -1.0 <= x <= 1.0:
         raise DomainError(f"argument must lie in [-1, 1], got {x!r}")
     ax = abs(x)
@@ -218,7 +219,7 @@ def arcsin_quadrature(x, tol=1e-10):
     outgrows the truncation error.
     """
     _check_tol_floor(tol, _MIN_QUAD_TOL, "quadrature")
-    x = float(x)
+    x = _real(x, "x")[0]
     _check_unit_interval(x)
     if abs(x) <= _SQRT_HALF:
         pieces = [(_recip_circle, 0.0, x)]
@@ -246,6 +247,7 @@ def arcsin_derivative_check(grid, h):
     Expected O(h^2) away from +-1; the grid must stay inside
     (-1 + h, 1 - h) so both stencil points are in-domain.
     """
+    h = _real(h, "h")[0]
     if not h > 0.0:
         raise ValueError("h must be positive")
     worst = 0.0
@@ -265,7 +267,7 @@ def arc_length(a, b, tol=1e-10):
     sqrt(1 + (dy/dx)^2) = 1/sqrt(1 - x^2): equals arcsin b - arcsin a.
     Each end gets tol/2, so tol stops at twice the quadrature's 1e-15."""
     _check_tol_floor(tol, 2.0 * _MIN_QUAD_TOL, "arc_length")
-    a, b = float(a), float(b)
+    a, b = _real(a, "a")[0], _real(b, "b")[0]
     if not (-1.0 <= a <= b <= 1.0):
         raise DomainError(f"need -1 <= a <= b <= 1, got a={a!r}, b={b!r}")
     ga = arcsin_quadrature(a, tol / 2.0)
@@ -279,7 +281,7 @@ def unit_circle_point(a):
     """The point (cos s, sin s) at arc length s = Q - arcsin(a) from (1, 0)
     along the upper unit circle; checks that it reproduces
     (a, sqrt(1 - a^2)) within certified bounds."""
-    a = float(a)
+    a = _real(a, "a")[0]
     _check_unit_interval(a)
     tbl = shared_table()
     s, s_err = CertifiedValue(tbl.q, tbl.q_float_err) - arcsin_newton(a, 1e-14)
@@ -300,8 +302,7 @@ def ode_oracle(t_end, step):
     f^2 + f'^2 (identically 1 along the true solution).  Fixed step keeps
     the O(step^4) global error bound statable, for at most 1e6 steps.
     """
-    t_end = float(t_end)
-    step = float(step)
+    t_end, step = _real(t_end, "t_end")[0], _real(step, "step")[0]
     if not (0.0 < step <= 1e-2):
         raise StepTooLarge(f"step must be in (0, 1e-2], got {step!r}")
     if not (0.0 <= t_end <= 100.0):

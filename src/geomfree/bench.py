@@ -13,7 +13,7 @@ from collections import namedtuple
 
 from .analysis import arcsin_newton
 from .constants import pi_value
-from .series_kernel import _MAX_ARG, cos_eval, sin_eval
+from .series_kernel import _MAX_ARG, _real, cos_eval, sin_eval
 
 _SELF_EVAL = {
     "sin": lambda x: sin_eval(x, 1e-15).value,
@@ -48,7 +48,7 @@ def run_bench(n, interval, seed=0, functions=("sin", "cos", "arcsin")):
             raise ValueError(f"unknown function {fn!r}")
     if interval is None:
         interval = (-pi_value(), pi_value())
-    lo, hi = float(interval[0]), float(interval[1])
+    lo, hi = _real(interval[0], "interval[0]")[0], _real(interval[1], "interval[1]")[0]
     if not (lo < hi) or not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"bad interval [{lo!r}, {hi!r}]")
     if max(-lo, hi) > _MAX_ARG and {"sin", "cos"} & set(functions):

@@ -16,8 +16,7 @@ from fractions import Fraction
 from .constants import shared_table
 from .errors import UnknownIdentity
 from .report import _numeric_check
-from .series_kernel import (_U, _UP3, CertifiedValue, _agree, _checked, _is_real, cos_eval,
-                            sin_eval)
+from .series_kernel import _U, _UP3, CertifiedValue, _agree, _checked, _real, cos_eval, sin_eval
 
 _TOL = 1e-15       # tolerance of every certified evaluation in the suite
 _ISQRT_BITS = 240  # precision of the special angles' exact square roots
@@ -153,17 +152,14 @@ def check_identity(name, samples):
     IdentityCheck per sample.
     """
     arity, fn = _lookup(name)
+    label = f"a sample of {name}"
     out = []
     for sample in samples:
         try:
             values = tuple(sample) if arity == 2 else (sample,)
         except TypeError:
             raise TypeError(f"{name} takes {arity} arguments per sample, got {sample!r}") from None
-        points = []
-        for v in values:
-            if not _is_real(v):
-                raise TypeError(f"{name} takes real numbers, got {sample!r}")
-            points.append(float(v))
+        points = [_real(v, label)[0] for v in values]
         if len(points) != arity:
             raise ValueError(f"{name} takes {arity} arguments per sample, got {sample!r}")
         out.append(_compare(name, *fn(*points), points))

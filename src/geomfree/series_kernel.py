@@ -38,15 +38,16 @@ of the value and the bound; their values are finite floats and their bounds
 finite and >= 0 by construction, and nothing else may call it (a static
 audit in the tests checks this).  CertifiedValue(value, bound) and its
 arithmetic keep the checks, because an overflow can make a bound infinite.
-Each of +, - and * reads a plain number as a (value, bound) pair: a float
-as exact, an int as float(n) with its conversion error, 0 up to 2**53 and
-half an ulp of float(n) where float(n) != n.  The constructor reads an
-int value the same way, raises TypeError for any other kind of value, a
-bool included, and ValueError for an infinite or nan one.  It reads a
-bound by the same kinds, an int as float(n) rounded up where float(n) < n,
-and raises TypeError naming abs_error_bound for any other kind.  Each operation
-builds its result once, through the checked constructor called as a
-function.
+
+One rule, _pair's, reads every number the package is given: an int or a
+float, as a (value, bound) pair, a float as exact and an int as float(n)
+with its conversion error (0 up to 2**53, half an ulp of float(n) beyond).
+_real(x, name) raises TypeError naming the argument for any other kind, a
+bool included.  Every entry point reads its arguments through it, tolerances
+aside, and the constructor its value and its bound (an int bound rounded up
+where float(n) < n).  +, - and * read a plain operand by _pair, and an
+operation builds its result once, through the checked constructor called as
+a function.
 
 No platform trigonometric function appears anywhere in this call graph.
 """
@@ -102,14 +103,11 @@ class CertifiedValue(namedtuple("CertifiedValue", "value abs_error_bound")):
         if abs_error_bound.__class__ is not float:  # an int or a float subclass; no other kind
             abs_error_bound = _read_bound(abs_error_bound)
         # the value first: an operation with a nan or infinite operand has a nan bound too
-        if value.__class__ is not float:  # an int or a float subclass, read by _pair; no other kind
-            f, err = _pair(value)
-            if err is None:
-                raise TypeError(f"value must be an int or a float, got {value!r}")
+        if value.__class__ is not float:  # an int or a float subclass; no other kind
+            value, err = _real(value, "value")
             if err and 0.0 <= abs_error_bound:  # a bound < 0 or nan fails below, err unadded
                 # checked again: it can overflow
-                return _checked(cls, f, (abs_error_bound + err) * _UP3)
-            value = f
+                return _checked(cls, value, (abs_error_bound + err) * _UP3)
         if value - value != 0.0:  # nan for +-inf and nan, 0.0 for every finite float
             raise ValueError(f"value must be finite, got {value!r}")
         if not 0.0 <= abs_error_bound < _INF:  # also false for nan
@@ -178,31 +176,34 @@ def _agree(lhs, rhs):
     return abs(lv - rv) <= lb + rb
 
 
-def _is_real(x):
-    """True for an int or a float, the plain numbers of the package; a bool is neither."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 def _read_bound(b):
-    """An int or a float bound as a float, an int rounded up where float(n) < n;
-    TypeError for any other kind of bound, a bool included."""
-    if not _is_real(b):
-        raise TypeError(f"abs_error_bound must be an int or a float, got {b!r}")
-    f = float(b)
+    """An int or a float bound (_real) as a float, an int rounded up where float(n) < n."""
+    f = _real(b, "abs_error_bound")[0]
     return math.nextafter(f, _INF) if f < b else f
 
 
 def _pair(x):
-    """(value, bound) of a plain number, else (None, None).
+    """(value, bound) of an int or a float, else (None, None); a bool is neither.
 
-    A float is exact, a nan included (there f != x).  An int is float(n),
-    exact up to 2**53; beyond, where float(n) != n, its bound is the
-    conversion error, half an ulp of float(n).
+    A float is exact, a nan included; a float subclass is the plain float.  An
+    int is float(n), exact up to 2**53; beyond, where float(n) != n, its bound
+    is the conversion error, half an ulp of float(n).
     """
-    if not _is_real(x):
+    if isinstance(x, float):
+        return float(x), 0.0
+    if not isinstance(x, int) or isinstance(x, bool):
         return None, None
     f = float(x)
-    return f, (0.0 if f == x or isinstance(x, float) else 0.5 * math.ulp(f))
+    return f, (0.0 if f == x else 0.5 * math.ulp(f))
+
+
+def _real(x, name):
+    """_pair(x) for an int or a float: the one reader of every number the package
+    is given.  TypeError naming `name` for any other kind of value, a bool included."""
+    f, err = _pair(x)
+    if err is None:
+        raise TypeError(f"{name} must be an int or a float, got {x!r}")
+    return f, err
 
 
 def ode_coefficients(count):
@@ -392,7 +393,8 @@ def _kernel(shift):
     def evaluate(x, tol):
         if not 0.0 < tol < _INF:  # _check_tol's test, so a valid tol costs no call
             _check_tol(tol)
-        x = float(x)
+        if x.__class__ is not float:
+            x = _real(x, "x")[0]  # an int in the domain is exact: |x| <= 1e8 < 2**53
         ax = abs(x)
         if ax <= _ROW0_EDGE:  # sin x = x, cos x = 1, before the domain test (bound comment)
             if ax == 0.0:
