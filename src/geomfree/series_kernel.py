@@ -177,8 +177,12 @@ def _agree(lhs, rhs):
 
 
 def _read_bound(b):
-    """An int or a float bound (_real) as a float, an int rounded up where float(n) < n."""
-    f = _real(b, "abs_error_bound")[0]
+    """An int or a float bound (_real) as a float, an int rounded up where float(n) < n
+    and read as infinite beyond the float range, which the bound's test then rejects."""
+    try:
+        f = _real(b, "abs_error_bound")[0]
+    except OverflowError:
+        return _INF
     return math.nextafter(f, _INF) if f < b else f
 
 
@@ -199,8 +203,12 @@ def _pair(x):
 
 def _real(x, name):
     """_pair(x) for an int or a float: the one reader of every number the package
-    is given.  TypeError naming `name` for any other kind of value, a bool included."""
-    f, err = _pair(x)
+    is given.  TypeError naming `name` for any other kind of value, a bool included,
+    and OverflowError naming it for an int beyond the float range."""
+    try:
+        f, err = _pair(x)
+    except OverflowError:
+        raise OverflowError(f"{name} is an int too large to convert to float") from None
     if err is None:
         raise TypeError(f"{name} must be an int or a float, got {x!r}")
     return f, err

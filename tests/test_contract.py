@@ -9,8 +9,11 @@ import ast
 import inspect
 import math
 import pickle
+import re
+import struct
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,14 +23,17 @@ import geomfree
 from geomfree import bench, cli, constants, series_kernel
 from geomfree.analysis import (
     arc_length,
+    arcsin_derivative_check,
     arcsin_newton,
     arcsin_quadrature,
+    ode_oracle,
     quarter_circle_area,
     unit_circle_point,
 )
 from geomfree.cli import main
 from geomfree.constants import find_q
 from geomfree.errors import DomainError, InvalidTolerance
+from geomfree.identities import check_identity
 from geomfree.series_kernel import CertifiedValue, _check_tol, cos_eval, sin_eval
 
 ENTRY_POINTS = {
@@ -335,6 +341,97 @@ def test_certified_arithmetic_reads_ints_and_floats_as_exact():
     assert cv + 2 == 2 + cv == CertifiedValue(3.0, 3.0 * 2.0 ** -53 * up)
     assert 3 - cv == CertifiedValue(2.0, 2.0 * 2.0 ** -53 * up)
     assert (cv * 0.5).value == 0.5
+
+
+# every site that reads a number from a caller: (the call with x there, the name it gives x)
+READERS = {
+    "sin_eval": (lambda x: sin_eval(x, 1e-15), "x"),
+    "cos_eval": (lambda x: cos_eval(x, 1e-15), "x"),
+    "arcsin_newton": (lambda x: arcsin_newton(x, 1e-15), "x"),
+    "arcsin_quadrature": (arcsin_quadrature, "x"),
+    "arc_length_from": (lambda x: arc_length(x, 0.5), "a"),
+    "arc_length_to": (lambda x: arc_length(-0.5, x), "b"),
+    "unit_circle_point": (unit_circle_point, "a"),
+    "ode_oracle_t_end": (lambda x: ode_oracle(x, 0.01), "t_end"),
+    "ode_oracle_step": (lambda x: ode_oracle(1.0, x), "step"),
+    "arcsin_derivative_check": (lambda x: arcsin_derivative_check([0.0], x), "h"),
+    "check_identity": (lambda x: check_identity("sine_double_angle", [x]),
+                       "a sample of sine_double_angle"),
+    "check_identity_pair": (lambda x: check_identity("cosine_sum", [(0.25, x)]),
+                            "a sample of cosine_sum"),
+    "run_bench_lo": (lambda x: bench.run_bench(100, (x, 1.0), functions=("sin",)), "interval[0]"),
+    "run_bench_hi": (lambda x: bench.run_bench(100, (-1.0, x), functions=("sin",)), "interval[1]"),
+    "CertifiedValue_value": (lambda x: CertifiedValue(x, 0.0), "value"),
+    "CertifiedValue_bound": (lambda x: CertifiedValue(0.5, x), "abs_error_bound"),
+}
+
+
+@pytest.mark.parametrize("x", [True, False, "0.5", None, Decimal("0.5"), Fraction(1, 2)],
+                         ids=repr)
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_every_reader_takes_only_an_int_or_a_float_and_names_its_argument(name, x):
+    call, arg = READERS[name]
+    with pytest.raises(TypeError, match=f"^{re.escape(arg)} must be an int or a float, "
+                                        f"got {re.escape(repr(x))}$"):
+        call(x)
+
+
+def test_a_decimal_that_is_not_a_double_is_refused_not_rounded():
+    # arcsin of this number is 4.47e-9 from arcsin(1.0), far past a bound of ~1.7e-16
+    for x in (Decimal("0.99999999999999999"), Fraction(99999999999999999, 10 ** 17)):
+        with pytest.raises(TypeError, match="^x must be an int or a float"):
+            arcsin_newton(x, 1e-15)
+
+
+@pytest.mark.parametrize("n", [10 ** 400, -10 ** 400], ids=["1e400", "-1e400"])
+@pytest.mark.parametrize("name", sorted(set(READERS) - {"CertifiedValue_bound"}))
+def test_an_int_beyond_the_float_range_is_an_overflow_that_names_its_argument(name, n):
+    call, arg = READERS[name]
+    with pytest.raises(OverflowError,
+                       match=f"^{re.escape(arg)} is an int too large to convert to float$"):
+        call(n)
+
+
+@pytest.mark.parametrize("n", [10 ** 400, -10 ** 400, 2 ** 1024], ids=["1e400", "-1e400", "2**1024"])
+def test_an_int_bound_beyond_the_float_range_is_infinite(n):
+    for make in (lambda: CertifiedValue(1.0, n),
+                 lambda: CertifiedValue(1.0, 0.0)._replace(abs_error_bound=n)):
+        with pytest.raises(ValueError, match=r"^abs_error_bound must be finite and >= 0$"):
+            make()
+
+
+def _bits(result):
+    return struct.pack("<dd", *result)
+
+
+@pytest.mark.parametrize("f", [sin_eval, cos_eval, arcsin_newton])
+def test_an_int_or_a_numpy_float_gives_the_floats_bits(f):
+    np = pytest.importorskip("numpy")
+    for x in ([-1, 0, 1] + ([] if f is arcsin_newton else [2, 7, -100, 10 ** 8])):
+        assert _bits(f(x, 1e-15)) == _bits(f(float(x), 1e-15)), x
+    for x in (0.3, -0.7, 0.72, 1e-9, -1.0) + (() if f is arcsin_newton else (3.0, 1e8)):
+        assert _bits(f(np.float64(x), 1e-15)) == _bits(f(x, 1e-15)), x
+
+
+def test_the_other_readers_take_an_int_or_a_numpy_float_as_the_float():
+    np = pytest.importorskip("numpy")
+    half = np.float64(0.5)
+    assert arcsin_quadrature(1) == arcsin_quadrature(1.0)
+    assert arcsin_quadrature(half) == arcsin_quadrature(0.5)
+    assert arc_length(0, 1) == arc_length(0.0, 1.0)
+    assert arc_length(-half, half) == arc_length(-0.5, 0.5)
+    assert unit_circle_point(0) == unit_circle_point(0.0)
+    assert unit_circle_point(half) == unit_circle_point(0.5)
+    assert ode_oracle(1, np.float64(0.01)) == ode_oracle(1.0, 0.01)
+    assert arcsin_derivative_check([0.0], np.float64(1e-3)) == arcsin_derivative_check([0.0], 1e-3)
+    for samples in ([1], [half], [(2, half)]):
+        name = "cosine_sum" if isinstance(samples[0], tuple) else "sine_double_angle"
+        floats = [tuple(map(float, s)) if isinstance(s, tuple) else float(s) for s in samples]
+        checks = check_identity(name, samples)
+        assert checks == check_identity(name, floats)
+        assert all(type(p) is float for c in checks for p in c.sample_points)
+    cv = CertifiedValue(half, np.float64(1e-3))
+    assert cv == (0.5, 1e-3) and type(cv.value) is type(cv.abs_error_bound) is float
 
 
 def test_cli_holds_no_mathematics():
