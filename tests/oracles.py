@@ -8,6 +8,7 @@ plain Fraction dicts.  These reproduce the frozen expected values the
 tests assert against.
 """
 
+import math
 from fractions import Fraction
 from math import isqrt
 
@@ -92,7 +93,6 @@ def rational_sqrt(fr, bits=240):
 
 def ulps_apart(a, b):
     """Distance in units-in-the-last-place between two nearby floats."""
-    import math
     if a == b:
         return 0
     lo, hi = sorted((a, b))
@@ -101,6 +101,30 @@ def ulps_apart(a, b):
         lo = math.nextafter(lo, math.inf)
         count += 1
     return count
+
+
+_INWARD = 1 - Fraction(1, 2 ** 20)
+
+
+def adversary(f, truth, side):
+    """A stand-in for the certified evaluator f(x, tol) that keeps f's bound e
+    and moves f's value to one edge of the interval that e certifies.
+
+    truth(x) is the exact rational t that f approximates (to far below e).
+    The value is the float nearest t + side (1 - 2**-20) e, side +1 or -1,
+    stepped towards t until it lies within e of t: where e is below an ulp
+    of t, the nearest float can fall outside.  A bound built on f's must hold
+    for every value that f's certificate admits, and this one is as far from
+    the truth as the certificate allows, not well inside, as f's own.
+    """
+    def pushed(x, tol):
+        cv = f(x, tol)
+        t, e = truth(x), Fraction(cv[1])
+        v = float(t + side * _INWARD * e)
+        while abs(Fraction(v) - t) > e:
+            v = math.nextafter(v, math.inf if v < t else -math.inf)
+        return cv._replace(value=v)
+    return pushed
 
 
 # --- reference truncated polynomials ----------------------------------------

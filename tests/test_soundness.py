@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from oracles import adversary
 
 from geomfree import analysis, series_kernel
 from geomfree.analysis import arcsin_newton, arcsin_quadrature, unit_circle_point
@@ -584,6 +585,66 @@ def test_arcsin_makes_one_certified_sine_call(monkeypatch):
         calls.clear()
         arcsin_newton(x, 1e-15)
         assert calls == ["sin"], x
+
+
+# --- adversarial upstream values: a bound built on a certified value must hold
+# for every value in that value's interval, not only for the kernel's own
+
+
+def _exact(fn):
+    """x -> fn(x) at PREC_BITS as an exact rational, for oracles.adversary."""
+    def truth(x):
+        with mpmath.workprec(PREC_BITS):
+            t = fn(mpmath.mpf(x))
+            m, e = abs(t).man_exp
+        return (-1 if t < 0 else 1) * Fraction(m) * Fraction(2) ** e
+    return truth
+
+
+def _adversary_xs():
+    """Seeded x: uniform on [-1, 1], next to the sqrt(2)/2 split, and on the
+    reflected branch, each with both signs."""
+    rng = random.Random(20261021)
+    xs = [rng.uniform(-1.0, 1.0) for _ in range(1000)]
+    xs += [rng.choice((-1.0, 1.0)) * rng.uniform(0.69, 0.73) for _ in range(1000)]
+    xs += [rng.choice((-1.0, 1.0)) * rng.uniform(SQRT_HALF, 1.0) for _ in range(1500)]
+    return xs
+
+
+ADVERSARY_XS = _adversary_xs()
+
+
+@pytest.mark.parametrize("side", [1, -1])
+def test_arcsin_bound_holds_for_every_sine_the_kernel_certifies(monkeypatch, side):
+    monkeypatch.setattr(analysis, "sin_eval", adversary(sin_eval, _exact(mpmath.sin), side))
+    violations = []
+    for x in ADVERSARY_XS:
+        cv = arcsin_newton(x, 1e-15)
+        with mpmath.workprec(PREC_BITS):
+            if abs(mpmath.mpf(cv.value) - mpmath.asin(mpmath.mpf(x))) > cv.abs_error_bound:
+                violations.append(x)
+    assert violations == []
+
+
+@pytest.mark.parametrize("arcsin_side, kernel_side", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+def test_unit_circle_point_holds_for_every_value_its_inputs_certify(
+        monkeypatch, arcsin_side, kernel_side):
+    # arcsin is pushed to the edge of its bound, and so are the sine and
+    # cosine of the arc length and the sine inside arcsin itself
+    tbl = shared_table()
+    pushed_arcsin = adversary(arcsin_newton, _exact(mpmath.asin), arcsin_side)
+    monkeypatch.setattr(analysis, "arcsin_newton", pushed_arcsin)
+    monkeypatch.setattr(analysis, "sin_eval", adversary(sin_eval, _exact(mpmath.sin), kernel_side))
+    monkeypatch.setattr(analysis, "cos_eval", adversary(cos_eval, _exact(mpmath.cos), kernel_side))
+    for a in ADVERSARY_XS[::7]:
+        cs, sn, s = unit_circle_point(a)  # raises AssertionError if a check fails
+        arc, s_err = CertifiedValue(tbl.q, tbl.q_float_err) - pushed_arcsin(a, 1e-14)
+        assert arc == s
+        with mpmath.workprec(PREC_BITS):
+            ma = mpmath.mpf(a)
+            assert abs(mpmath.mpf(s) - mpmath.acos(ma)) <= s_err
+            assert abs(mpmath.mpf(cs) - ma) <= s_err + 2.0 ** -51
+            assert abs(mpmath.mpf(sn) - mpmath.sqrt(1 - ma * ma)) <= s_err + 2.0 ** -51
 
 
 def test_quadrature_estimate_covers_its_true_error():
