@@ -9,8 +9,10 @@ the term is larger than it has to be or the tests lack an input that needs it.
 
     python tests/bound_mutations.py
 
-Prints one caught/missed line per term.  Takes a few minutes; the file name
-keeps pytest from collecting it.
+Prints one caught/missed line per term.  Exits 1 unless the missed terms are
+exactly KNOWN_MISSED: a newly missed term is a test that stopped needing it,
+and a newly caught one belongs off the list.  Takes a few minutes; the file
+name keeps pytest from collecting it.
 """
 
 import os
@@ -59,7 +61,7 @@ MUTATIONS = (
     ("tiny row: t |x| z", KERNEL, "(_SIN_K0 * ax * z + _U * ax", "(_U * ax"),
     ("tiny row: u |x|", KERNEL, "(_SIN_K0 * ax * z + _U * ax", "(_SIN_K0 * ax * z"),
     ("tiny row: cosine's u", KERNEL, "_COS_TINY = (_U + _UNDERFLOW)", "_COS_TINY = (_UNDERFLOW)"),
-    ("arcsin: 1/cos_lo, d = 0", ANALYSIS, "bound = e / cos_lo * (", "bound = e * ("),
+    ("arcsin: 1/cos_lo, d = 0", ANALYSIS, "bound = e / cos_lo * _UP3", "bound = e * _UP3"),
     ("arcsin: 1/cos_lo, step", ANALYSIS, "bound = (e / cos_lo + d * d", "bound = (e + d * d"),
     ("arcsin: d^2", ANALYSIS, "e / cos_lo + d * d + 16.0", "e / cos_lo + 16.0"),
     ("arcsin: 16u |dy|", ANALYSIS, " + 16.0 * _U * abs(dy)", ""),
@@ -87,6 +89,21 @@ MUTATIONS = (
 )
 
 
+# the drops that no test catches: cosine's Horner H, the underflow allowance,
+# _ROUND_UP and k k_err are below what a binary64 input can realize, and arcsin's
+# d^2, 16u |dy| and four_q_err/4 are tiny by design
+KNOWN_MISSED = frozenset({
+    "kernel: cosine's Horner H",
+    "kernel: k k_err (table and general path)",
+    "kernel: the underflow allowance",
+    "kernel: _ROUND_UP",
+    "arcsin: d^2",
+    "arcsin: 16u |dy|",
+    "arcsin: four_q_err/4",
+    "unit_circle_point: 3u comp",
+})
+
+
 def _run_tests(tree):
     """True if the three test files pass on the package copy at `tree`."""
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *TEST_FILES]
@@ -108,7 +125,7 @@ def main():
                             ignore=shutil.ignore_patterns("__pycache__"))
         if not _run_tests(tree):
             raise SystemExit("the unmutated tree fails its tests")
-        missed = 0
+        missed = set()
         for term, path, text, replacement in MUTATIONS:
             source = (ROOT / path).read_text()
             if source.count(text) != 1:
@@ -118,9 +135,14 @@ def main():
                 caught = not _run_tests(tree)
             finally:
                 (tree / path).write_text(source)
-            missed += not caught
-            print(f"{'caught' if caught else 'MISSED':<7} {term}", flush=True)
-        print(f"{len(MUTATIONS) - missed} of {len(MUTATIONS)} drops caught")
+            if not caught:
+                missed.add(term)
+            note = "" if caught != (term in KNOWN_MISSED) else "  (not as KNOWN_MISSED says)"
+            print(f"{'caught' if caught else 'MISSED':<7} {term}{note}", flush=True)
+        print(f"{len(MUTATIONS) - len(missed)} of {len(MUTATIONS)} drops caught")
+        if missed != KNOWN_MISSED:
+            differ = sorted(missed ^ KNOWN_MISSED)
+            raise SystemExit(f"missed drops differ from KNOWN_MISSED: {differ}")
 
 
 if __name__ == "__main__":
