@@ -23,7 +23,7 @@ from collections import namedtuple
 
 from .constants import shared_table
 from .errors import DomainError, StepTooLarge
-from .series_kernel import (_INF, _U, _UNDERFLOW, CertifiedValue, _agree, _check_tol,
+from .series_kernel import (_INF, _U, _UNDERFLOW, _UP3, _UP6, CertifiedValue, _agree, _check_tol,
                             _check_tol_floor, _new_cv, _real, _sin_value, cos_eval, sin_eval)
 
 _SQRT_HALF = 0.7071067811865476  # float nearest sqrt(1/2)
@@ -134,14 +134,14 @@ def arcsin_newton(x, tol):
         # the square root rounded down
         cos_lo = math.sqrt((1.0 - m) * (1.0 + m)) * (1.0 - 4.0 * _U)
         if d == 0.0:  # the step would be 0: y1 with b1, its roundings rounded up
-            bound = e / cos_lo * (1.0 + 4.0 * _U)
+            bound = e / cos_lo * _UP3
         else:
             c2 = (1.0 - s) * (1.0 + s)
             dy = d * math.sqrt(c2) / (c2 + 0.5 * d * s)
             y2 = y - dy
             r = (y - y2) - dy  # Fast2Sum: y - dy = y2 + r exactly
-            bound = (e / cos_lo + d * d + 16.0 * _U * abs(dy) + abs(r) + _UNDERFLOW) * (
-                1.0 + 8.0 * _U)  # six roundings rounded up
+            # six roundings rounded up
+            bound = (e / cos_lo + d * d + 16.0 * _U * abs(dy) + abs(r) + _UNDERFLOW) * _UP6
             y = y2
     if ax > _SQRT_HALF:
         tbl = shared_table()

@@ -84,6 +84,9 @@ _new_cv = tuple.__new__  # the trusted constructor: no check of the bound (modul
 # - *: the products |sv| e, |w| se and se e pass through one product and four
 #   sums, so n = 5: _UP6 = 1 + 8u.  A product that lands below the normal range
 #   loses up to _TINY/2 outright; v's and the three terms' losses take 2 _TINY.
+# - analysis.arcsin_newton: e/cos_lo, one division, n = 1: _UP3.  Its step's
+#   e/cos_lo + d d + 16u|dy| + |r| + 256 _TINY, a division or a product and
+#   four sums, n = 5: _UP6.
 # A sum below the normal range is exact, so a bound there needs no factor, and
 # the factor never lowers one.
 

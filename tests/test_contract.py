@@ -392,7 +392,8 @@ def test_an_int_beyond_the_float_range_is_an_overflow_that_names_its_argument(na
         call(n)
 
 
-@pytest.mark.parametrize("n", [10 ** 400, -10 ** 400, 2 ** 1024], ids=["1e400", "-1e400", "2**1024"])
+@pytest.mark.parametrize("n", [10 ** 400, -10 ** 400, 2 ** 1024],
+                         ids=["1e400", "-1e400", "2**1024"])
 def test_an_int_bound_beyond_the_float_range_is_infinite(n):
     for make in (lambda: CertifiedValue(1.0, n),
                  lambda: CertifiedValue(1.0, 0.0)._replace(abs_error_bound=n)):
