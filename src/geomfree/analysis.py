@@ -252,6 +252,7 @@ def arcsin_derivative_check(grid, h):
         raise ValueError("h must be positive")
     worst = 0.0
     for x in grid:
+        x = _real(x, "a grid point")[0]
         if not (-1.0 + h < x < 1.0 - h):
             raise DomainError(f"grid point {x!r} too close to the endpoints")
         hi = arcsin_newton(x + h, 1e-15).value

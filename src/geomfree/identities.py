@@ -145,11 +145,12 @@ def _lookup(name):
 def check_identity(name, samples):
     """Evaluate both sides of a registered identity at every sample.
 
-    `samples` holds floats (1-argument identities) or (x, y) pairs; a
-    pair of another length raises ValueError, and a sample that is not
-    iterable where a pair is due (a bare number, None), or a value that is
-    not an int or a float (a bool, a string), TypeError.  Returns one
-    IdentityCheck per sample.
+    `samples` holds numbers (1-argument identities) or (x, y) pairs, each
+    number read by the package's one input rule (series_kernel._real): an
+    int or a float, anything else, a bool or a string included, TypeError.
+    A pair of another length raises ValueError, and a sample that is not
+    iterable where a pair is due (a bare number, None) TypeError.  Returns
+    one IdentityCheck per sample.
     """
     arity, fn = _lookup(name)
     label = f"a sample of {name}"

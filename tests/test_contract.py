@@ -355,6 +355,8 @@ READERS = {
     "ode_oracle_t_end": (lambda x: ode_oracle(x, 0.01), "t_end"),
     "ode_oracle_step": (lambda x: ode_oracle(1.0, x), "step"),
     "arcsin_derivative_check": (lambda x: arcsin_derivative_check([0.0], x), "h"),
+    "arcsin_derivative_check_grid": (lambda x: arcsin_derivative_check([x], 1e-3),
+                                     "a grid point"),
     "check_identity": (lambda x: check_identity("sine_double_angle", [x]),
                        "a sample of sine_double_angle"),
     "check_identity_pair": (lambda x: check_identity("cosine_sum", [(0.25, x)]),
@@ -366,21 +368,16 @@ READERS = {
 }
 
 
-@pytest.mark.parametrize("x", [True, False, "0.5", None, Decimal("0.5"), Fraction(1, 2)],
-                         ids=repr)
+# a decimal that is not a double is refused, not rounded: arcsin of 0.99999999999999999
+# is 4.47e-9 from arcsin(1.0), far past the bound of 1.7e-16 that 1.0 would get
+@pytest.mark.parametrize("x", [True, False, "0.5", None, Decimal("0.5"), Fraction(1, 2),
+                               Decimal("0.99999999999999999")], ids=repr)
 @pytest.mark.parametrize("name", sorted(READERS))
 def test_every_reader_takes_only_an_int_or_a_float_and_names_its_argument(name, x):
     call, arg = READERS[name]
     with pytest.raises(TypeError, match=f"^{re.escape(arg)} must be an int or a float, "
                                         f"got {re.escape(repr(x))}$"):
         call(x)
-
-
-def test_a_decimal_that_is_not_a_double_is_refused_not_rounded():
-    # arcsin of this number is 4.47e-9 from arcsin(1.0), far past a bound of ~1.7e-16
-    for x in (Decimal("0.99999999999999999"), Fraction(99999999999999999, 10 ** 17)):
-        with pytest.raises(TypeError, match="^x must be an int or a float"):
-            arcsin_newton(x, 1e-15)
 
 
 @pytest.mark.parametrize("n", [10 ** 400, -10 ** 400], ids=["1e400", "-1e400"])
