@@ -1,40 +1,42 @@
 """Constructive derivation of Q (first positive zero of cosine) and pi = 2Q.
 
-Q is found by bisection on [0, 2], with the bracket's ends kept as integer
-numerators over 2**n.  Every sign decision is certified in exact rational
-arithmetic by one cos_eval_exact call, whose sum runs forward on integers
-over one common denominator and stops at the first partial sum whose
-distance from zero exceeds the alternating-series remainder bound,
-returning that sum's sign alone.  A Newton polish that uses sin Q = 1
-(y <- y + cos y) refines Q to a 2**-200 dyadic, far past binary64, on
-integers: each step takes the unreduced cosine sum from the series
-kernel's integer core, computes no remainder, and rounds y + cos y to
-2**-200 by one integer division.  Two more exact sign checks, at the
-dyadic points 2**-167 either side of it, certify Q inside the reported
-radius 1e-50 (refined_radius), from which certified_bound follows
-(bisection_iterations counts the bisection steps).  The polished rational
-q_exact is what the sine/cosine kernel splits for its range reduction; it
-also yields a double-double representation of the full period 4Q.
+Every rational here is a pair of integers, and every float comes from one
+correctly rounded integer division, so building the table loads no
+`fractions`.  Q is found by bisection on [0, 2], with the bracket's ends
+kept as integer numerators over 2**n.  Every sign decision is certified in
+exact rational arithmetic by one call of the series kernel's integer core,
+_series_sum, whose sum runs forward over one common denominator and stops
+at the first partial sum whose distance from zero exceeds the
+alternating-series remainder bound; only that sum's sign is kept.  A
+Newton polish that uses sin Q = 1 (y <- y + cos y) refines Q to a 2**-200
+dyadic, far past binary64: each step takes the unreduced cosine sum from
+the same core, computes no remainder, and rounds y + cos y to 2**-200 by
+one integer division.  Two more exact sign checks, at the dyadic points
+2**-167 either side of it, certify Q inside the reported radius 1e-50
+(refined_radius), from which certified_bound follows (bisection_iterations
+counts the bisection steps).  The polished numerator q_exact_num (over
+2**200; q_exact is the Fraction, built on read) is what the sine/cosine
+kernel splits for its range reduction; it also yields a double-double
+representation of the full period 4Q.
 """
 
 import functools
 from collections import namedtuple
-from fractions import Fraction
 
 from .errors import ToleranceTooTight
 from .report import CheckResult
-from .series_kernel import _check_tol_floor, _series_sum, cos_eval_exact
+from .series_kernel import _check_tol_floor, _round_half_even, _scaled, _series_sum, cos_eval_exact
 
 _MAX_TERMS = 100          # series-degree budget: 2*100 = degree 200
 _POLISH_BITS = 200        # dyadic rounding between Newton polish steps
-_REFINE_RADIUS = Fraction(1, 10 ** 50)  # the reported radius around q_exact
-_CERT_BITS = _REFINE_RADIUS.denominator.bit_length()  # 2**-167: largest power of two below it
+_REFINE_DEN = 10 ** 50    # the reported radius around q_exact is 1 / _REFINE_DEN
+_CERT_BITS = _REFINE_DEN.bit_length()  # 2**-167: largest power of two below the radius
 
 
 class ConstantsTable(namedtuple("ConstantsTable", (
         "q", "pi", "q_multiples",
         "certified_bound",        # radius of the certified bracket around q
-        "q_exact",                # polished Fraction, within refined_radius of Q
+        "q_exact_num",            # q_exact's integer numerator over 2**200
         "refined_radius",
         "q_float_err",            # |q - Q| bound for the binary64 field
         "four_q_dd", "four_q_err", "bisection_iterations"))):
@@ -47,48 +49,50 @@ class ConstantsTable(namedtuple("ConstantsTable", (
 
     __slots__ = ()
 
+    @property
+    def q_exact(self):
+        """The polished Fraction q_exact_num / 2**200, within refined_radius of Q."""
+        from fractions import Fraction
+        return Fraction(self.q_exact_num, 1 << _POLISH_BITS)
 
-def _certified_sign(x, or_zero=False):
-    """Sign of cos at an exact rational point, certified by remainder bounds.
+
+def _certified_sign(p, q=1, or_zero=False):
+    """Sign of cos at the rational point p/q (integers, q > 0), certified by
+    remainder bounds.
 
     One exact cosine sum stops at its first partial sum, of at most
     _MAX_TERMS terms, whose magnitude exceeds the alternating-series
     remainder bound; no partial sum is discarded, and only the sign is
-    returned, so no Fraction is reduced.  If no partial sum decides it,
-    returns 0 if or_zero, else raises ToleranceTooTight.
+    returned.  If no partial sum decides it, returns 0 if or_zero, else
+    raises ToleranceTooTight.
     """
-    sign = cos_eval_exact(x, _MAX_TERMS, sign_only=True)
-    if sign or or_zero:
-        return sign
+    num, _, _, decided = _series_sum(p, q, _MAX_TERMS, False, sign_only=True)
+    if decided:
+        return (num > 0) - (num < 0)
+    if or_zero:
+        return 0
     raise ToleranceTooTight(
-        f"cos sign at {float(x)} not decidable within degree {2 * _MAX_TERMS}")
-
-
-def _round_half_even(n, d):
-    """round(n / d) for integers n and d > 0, half to even as round() does."""
-    f, r = divmod(n, d)
-    return f + (2 * r > d or 2 * r == d and f & 1)
+        f"cos sign at {p / q} not decidable within degree {2 * _MAX_TERMS}")
 
 
 def _certified_bisection(tol):
     """Bisection on [0, 2] with certified endpoint signs at every step.
 
-    Returns (lo, hi, iterations); cos(lo) > 0 and cos(hi) < 0 hold,
-    certified, throughout.  The bracket is kept as integer numerators
-    a/2**n and b/2**n, so each step builds one Fraction, its certified
-    midpoint; iterations is n, and lo and hi are built once at the end.
+    Returns (a, b, n), the bracket [a/2**n, b/2**n] as integer numerators;
+    cos > 0 at its left end and cos < 0 at its right end hold, certified,
+    throughout, and n counts the steps.
     """
     if _certified_sign(0) <= 0 or _certified_sign(2) >= 0:
         raise AssertionError("initial bracket signs failed certification")
-    tol_fr = Fraction(tol)
+    tn, td = tol.as_integer_ratio()
     a, b, n = 0, 2, 0
-    while (b - a) * tol_fr.denominator > tol_fr.numerator << n:  # hi - lo > tol
+    while (b - a) * td > tn << n:  # hi - lo > tol
         m, a, b, n = a + b, 2 * a, 2 * b, n + 1
-        if _certified_sign(Fraction(m, 1 << n)) > 0:
+        if _certified_sign(m, 1 << n) > 0:
             a = m
         else:
             b = m
-    return Fraction(a, 1 << n), Fraction(b, 1 << n), n
+    return a, b, n
 
 
 def find_q(tol):
@@ -107,59 +111,65 @@ def find_q(tol):
     """
     _check_tol_floor(tol, 1e-15, "find_q")
 
-    lo, hi, iterations = _certified_bisection(tol)
+    lo, hi, iterations = _certified_bisection(tol)  # the bracket [lo, hi] / 2**iterations
+    width = hi - lo
 
     # Newton polish with sin Q = 1: y <- y + cos y maps Q + e to Q + (e - sin e)
     # and increases with fixed point Q, so its iterates stay between the
     # midpoint and Q; dyadic rounding keeps the rationals small.  The step
     # count follows from the bracket: |e - sin e| <= |e|^3/6, each step adds
     # at most 2^-200 (the rounding, and the 40-term truncation below 1e-94),
-    # and steps stop once e^3/6 is below that.  y = a/q on integers: each
-    # step rounds (y + c) 2^200 = (a den + num q) 2^200 / (q den), with
-    # c = num/den the unreduced cosine sum, by one integer division.
-    y = (lo + hi) / 2
+    # and steps stop once e^3/6 is below that; e = en/ed on integers.
+    # y = a/q on integers: each step rounds (y + c) 2^200 = (a den + num q) 2^200 / (q den),
+    # with c = num/den the unreduced cosine sum, by one integer division.
     scale = 1 << _POLISH_BITS
-    steps, e = 1, (hi - lo) / 2
-    while e ** 3 / 6 > Fraction(1, scale):
-        steps, e = steps + 1, e ** 3 / 6 + Fraction(1, scale)
-    a, q = y.numerator, y.denominator
+    steps, en, ed = 1, width, 2 << iterations
+    while en ** 3 << _POLISH_BITS > 6 * ed ** 3:  # e^3/6 > 2^-200; e <- e^3/6 + 2^-200
+        steps, en, ed = steps + 1, (en ** 3 << _POLISH_BITS) + 6 * ed ** 3, 6 * ed ** 3 * scale
+    a, q = lo + hi, 2 << iterations  # the bracket's midpoint
     for _ in range(steps):
         num, den, _, _ = _series_sum(a, q, 40, False)
         a, q = _round_half_even((a * den + num * q) << _POLISH_BITS, q * den), scale
-    y = Fraction(a, scale)
 
     # re-certify: cos changes sign between the dyadic points y -/+ rho
-    # (rho = rho_a / 2^200, first 2^-167), so |y - Q| < rho < refined, the
-    # reported radius; past any indecisive point both radii widen by 1024
-    refined, rho_a = _REFINE_RADIUS, 1 << (_POLISH_BITS - _CERT_BITS)
-    while (_certified_sign(Fraction(a - rho_a, scale), or_zero=True) <= 0
-           or _certified_sign(Fraction(a + rho_a, scale), or_zero=True) >= 0):
-        refined, rho_a = refined * 1024, rho_a * 1024
-        if refined > (hi - lo):
-            y = (lo + hi) / 2
-            refined = (hi - lo) / 2
+    # (rho = rho_a / 2^200, first 2^-167), so |y - Q| < rho < refined = rn/rd,
+    # the reported radius; past any indecisive point both radii widen by 1024
+    rn, rd, rho_a = 1, _REFINE_DEN, 1 << (_POLISH_BITS - _CERT_BITS)
+    while (_certified_sign(a - rho_a, scale, or_zero=True) <= 0
+           or _certified_sign(a + rho_a, scale, or_zero=True) >= 0):
+        rn, rho_a = rn * 1024, rho_a * 1024
+        if rn << iterations > width * rd:  # refined > hi - lo: back to the midpoint
+            a = (lo + hi) << (_POLISH_BITS - iterations - 1)
+            rn, rd = width, 2 << iterations
             break
 
     # |y - Q| <= refined <= hi - lo <= 2, so either radius bounds |y - Q|,
     # and y -/+ radius stays inside (-Q, 3Q), where cos changes sign only at Q
-    certified_bound = tol / 2 if refined <= Fraction(tol) / 2 <= hi - lo else float(hi - lo)
+    tn, td = tol.as_integer_ratio()
+    if 2 * rn * td <= tn * rd and tn << iterations <= 2 * td * width:  # refined <= tol/2 <= hi - lo
+        certified_bound = tol / 2
+    else:
+        certified_bound = width / (1 << iterations)
 
-    q_float = float(y)
-    q_float_err = float(abs(Fraction(q_float) - y) + refined) * (1.0 + 1e-9)
+    # each float below is one integer division, and a multiple of 2^-200, so
+    # its difference from a rational over 2^200 is an integer numerator too
+    q_float = a / scale
+    q_float_err = ((abs(_scaled(q_float, _POLISH_BITS) - a) * rd + rn * scale)
+                   / (scale * rd) * (1.0 + 1e-9))
 
-    four_q = 4 * y
-    dd_hi = float(four_q)
-    dd_lo = float(four_q - Fraction(dd_hi))
-    resid = abs(four_q - Fraction(dd_hi) - Fraction(dd_lo))
-    four_q_err = float(resid + 4 * refined) * (1.0 + 1e-9)
+    dd_hi = 4 * a / scale
+    rest = 4 * a - _scaled(dd_hi, _POLISH_BITS)
+    dd_lo = rest / scale
+    resid = abs(rest - _scaled(dd_lo, _POLISH_BITS))
+    four_q_err = (resid * rd + 4 * rn * scale) / (scale * rd) * (1.0 + 1e-9)
 
     return ConstantsTable(
         q=q_float,
         pi=2.0 * q_float,
         q_multiples=q_multiples_table(),
         certified_bound=certified_bound,
-        q_exact=y,
-        refined_radius=float(refined),
+        q_exact_num=a,
+        refined_radius=rn / rd,
         q_float_err=q_float_err,
         four_q_dd=(dd_hi, dd_lo),
         four_q_err=four_q_err,
@@ -203,6 +213,7 @@ def pi_value():
 
 def _cos2_certificate():
     """Exact certification that cos 2 <= -131/315 from a 4-term partial sum."""
+    from fractions import Fraction
     partial, bound = cos_eval_exact(Fraction(2), 4)
     ok = (partial == Fraction(-19, 45)
           and bound == Fraction(2, 315)
@@ -235,7 +246,7 @@ def _sin_positive_check():
     """sin > 0 on (0, 2], so cos decreases strictly on [0, 2]: with cos 0 = 1
     and cos 2 < 0 (_cos2_certificate), the zero that find_q brackets is the
     only one in (0, 2), the least positive zero Q."""
-    x_max = Fraction(2)
+    x_max = 2
     return CheckResult(
         name="sin_positive_on_0_2",
         kind="exact",

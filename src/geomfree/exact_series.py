@@ -34,7 +34,6 @@ No floating point is used anywhere in this module.
 
 import operator
 from bisect import bisect_right
-from fractions import Fraction
 from itertools import accumulate
 from math import factorial, gcd, lcm, prod
 
@@ -59,6 +58,7 @@ class _Poly:
     arity = None
 
     def __init__(self, degree_cap, coeffs=None):
+        from fractions import Fraction
         scaled = {}
         for key, v in (coeffs or {}).items():
             e = (operator.index(key),) if self.arity == 1 else tuple(map(operator.index, key))
@@ -99,10 +99,12 @@ class _Poly:
     @property
     def coeffs(self):
         """The nonzero coefficients as exact Fractions, keyed as in the constructor."""
+        from fractions import Fraction
         return {self._key(e): Fraction(v, self.den * _scale(e)) for e, v in self.num.items()}
 
     def coefficient(self, *e):
         """The exact coefficient of x^e0 (y^e1)."""
+        from fractions import Fraction
         v = self.num.get(e)
         return Fraction(v, self.den * _scale(e)) if v else Fraction(0)
 

@@ -11,7 +11,6 @@ even where the identity's argument is not exactly representable.
 import math
 import random
 from collections import namedtuple
-from fractions import Fraction
 
 from .constants import shared_table
 from .errors import UnknownIdentity
@@ -221,6 +220,7 @@ def _isqrt_fraction(fr):
     Uses only integer arithmetic (math.isqrt); independent of any libm
     routine.
     """
+    from fractions import Fraction
     if fr < 0:
         raise ValueError("negative radicand")
     n = fr.numerator * fr.denominator << (2 * _ISQRT_BITS)
@@ -235,6 +235,7 @@ def solve_sine_cubic():
     Returns [(root, multiplicity), ...] sorted by root: the single root
     -1 and the double root 1/2.
     """
+    from fractions import Fraction
     # ascending coefficients of 4s^3 - 3s + 1
     poly = [Fraction(1), Fraction(-3), Fraction(0), Fraction(4)]
     candidates = sorted(Fraction(s, d) for d in (1, 2, 4) for s in (1, -1))
@@ -275,6 +276,7 @@ def special_angles():
     from sin^2 + cos^2 = 1 with the first-quadrant positive sign, and the
     pi/3 row is the pi/6 row reflected.
     """
+    from fractions import Fraction
     tbl = shared_table()
     q = tbl.q
     pi = tbl.pi

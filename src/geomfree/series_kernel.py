@@ -41,7 +41,8 @@ arithmetic keep the checks, because an overflow can make a bound infinite.
 
 One rule, _pair's, reads every number the package is given: an int or a
 float, as a (value, bound) pair, a float as exact and an int as float(n)
-with its conversion error (0 up to 2**53, half an ulp of float(n) beyond).
+with its conversion error (0 up to 2**53, half an ulp of float(n) beyond),
+and an int beyond the float range as an OverflowError naming it.
 _real(x, name) raises TypeError naming the argument for any other kind, a
 bool included.  Every entry point reads its arguments through it, tolerances
 aside, and the constructor its value and its bound (an int bound rounded up
@@ -55,13 +56,11 @@ No platform trigonometric function appears anywhere in this call graph.
 import math
 import operator
 from collections import namedtuple
-from fractions import Fraction
 
 from .doubledouble import two_prod
 from .errors import DomainError, InvalidTolerance
 
 _U = 2.0 ** -53          # unit roundoff of binary64; 2 * _U is ulp(1)
-_HALF_U = 2.0 ** -54
 _TINY = 2.0 ** -1074     # smallest subnormal
 _UP3 = 1.0 + 4.0 * _U    # >= (1 + u)**3: a bound's roundings, two sums and this factor's
 _UP6 = 1.0 + 8.0 * _U    # >= (1 + u)**6: a product's bound, five roundings and this factor's
@@ -127,7 +126,7 @@ class CertifiedValue(namedtuple("CertifiedValue", "value abs_error_bound")):
     # other operand is NotImplemented, so Python raises TypeError.  Results
     # are built by the checked __new__ called as a function (_checked).
     def __add__(self, other):
-        w, e = other if isinstance(other, CertifiedValue) else _pair(other)
+        w, e = other if isinstance(other, CertifiedValue) else _pair(other, "operand of +")
         if e is None:
             return NotImplemented
         v = self[0] + w
@@ -139,21 +138,21 @@ class CertifiedValue(namedtuple("CertifiedValue", "value abs_error_bound")):
         return _checked(CertifiedValue, -self[0], self[1])
 
     def __sub__(self, other):
-        w, e = other if isinstance(other, CertifiedValue) else _pair(other)
+        w, e = other if isinstance(other, CertifiedValue) else _pair(other, "operand of -")
         if e is None:
             return NotImplemented
         v = self[0] - w
         return _checked(CertifiedValue, v, (self[1] + e + _U * abs(v)) * _UP3)
 
     def __rsub__(self, other):  # a plain number minus self; two CertifiedValues take __sub__
-        w, e = _pair(other)
+        w, e = _pair(other, "operand of -")
         if e is None:
             return NotImplemented
         v = w - self[0]  # rounds as w + (-v) does
         return _checked(CertifiedValue, v, (self[1] + e + _U * abs(v)) * _UP3)
 
     def __mul__(self, other):
-        w, e = other if isinstance(other, CertifiedValue) else _pair(other)
+        w, e = other if isinstance(other, CertifiedValue) else _pair(other, "operand of *")
         if e is None:
             return NotImplemented
         sv, se = self
@@ -189,32 +188,43 @@ def _read_bound(b):
     return math.nextafter(f, _INF) if f < b else f
 
 
-def _pair(x):
+def _pair(x, name):
     """(value, bound) of an int or a float, else (None, None); a bool is neither.
 
     A float is exact, a nan included; a float subclass is the plain float.  An
     int is float(n), exact up to 2**53; beyond, where float(n) != n, its bound
-    is the conversion error, half an ulp of float(n).
+    is the conversion error, half an ulp of float(n).  An int beyond the float
+    range is an OverflowError naming it as `name`.
     """
     if isinstance(x, float):
         return float(x), 0.0
     if not isinstance(x, int) or isinstance(x, bool):
         return None, None
-    f = float(x)
+    try:
+        f = float(x)
+    except OverflowError:
+        raise OverflowError(f"{name} is an int too large to convert to float") from None
     return f, (0.0 if f == x else 0.5 * math.ulp(f))
 
 
 def _real(x, name):
-    """_pair(x) for an int or a float: the one reader of every number the package
-    is given.  TypeError naming `name` for any other kind of value, a bool included,
-    and OverflowError naming it for an int beyond the float range."""
-    try:
-        f, err = _pair(x)
-    except OverflowError:
-        raise OverflowError(f"{name} is an int too large to convert to float") from None
+    """_pair(x, name) for an int or a float: the one reader of every number the
+    package is given.  TypeError naming `name` for any other kind of value, a bool
+    included, and OverflowError naming it for an int beyond the float range."""
+    f, err = _pair(x, name)
     if err is None:
         raise TypeError(f"{name} must be an int or a float, got {x!r}")
     return f, err
+
+
+def _ode_terms(count):
+    """The recursion of ode_coefficients on integers: the lists of numerators
+    and denominators of c_0 .. c_(count-1)."""
+    num, den = [0, 1], [1, 1]
+    for n in range(count - 2):
+        num.append(-num[n])
+        den.append(den[n] * (n + 2) * (n + 1))
+    return num, den
 
 
 def ode_coefficients(count):
@@ -227,11 +237,8 @@ def ode_coefficients(count):
     """
     if count < 2:
         raise ValueError("count must be >= 2")
-    num, den = [0, 1], [1, 1]
-    for n in range(count - 2):
-        num.append(-num[n])
-        den.append(den[n] * (n + 2) * (n + 1))
-    return tuple(map(Fraction, num, den))
+    from fractions import Fraction
+    return tuple(map(Fraction, *_ode_terms(count)))
 
 
 def _check_tol(tol):
@@ -247,10 +254,21 @@ def _check_tol_floor(tol, floor, what):
         raise InvalidTolerance(f"{what} supports tolerances down to {floor:g}, got {tol!r}")
 
 
-def _round_to_bits(v, bits):
-    """The float nearest the rational v with at most `bits` significant bits."""
-    e = math.frexp(float(v))[1]
-    return math.ldexp(round(v * Fraction(2) ** (bits - e)), e - bits)
+def _round_half_even(n, d):
+    """round(n / d) for integers n and d > 0, half to even as round() does."""
+    f, r = divmod(n, d)
+    return f + (2 * r > d or 2 * r == d and f & 1)
+
+
+def _scaled(f, bits):
+    """f * 2**bits as an int; exact where f is a multiple of 2**-bits."""
+    return int(math.ldexp(f, bits))
+
+
+def _round_to_bits(n, d, bits):
+    """The float nearest n / d (integers, d > 0) with at most `bits` significant bits."""
+    s = bits - math.frexp(n / d)[1]
+    return math.ldexp(_round_half_even(n << s, d) if s >= 0 else _round_half_even(n, d << -s), -s)
 
 
 _reduction = None  # bound once, on first use, by _bind_reduction
@@ -260,8 +278,10 @@ def _bind_reduction():
     """Derive the reduction constants from the shared table and bind them.
 
     Q is split Cody-Waite style into Q1 + Q2 + Q3 from the certified
-    q_exact: Q1 and Q2 carry 27 bits each, Q3 is the rest rounded to a
-    float.  k_err bounds |Q1 + Q2 + Q3 - Q| per unit of k.  quadrants[j]
+    q_exact, on its integer numerator over 2**200: Q1 and Q2 carry 27 bits
+    each, Q3 is the rest rounded to a float.  Each is a multiple of 2**-200,
+    so every remainder is an integer numerator too.  k_err bounds
+    |Q1 + Q2 + Q3 - Q| per unit of k.  quadrants[j]
     says how sin(jQ + r) = sin(jQ) cos r + cos(jQ) sin r reduces, from the
     exact Q-multiples table: (whether it is the cosine series, its sign).
 
@@ -276,17 +296,20 @@ def _bind_reduction():
     from, for |x| >= edge3.
     """
     global _reduction
-    from .constants import shared_table  # deferred: constants builds on the exact evaluators
+    # deferred: constants builds on the exact evaluators
+    from .constants import _POLISH_BITS as bits, shared_table
 
     tbl = shared_table()
-    q = tbl.q_exact
-    q1 = _round_to_bits(q, 27)
-    q2 = _round_to_bits(q - Fraction(q1), 27)
-    q3 = float(q - Fraction(q1) - Fraction(q2))
-    split = abs(Fraction(q1) + Fraction(q2) + Fraction(q3) - q)
+    qn, scale = tbl.q_exact_num, 1 << bits  # q_exact = qn / scale
+    q1 = _round_to_bits(qn, scale, 27)
+    rest = qn - _scaled(q1, bits)
+    q2 = _round_to_bits(rest, scale, 27)
+    rest -= _scaled(q2, bits)
+    q3 = rest / scale
+    split = abs(rest - _scaled(q3, bits))  # |Q1 + Q2 + Q3 - q_exact| * scale
     # rounded up past the float conversions of split and refined_radius
-    k_err = (float(split) + tbl.refined_radius) * (1.0 + 2.0 ** -49)
-    half_q = math.nextafter(float(q / 2), 0.0)  # below Q/2: q_exact is within 1e-50 of Q
+    k_err = (split / scale + tbl.refined_radius) * (1.0 + 2.0 ** -49)
+    half_q = math.nextafter(qn / (scale << 1), 0.0)  # below Q/2: q_exact is within 1e-50 of Q
     inv_q = 1.0 / tbl.q
     quadrants = tuple((s != 0, s or c) for _, s, c in tbl.q_multiples[:4])
 
@@ -310,7 +333,9 @@ def _bind_reduction():
 # 2**53, is the float nearest its rational, within a relative rho_n <= u:
 #   sin r = r + r z (s_1 + z (s_2 + ... + z s_8)),           s_n = (-1)**n / (2n+1)!
 #   cos r = (1 - z/2) + z**2 (c_2 + z (c_3 + ... + z c_8)),  c_n = (-1)**n / (2n)!
-# Degree table, from the exact coefficients a_n of w**n (w = r**2): rows (largest
+# Degree table, from the exact coefficients a_n of w**n (w = r**2), each held as
+# an integer pair (numerator, denominator) and turned into a float by one
+# correctly rounded integer division: rows (largest
 # z, first omitted n, t), where t bounds a_n w**n per unit of the tail's scale,
 # |r| z (sine, j = 1) or z**2 (cosine, j = 2), at the row's largest z, and so the
 # alternating, shrinking remainder below it.  Row 0 keeps only the leading part,
@@ -319,17 +344,26 @@ _Z_MAX = 0.6169  # above fl(r**2) for |r| <= 0.7854, the largest reduced argumen
 
 
 def _degree_table(a, j):
-    # row 0 ends just inside its edge: 1 - 2**-20 < 1 - z/2 there, past the roundings
-    z0 = float((Fraction(_HALF_U) / abs(a[j])) ** Fraction(1, j)) * (1.0 - 2.0 ** -20)
-    return tuple((z, n, float(abs(a[n]) * Fraction(z) ** (n - j)) * (1.0 + 2.0 ** -50))
-                 for z, n in ((z0, j), (_Z_MAX, len(a) - 1)))
+    # row 0 ends just inside its edge: 1 - 2**-20 < 1 - z/2 there, past the roundings;
+    # the j-th root of the rational 2**-54 / |a_j| is taken in floats
+    p, q = a[j]
+    z0 = q / (abs(p) << 54)
+    if j > 1:
+        z0 **= 1 / j
+    z0 *= 1.0 - 2.0 ** -20
+
+    def t(z, n):  # |a_n| z**(n - j), with z = zn / zd exactly
+        (p, q), (zn, zd) = a[n], z.as_integer_ratio()
+        return abs(p) * zn ** (n - j) / (q * zd ** (n - j)) * (1.0 + 2.0 ** -50)
+
+    return tuple((z, n, t(z, n)) for z, n in ((z0, j), (_Z_MAX, len(a) - 1)))
 
 
-_ODE = ode_coefficients(20)  # c_(2n+1) = (-1)**n / (2n+1)!; cosine's are (2n+1) c_(2n+1)
-_COS_A = [(2 * n + 1) * _ODE[2 * n + 1] for n in range(10)]
-_SIN_TABLE = _degree_table([_ODE[2 * n + 1] for n in range(10)], 1)
+_ODE = list(zip(*_ode_terms(20)))  # c_(2n+1) = (-1)**n / (2n+1)!; cosine's are (2n+1) c_(2n+1)
+_COS_A = [((2 * n + 1) * p, q) for n, (p, q) in enumerate(_ODE[1::2])]
+_SIN_TABLE = _degree_table(_ODE[1::2], 1)
 _COS_TABLE = _degree_table(_COS_A, 2)
-_COS_Z_ONE = float(Fraction(_HALF_U) / 2 / abs(_COS_A[1]))  # cosine's row 0 is 1: |a_1| z <= 2**-55
+_COS_Z_ONE = _COS_A[1][1] / (abs(_COS_A[1][0]) << 55)  # cosine's row 0 is 1: |a_1| z <= 2**-55
 
 # Error bound of the evaluator that _kernel builds, sin_eval and cos_eval.
 # u = 2**-53, gamma_n = nu/(1 - nu).  |r| <= 0.7854 (k is nearest |x|/Q up to
@@ -542,6 +576,7 @@ def _eval_series_exact(x, terms, odd, sign_only=False):
     the first decided truncation and only the certified sign is returned:
     that of the partial sum if it is decided, else 0.
     """
+    from fractions import Fraction
     x = Fraction(x)
     num, den, m, decided = _series_sum(x.numerator, x.denominator, terms, odd, sign_only)
     if sign_only:

@@ -51,7 +51,7 @@ MUTATIONS = (
     ("kernel: the table's parts of red_err, |k Q3| and k k_err", KERNEL,
      "abs(k * q3), k * k_err, quadrants", "0.0, 0.0, quadrants"),
     ("kernel: k k_err (table and general path)", KERNEL,
-     "k_err = (float(split) + tbl.refined_radius) * (1.0 + 2.0 ** -49)", "k_err = 0.0"),
+     "k_err = (split / scale + tbl.refined_radius) * (1.0 + 2.0 ** -49)", "k_err = 0.0"),
     ("kernel: the reduction's two roundings", KERNEL,
      "red_err += _U * (ap + abs(lo))", "pass"),
     ("kernel: u |value|", KERNEL, " + _U * abs(val) + _UNDERFLOW)", " + _UNDERFLOW)"),

@@ -68,9 +68,9 @@ def cos_sign_oracle(x):
     return 1 if s > 0 else -1
 
 
-def bisect_q_oracle(width):
-    """Bisect [0, 2] for the cosine zero until the bracket is thinner than
-    `width`; returns the midpoint as a Fraction."""
+def q_bracket_oracle(width):
+    """Bisect [0, 2] for the cosine zero until the bracket is no wider than
+    `width`; returns the bracket (lo, hi) as Fractions."""
     lo, hi = Fraction(0), Fraction(2)
     assert cos_sign_oracle(lo) > 0 and cos_sign_oracle(hi) < 0
     target = Fraction(width)
@@ -80,7 +80,104 @@ def bisect_q_oracle(width):
             lo = mid
         else:
             hi = mid
+    return lo, hi
+
+
+def bisect_q_oracle(width):
+    """The midpoint of q_bracket_oracle(width), a Fraction."""
+    lo, hi = q_bracket_oracle(width)
     return (lo + hi) / 2
+
+
+def _polish(lo, hi):
+    unit = Fraction(1, 2 ** 200)
+    steps, e = 1, (hi - lo) / 2
+    while e ** 3 / 6 > unit:
+        steps, e = steps + 1, e ** 3 / 6 + unit
+    y = (lo + hi) / 2
+    for _ in range(steps):
+        c, _ = cos_enclosure(y, 40)
+        y = Fraction(round((y + c) * 2 ** 200), 2 ** 200)
+    return y, steps
+
+
+def fraction_polish(tol):
+    """find_q's Newton polish in plain Fractions, on the oracle's cosine sum:
+    (q_exact, steps) from the midpoint of the oracle's bisection at tol."""
+    return _polish(*q_bracket_oracle(tol))
+
+
+# --- the set-up constants, derived in Fractions -------------------------------
+# The package derives these on integer numerators and denominators, each float
+# by one integer division.  Restated here on Fractions, each float by
+# Fraction.__float__, they must come out equal bit for bit.
+
+def fraction_table(tol):
+    """find_q(tol)'s q_exact and float fields, from the oracle's bisection and
+    polish.  At the tolerances the tests use, the first certificate, 2**-167
+    either side of q_exact, already decides, so refined_radius is 1e-50."""
+    lo, hi = q_bracket_oracle(tol)
+    y, _ = _polish(lo, hi)
+    refined = Fraction(1, 10 ** 50)
+    rho = Fraction(1, 2 ** 167)
+    assert cos_sign_oracle(y - rho) > 0 and cos_sign_oracle(y + rho) < 0
+    q = float(y)
+    four_q = 4 * y
+    dd_hi = float(four_q)
+    dd_lo = float(four_q - Fraction(dd_hi))
+    resid = abs(four_q - Fraction(dd_hi) - Fraction(dd_lo))
+    return {
+        "q": q,
+        "certified_bound": tol / 2 if refined <= Fraction(tol) / 2 <= hi - lo else float(hi - lo),
+        "q_exact": y,
+        "refined_radius": float(refined),
+        "q_float_err": float(abs(Fraction(q) - y) + refined) * (1.0 + 1e-9),
+        "four_q_dd": (dd_hi, dd_lo),
+        "four_q_err": float(resid + 4 * refined) * (1.0 + 1e-9),
+    }
+
+
+def degree_table_oracle(a, j, z_max):
+    """The kernel's degree table from the Fraction coefficients a_n of w**n:
+    rows (largest z, first omitted n, |a_n| z**(n-j) rounded up), row 0 up
+    to where |a_j| z**j reaches 2**-54, row 1 up to z_max."""
+    z0 = float((Fraction(1, 2 ** 54) / abs(a[j])) ** Fraction(1, j)) * (1.0 - 2.0 ** -20)
+    return tuple((z, n, float(abs(a[n]) * Fraction(z) ** (n - j)) * (1.0 + 2.0 ** -50))
+                 for z, n in ((z0, j), (z_max, len(a) - 1)))
+
+
+def _round_to_bits(v, bits):
+    e = math.frexp(float(v))[1]
+    return math.ldexp(round(v * Fraction(2) ** (bits - e)), e - bits)
+
+
+def reduction_oracle(tbl):
+    """The kernel's reduction constants, the tuple of _bind_reduction, from
+    the table's q_exact in Fractions: the Cody-Waite split Q1 + Q2 + Q3,
+    k_err, Q/2, the edges of k = 2 and 3 and the rows of k = 1 and 2."""
+    q = tbl.q_exact
+    q1 = _round_to_bits(q, 27)
+    q2 = _round_to_bits(q - Fraction(q1), 27)
+    q3 = float(q - Fraction(q1) - Fraction(q2))
+    split = abs(Fraction(q1) + Fraction(q2) + Fraction(q3) - q)
+    k_err = (float(split) + tbl.refined_radius) * (1.0 + 2.0 ** -49)
+    half_q = math.nextafter(float(q / 2), 0.0)
+    inv_q = 1.0 / tbl.q
+    quadrants = tuple((s != 0, s or c) for _, s, c in tbl.q_multiples[:4])
+
+    def edge(k):
+        a = (k - 0.5) * tbl.q
+        while int(a * inv_q + 0.5) >= k:
+            a = math.nextafter(a, 0.0)
+        while int(a * inv_q + 0.5) < k:
+            a = math.nextafter(a, math.inf)
+        return a
+
+    def entry(k, shift):
+        return k * q1, -k * q2, k * q3, abs(k * q3), k * k_err, quadrants[(k + shift) & 3]
+
+    rows = tuple((quadrants[shift], entry(1, shift), entry(2, shift)) for shift in (0, 1))
+    return half_q, edge(2), edge(3), rows, (inv_q, q1, q2, q3, k_err, quadrants)
 
 
 def rational_sqrt(fr, bits=240):

@@ -19,7 +19,8 @@ from geomfree.constants import (
 from geomfree.errors import InvalidTolerance
 from geomfree.series_kernel import cos_eval, sin_eval
 
-from oracles import PI_REF, Q_REF, bisect_q_oracle, cos_enclosure, cos_sign_oracle
+from oracles import (PI_REF, Q_REF, bisect_q_oracle, cos_sign_oracle, degree_table_oracle,
+                     fraction_polish, fraction_table, reduction_oracle)
 
 
 class TestFindQ:
@@ -82,23 +83,6 @@ class TestPolishedQ:
             assert cos_sign_oracle(tbl.q_exact + r) < 0
 
 
-def fraction_polish(tol):
-    """find_q's Newton polish in plain Fractions, on the oracle's cosine sum:
-    (q_exact, steps) from the midpoint of the oracle's bisection at tol."""
-    width = Fraction(2)
-    while width > Fraction(tol):
-        width /= 2
-    unit = Fraction(1, 2 ** 200)
-    steps, e = 1, width / 2
-    while e ** 3 / 6 > unit:
-        steps, e = steps + 1, e ** 3 / 6 + unit
-    y = bisect_q_oracle(tol)
-    for _ in range(steps):
-        c, _ = cos_enclosure(y, 40)
-        y = Fraction(round((y + c) * 2 ** 200), 2 ** 200)
-    return y, steps
-
-
 class TestTablePinned:
     """The table, field for field, so that a drift fails here rather than
     shifting the kernel's bounds."""
@@ -129,19 +113,34 @@ class TestTablePinned:
              5.721188726109832e-18, 4.335905065061899e-35, quadrants))
 
 
+class TestIntegerDerivation:
+    """find_q and the reduction split run on integer numerators; the same
+    derivation in Fractions (oracles.py) gives every field bit for bit."""
+
+    # 3 and 100 take certified_bound's two branches at a bracket of width 2
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-13, 1e-15, 3, 100])
+    def test_find_q_fields(self, tol):
+        tbl = find_q(tol)
+        want = fraction_table(tol)
+        assert {name: getattr(tbl, name) for name in want} == want
+
+    def test_reduction_constants(self):
+        assert series_kernel._bind_reduction() == reduction_oracle(shared_table())
+
+
 class TestCertificatePoints:
     def test_sign_calls_polish_calls_and_the_dyadic_certificate(self, monkeypatch):
         signs, core_calls, cos_calls = [], [], []
         real_sign, real_core, real_cos = (
             constants._certified_sign, constants._series_sum, constants.cos_eval_exact)
 
-        def sign(x, or_zero=False):
-            signs.append((x, real_sign(x, or_zero)))
+        def sign(p, q=1, or_zero=False):
+            signs.append((Fraction(p, q), real_sign(p, q, or_zero)))
             return signs[-1][1]
 
-        def core(*args):
-            core_calls.append(args)
-            return real_core(*args)
+        def core(*args, sign_only=False):
+            core_calls.append((args, sign_only))
+            return real_core(*args, sign_only=sign_only)
 
         def cos(*args, **kwargs):
             cos_calls.append(args)
@@ -159,9 +158,12 @@ class TestCertificatePoints:
         assert rho.numerator == 1 and rho.denominator & (rho.denominator - 1) == 0
         assert rho <= Fraction(tbl.refined_radius)
         assert (s_below, s_above) == (cos_sign_oracle(below), cos_sign_oracle(above)) == (1, -1)
-        # the polish runs on the integer core only: every cos_eval_exact is a sign
-        assert len(core_calls) == fraction_polish(1e-13)[1] == 2
-        assert len(cos_calls) == len(signs)
+        # signs and polish both run on the integer core, and never through
+        # cos_eval_exact: one sign-only sum per sign, one full sum per polish step
+        polish_calls = [args for args, sign_only in core_calls if not sign_only]
+        assert len(polish_calls) == fraction_polish(1e-13)[1] == 2
+        assert len(core_calls) - len(polish_calls) == len(signs)
+        assert cos_calls == []
 
 
 class TestBisectionInvariants:
@@ -169,12 +171,13 @@ class TestBisectionInvariants:
         signs = []
         real_sign = constants._certified_sign
 
-        def sign(x, or_zero=False):
-            signs.append((x, real_sign(x, or_zero)))
+        def sign(p, q=1, or_zero=False):
+            signs.append((Fraction(p, q), real_sign(p, q, or_zero)))
             return signs[-1][1]
 
         monkeypatch.setattr(constants, "_certified_sign", sign)
         lo, hi, iterations = _certified_bisection(1e-6)
+        lo, hi = Fraction(lo, 1 << iterations), Fraction(hi, 1 << iterations)
         assert signs[:2] == [(0, 1), (2, -1)]
         assert len(signs) == 2 + iterations
         # one midpoint per step, certified as the oracle signs it; replaying
@@ -256,4 +259,4 @@ class TestIncrementalSign:
     def test_undecidable_point_gives_zero_when_asked(self, monkeypatch):
         from geomfree import constants as constants_mod
         monkeypatch.setattr(constants_mod, "_MAX_TERMS", 8)
-        assert _certified_sign(shared_table().q, or_zero=True) == 0
+        assert _certified_sign(*shared_table().q.as_integer_ratio(), or_zero=True) == 0

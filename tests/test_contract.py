@@ -17,6 +17,7 @@ from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import geomfree
@@ -142,7 +143,7 @@ PUBLIC_SURFACE = """\
 BiPoly(degree_cap, coeffs=None)
 CertifiedValue(value, abs_error_bound)
 CheckResult(name, kind, passed, detail=None, samples=1)
-ConstantsTable(q, pi, q_multiples, certified_bound, q_exact, refined_radius, q_float_err, four_q_dd, four_q_err, bisection_iterations)
+ConstantsTable(q, pi, q_multiples, certified_bound, q_exact_num, refined_radius, q_float_err, four_q_dd, four_q_err, bisection_iterations)
 DomainError
 GeomfreeError
 IdentityCheck(name, lhs, rhs, combined_bound, passed, sample_points=())
@@ -323,6 +324,28 @@ def test_import_leaves_dataclasses_and_inspect_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_the_cold_path_to_the_first_evals_loads_no_fractions():
+    # set-up and the evaluators run on ints; only a call that returns a Fraction loads it
+    src = Path(geomfree.__file__).resolve().parent.parent
+    code = ("import sys\n"
+            f"sys.path.insert(0, {str(src)!r})\n"
+            "import geomfree\n"
+            "geomfree.shared_table()\n"
+            "geomfree.sin_eval(5.0, 1e-15)\n"
+            "geomfree.cos_eval(2.0, 1e-15)\n"
+            "geomfree.arcsin_newton(0.9, 1e-15)\n"
+            "print(sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))\n"
+            "print(repr(geomfree.ode_coefficients(4)))\n"
+            "print(repr(geomfree.shared_table().q_exact))\n")
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120)
+    with mpmath.workprec(400):
+        nearest = int(mpmath.nint(mpmath.pi / 2 * mpmath.mpf(2) ** 200))
+    assert out.stdout.splitlines() == [
+        "[]", repr((Fraction(0), Fraction(1), Fraction(0), Fraction(-1, 6))),
+        repr(Fraction(nearest, 2 ** 200))]
+
+
 NOT_A_NUMBER = ["1.5", True, False, None, 1j, Fraction(3, 2), [1.0]]
 
 
@@ -387,6 +410,25 @@ def test_an_int_beyond_the_float_range_is_an_overflow_that_names_its_argument(na
     with pytest.raises(OverflowError,
                        match=f"^{re.escape(arg)} is an int too large to convert to float$"):
         call(n)
+
+
+# +, - and * with a plain operand, each way round: (the operation with n there, the name it gives n)
+OPERATIONS = {
+    "__add__": (lambda n: CertifiedValue(1.0, 0.0) + n, "operand of +"),
+    "__radd__": (lambda n: n + CertifiedValue(1.0, 0.0), "operand of +"),
+    "__sub__": (lambda n: CertifiedValue(1.0, 0.0) - n, "operand of -"),
+    "__rsub__": (lambda n: n - CertifiedValue(1.0, 0.0), "operand of -"),
+    "__mul__": (lambda n: CertifiedValue(1.0, 0.0) * n, "operand of *"),
+    "__rmul__": (lambda n: n * CertifiedValue(1.0, 0.0), "operand of *"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPERATIONS))
+def test_an_operand_beyond_the_float_range_is_an_overflow_that_names_it(name):
+    operate, operand = OPERATIONS[name]
+    with pytest.raises(OverflowError,
+                       match=f"^{re.escape(operand)} is an int too large to convert to float$"):
+        operate(10 ** 400)
 
 
 @pytest.mark.parametrize("n", [10 ** 400, -10 ** 400, 2 ** 1024],

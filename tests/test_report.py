@@ -180,4 +180,4 @@ class TestDegreeBudget:
         monkeypatch.setattr(constants_mod, "_MAX_TERMS", 8)
         q = shared_table().q
         with pytest.raises(ToleranceTooTight):
-            _certified_sign(q)
+            _certified_sign(*q.as_integer_ratio())

@@ -21,8 +21,8 @@ from geomfree.series_kernel import (
     sin_eval_exact,
 )
 
-from oracles import (COS_2, SIN_1, cos_enclosure, cos_oracle, series_enclosures,
-                     sin_enclosure, sin_oracle)
+from oracles import (COS_2, SIN_1, cos_enclosure, cos_oracle, degree_table_oracle,
+                     series_enclosures, sin_enclosure, sin_oracle)
 
 
 class TestOdeCoefficients:
@@ -585,6 +585,16 @@ class TestDegreeTable:
         z0 = Fraction(rows[0][0])
         # the whole tail is at most its first term: below 2**-54 (1 - z/2) per unit of |r| or 1
         assert coeff(power) * z0 ** power <= Fraction(1, 2 ** 54) * (1 - z0 / 2)
+
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_rows_equal_the_fraction_derivation_bit_for_bit(self, name):
+        rows, power, coeff = self.KERNELS[name]
+        assert rows == degree_table_oracle([coeff(n) for n in range(10)], power,
+                                           series_kernel._Z_MAX)
+
+    def test_tiny_row_edges_equal_the_fraction_derivation_bit_for_bit(self):
+        z_one = float(Fraction(1, 2 ** 55) / self.KERNELS["cos"][2](1))
+        assert (series_kernel._COS_Z_ONE, series_kernel._ROW0_EDGE) == (z_one, math.sqrt(z_one))
 
     def test_sin_value_equals_the_kernel_value(self):
         half_q = shared_table().q / 2
