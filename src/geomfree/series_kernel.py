@@ -50,6 +50,12 @@ where float(n) < n).  +, - and * read a plain operand by _pair, and an
 operation builds its result once, through the checked constructor called as
 a function.
 
+The constants derived at import and on first use, the degree table,
+_COS_Z_ONE and the reduction split of Q, are computed on integer numerators
+and denominators, each float by one correctly rounded integer division, so
+importing this module and evaluating load no `fractions`.  Only
+ode_coefficients and the exact evaluators, which return Fractions, import it.
+
 No platform trigonometric function appears anywhere in this call graph.
 """
 
