@@ -83,7 +83,7 @@ _new_cv = tuple.__new__  # the trusted constructor: no check of the bound (modul
 # share, so the true bound is at most (1 + u)**n times the computed sum, and the
 # factor's own product rounds once more: a factor >= (1 + u)**(n + 1), which is
 # below 1 + gamma_(n + 1), rounded up to a float, makes the bound hold.
-# - + and - (either side): se + e + u|v|, two sums, so n = 2: _UP3 = 1 + 4u.
+# - _sum, for + and - either side: e + f + u|s|, two sums, so n = 2: _UP3 = 1 + 4u.
 # - The constructor's bound + an int's conversion error, one sum, and
 #   identities._at's bound + (u|arg| + arg_err), two: _UP3.
 # - *: the products |sv| e, |w| se and se e pass through one product and four
@@ -130,32 +130,24 @@ class CertifiedValue(namedtuple("CertifiedValue", "value abs_error_bound")):
     # rounding so chained checks stay honest.  A CertifiedValue operand is
     # unpacked in place; a plain int or float goes through _pair, and any
     # other operand is NotImplemented, so Python raises TypeError.  Results
-    # are built by the checked __new__ called as a function (_checked).
+    # are built by the checked __new__ called as a function (_checked), and
+    # +, - and reflected - by one sum rule, _sum.
     def __add__(self, other):
         w, e = other if isinstance(other, CertifiedValue) else _pair(other, "operand of +")
-        if e is None:
-            return NotImplemented
-        v = self[0] + w
-        return _checked(CertifiedValue, v, (self[1] + e + _U * abs(v)) * _UP3)
+        return NotImplemented if e is None else _sum(self[0], self[1], w, e)
 
     __radd__ = __add__
 
     def __neg__(self):
         return _checked(CertifiedValue, -self[0], self[1])
 
-    def __sub__(self, other):
+    def __sub__(self, other):  # a - b is a + (-b) in IEEE arithmetic, and -b is exact
         w, e = other if isinstance(other, CertifiedValue) else _pair(other, "operand of -")
-        if e is None:
-            return NotImplemented
-        v = self[0] - w
-        return _checked(CertifiedValue, v, (self[1] + e + _U * abs(v)) * _UP3)
+        return NotImplemented if e is None else _sum(self[0], self[1], -w, e)
 
     def __rsub__(self, other):  # a plain number minus self; two CertifiedValues take __sub__
         w, e = _pair(other, "operand of -")
-        if e is None:
-            return NotImplemented
-        v = w - self[0]  # rounds as w + (-v) does
-        return _checked(CertifiedValue, v, (self[1] + e + _U * abs(v)) * _UP3)
+        return NotImplemented if e is None else _sum(w, e, -self[0], self[1])
 
     def __mul__(self, other):
         w, e = other if isinstance(other, CertifiedValue) else _pair(other, "operand of *")
@@ -174,6 +166,11 @@ class CertifiedValue(namedtuple("CertifiedValue", "value abs_error_bound")):
 
 
 _checked = CertifiedValue.__new__  # the checked constructor, called without type()'s dispatch
+
+
+def _sum(v, e, w, f):  # (v, e) + (w, f): the one sum rule of +, - and reflected -
+    s = v + w
+    return _checked(CertifiedValue, s, (e + f + _U * abs(s)) * _UP3)
 
 
 def _agree(lhs, rhs):
@@ -543,9 +540,9 @@ def _series_sum(p, q, terms, odd, sign_only=False):
     the common denominator, num <- num S d_n + (-P)**n.  m is `terms`,
     raised until the omitted terms decrease (P <= S d_(m+1)).  decided,
     times D_m / |x|**o, is |num| S d_m > P**m, so it needs no Fraction.
-    With sign_only the sum stops earlier, at the first such m that is
-    decided, and den is None: a sign needs no power of S.  The exact
-    evaluators and find_q's Newton polish share this one loop.
+    With sign_only, the sign certificate of constants._certified_sign, the
+    sum stops at the first decided m and den is None: a sign needs no power
+    of S.  The exact evaluators and find_q's Newton polish share this loop.
     """
     if abs(p) > 4 * q:
         raise DomainError("exact series evaluation requires |x| <= 4")
@@ -573,20 +570,14 @@ def _series_sum(p, q, terms, odd, sign_only=False):
     return num, q * den if odd else den, n, decided
 
 
-def _eval_series_exact(x, terms, odd, sign_only=False):
+def _eval_series_exact(x, terms, odd):
     """(sum of the first m terms, |term m|) of the sine (odd) or cosine
-    series, both Fractions, by _series_sum; the sum is reduced once.
-
-    |term m| is |x|**(2m+o) / (2m+o)!; p and q are coprime, so its reduction
-    needs only the gcd with the factorial.  With sign_only the sum stops at
-    the first decided truncation and only the certified sign is returned:
-    that of the partial sum if it is decided, else 0.
-    """
+    series, both Fractions, by _series_sum; the sum is reduced once.  |term m|
+    is |x|**(2m+o) / (2m+o)!; p and q are coprime, so its reduction needs only
+    the gcd with the factorial."""
     from fractions import Fraction
     x = Fraction(x)
-    num, den, m, decided = _series_sum(x.numerator, x.denominator, terms, odd, sign_only)
-    if sign_only:
-        return (num > 0) - (num < 0) if decided else 0
+    num, den, m, _ = _series_sum(x.numerator, x.denominator, terms, odd)
     e = 2 * m + (1 if odd else 0)
     return Fraction(num, den), abs(x) ** e / math.factorial(e)
 
@@ -602,10 +593,6 @@ def sin_eval_exact(x, terms):
     return _eval_series_exact(x, terms, True)
 
 
-def cos_eval_exact(x, terms, sign_only=False):
-    """Exact cosine partial sum; identical contract to sin_eval_exact.
-
-    With sign_only, returns only the sign of the first partial sum within
-    `terms` whose magnitude exceeds its bound (no Fraction is built), or 0.
-    """
-    return _eval_series_exact(x, terms, False, sign_only)
+def cos_eval_exact(x, terms):
+    """Exact cosine partial sum; identical contract to sin_eval_exact."""
+    return _eval_series_exact(x, terms, False)

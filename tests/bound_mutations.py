@@ -31,13 +31,11 @@ TEST_FILES = ("tests/test_soundness.py", "tests/test_analysis.py", "tests/test_s
 DIGEST_TESTS = ("tests/test_soundness.py::test_kernel_outputs_match_the_recorded_digest",
                 "tests/test_soundness.py::test_arcsin_outputs_match_the_recorded_digest")
 
-# the three sums' bounds: (operation, the line before the return), and (term, its drop)
-_SUMS = (("sum", "v = self[0] + w"), ("difference", "v = self[0] - w"),
-         ("reflected difference", "v = w - self[0]  # rounds as w + (-v) does"))
-_RETURN = "\n        return _checked(CertifiedValue, v, "
-_SUM_BOUND = "(self[1] + e + _U * abs(v)) * _UP3)"
-_SUM_DROPS = (("e", "(self[1] + _U * abs(v)) * _UP3)"), ("u |v|", "(self[1] + e) * _UP3)"),
-              ("round-up", "(self[1] + e + _U * abs(v)))"))
+# the one sum rule of +, - and reflected -, _sum's bound: (term, its drop)
+_RETURN = "return _checked(CertifiedValue, s, "
+_SUM_BOUND = "(e + f + _U * abs(s)) * _UP3)"
+_SUM_DROPS = (("e", "(f + _U * abs(s)) * _UP3)"), ("f", "(e + _U * abs(s)) * _UP3)"),
+              ("u |s|", "(e + f) * _UP3)"), ("round-up", "(e + f + _U * abs(s)))"))
 
 # (term, file, text, replacement): each text must occur exactly once
 MUTATIONS = (
@@ -70,8 +68,8 @@ MUTATIONS = (
     ("arcsin: 3u comp/|x|", ANALYSIS, " + 3.0 * _U * comp / ax", ""),
     ("arcsin: reflected u |y|", ANALYSIS, " + _U * y) * (1.0 + 2.0 ** -50)",
      ") * (1.0 + 2.0 ** -50)"),
-    *((f"{op}: {term}", KERNEL, line + _RETURN + _SUM_BOUND, line + _RETURN + dropped)
-      for op, line in _SUMS for term, dropped in _SUM_DROPS),
+    *((f"sum: {term}", KERNEL, _RETURN + _SUM_BOUND, _RETURN + dropped)
+      for term, dropped in _SUM_DROPS),
     ("product: |sv| e", KERNEL, "b = (abs(sv) * e\n             + abs(w) * se", "b = (abs(w) * se"),
     ("product: |w| se", KERNEL, "\n             + abs(w) * se\n", "\n"),
     ("product: se e", KERNEL, "\n             + se * e\n", "\n"),

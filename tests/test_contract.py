@@ -163,7 +163,7 @@ cauchy_product(p, q, D)
 check_identity(name, samples)
 check_periodicity(n_samples)
 cos_eval(x, tol)
-cos_eval_exact(x, terms, sign_only=False)
+cos_eval_exact(x, terms)
 default_samples(name, n, seed=0)
 find_q(tol)
 ode_coefficients(count)

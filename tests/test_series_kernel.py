@@ -207,15 +207,13 @@ class TestExactEvaluators:
 
     @pytest.mark.parametrize("terms", [2.5, "3"])
     def test_terms_must_be_an_integer(self, terms):
-        for evaluate in (sin_eval_exact, cos_eval_exact,
-                         lambda x, t: cos_eval_exact(x, t, sign_only=True)):
+        for evaluate in (sin_eval_exact, cos_eval_exact):
             with pytest.raises(TypeError):
                 evaluate(0.5, terms)
 
     def test_an_integer_term_count_sums_as_before(self):
         assert sin_eval_exact(0.5, 3) == (Fraction(1841, 3840), Fraction(1, 645120))
         assert cos_eval_exact(0.5, 3) == (Fraction(337, 384), Fraction(1, 46080))
-        assert cos_eval_exact(0.5, 3, sign_only=True) == 1
 
 
 def _terms_used(x, terms, odd):
@@ -503,20 +501,6 @@ class TestLargeInts:
         # the conversion error, 0.5 here, must not carry a negative bound past its check
         with pytest.raises(ValueError, match="^abs_error_bound must be finite and >= 0$"):
             CertifiedValue(2 ** 53 + 1, bound)
-
-
-class TestSignOnly:
-    def test_sign_only_is_the_sign_until_sign_certifies(self):
-        # sign_only builds no Fraction; it must be the sign of the oracle's
-        # first decisive sum, and 0 where that sum leaves the sign open
-        rng = random.Random(11)
-        xs = [Fraction(0), Fraction(4), Fraction(-4), Fraction(355, 226), Fraction(-355, 113)]
-        xs += [Fraction(rng.randint(-(4 << 60), 4 << 60), 1 << 60) for _ in range(40)]
-        for x in xs:
-            for terms in (1, 3, 30):
-                s, b = cos_enclosure(x, _first_decisive(x, terms, False, cos_enclosure))
-                want = (1 if s > 0 else -1) if abs(s) > b else 0
-                assert cos_eval_exact(x, terms, sign_only=True) == want
 
 
 class TestReflectedArithmetic:
