@@ -218,7 +218,7 @@ def arcsin_quadrature(x, tol=1e-10):
     InvalidTolerance for tol below 1e-15, where the rounding of the sums
     outgrows the truncation error.
     """
-    _check_tol_floor(tol, _MIN_QUAD_TOL, "quadrature")
+    tol = _check_tol_floor(tol, _MIN_QUAD_TOL, "quadrature")
     x = _real(x, "x")[0]
     _check_unit_interval(x)
     if abs(x) <= _SQRT_HALF:
@@ -236,7 +236,7 @@ def quarter_circle_area(tol=1e-10):
     The same u = sqrt(1 - x^2) substitution turns the outer piece into
     the regular integral of u^2/sqrt(1 - u^2) over [0, sqrt(2)/2].
     """
-    _check_tol_floor(tol, _MIN_QUAD_TOL, "quadrature")
+    tol = _check_tol_floor(tol, _MIN_QUAD_TOL, "quadrature")
     return _integrate([(_comp_sqrt, 0.0, _SQRT_HALF),
                        (lambda u: u * u / _comp_sqrt(u), 0.0, _SQRT_HALF)], tol)
 
@@ -267,7 +267,7 @@ def arc_length(a, b, tol=1e-10):
     """Arc length of y = sqrt(1 - x^2) from x=a to x=b, via the identity
     sqrt(1 + (dy/dx)^2) = 1/sqrt(1 - x^2): equals arcsin b - arcsin a.
     Each end gets tol/2, so tol stops at twice the quadrature's 1e-15."""
-    _check_tol_floor(tol, 2.0 * _MIN_QUAD_TOL, "arc_length")
+    tol = _check_tol_floor(tol, 2.0 * _MIN_QUAD_TOL, "arc_length")
     a, b = _real(a, "a")[0], _real(b, "b")[0]
     if not (-1.0 <= a <= b <= 1.0):
         raise DomainError(f"need -1 <= a <= b <= 1, got a={a!r}, b={b!r}")

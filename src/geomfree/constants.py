@@ -109,7 +109,7 @@ def find_q(tol):
     side of it certify a bracket inside the reported radius 1e-50, and
     the reported radius tol/2 (or hi - lo) follows from it.
     """
-    _check_tol_floor(tol, 1e-15, "find_q")
+    tol = _check_tol_floor(tol, 1e-15, "find_q")
 
     lo, hi, iterations = _certified_bisection(tol)  # the bracket [lo, hi] / 2**iterations
     width = hi - lo

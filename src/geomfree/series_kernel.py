@@ -44,11 +44,13 @@ float, as a (value, bound) pair, a float as exact and an int as float(n)
 with its conversion error (0 up to 2**53, half an ulp of float(n) beyond),
 and an int beyond the float range as an OverflowError naming it.
 _real(x, name) raises TypeError naming the argument for any other kind, a
-bool included.  Every entry point reads its arguments through it, tolerances
-aside, and the constructor its value and its bound (an int bound rounded up
-where float(n) < n).  +, - and * read a plain operand by _pair, and an
-operation builds its result once, through the checked constructor called as
-a function.
+bool included.  Every entry point reads its arguments through it, _check_tol
+a tolerance (which the kernel and arcsin_newton read only when their inline
+test fails), and the constructor its value and its bound (an int bound
+rounded up where float(n) < n).  +, - and * read a plain operand by _pair,
+and an operation builds its result once, through the checked constructor
+called as a function.  The exact evaluators take x as an int, a float or a
+Fraction, read exactly, and raise TypeError naming x for anything else.
 
 The constants derived at import and on first use, the degree table,
 _COS_Z_ONE and the reduction split of Q, are computed on integer numerators
@@ -245,16 +247,25 @@ def ode_coefficients(count):
 
 
 def _check_tol(tol):
-    """The one tolerance rule of the package: positive and finite."""
+    """The one tolerance rule of the package: tol read by _real's rule, then
+    positive and finite; returns it as a float.
+
+    The kernel and analysis.arcsin_newton run the comparison inline and call
+    this only when it fails, so a tol that passes it there (True, a Decimal)
+    is not read: their bounds do not depend on tol.
+    """
+    tol = _real(tol, "tol")[0]
     if not 0.0 < tol < math.inf:
         raise InvalidTolerance(f"tolerance must be positive and finite, got {tol!r}")
+    return tol
 
 
 def _check_tol_floor(tol, floor, what):
-    """_check_tol, and the floor below which `what` cannot meet tol."""
-    _check_tol(tol)
+    """_check_tol, and the floor below which `what` cannot meet tol; returns tol as a float."""
+    tol = _check_tol(tol)
     if tol < floor:
         raise InvalidTolerance(f"{what} supports tolerances down to {floor:g}, got {tol!r}")
+    return tol
 
 
 def _round_half_even(n, d):
@@ -576,6 +587,8 @@ def _eval_series_exact(x, terms, odd):
     is |x|**(2m+o) / (2m+o)!; p and q are coprime, so its reduction needs only
     the gcd with the factorial."""
     from fractions import Fraction
+    if isinstance(x, bool) or not isinstance(x, (int, float, Fraction)):
+        raise TypeError(f"x must be an int, a float or a Fraction, got {x!r}")
     x = Fraction(x)
     num, den, m, _ = _series_sum(x.numerator, x.denominator, terms, odd)
     e = 2 * m + (1 if odd else 0)
@@ -588,7 +601,9 @@ def sin_eval_exact(x, terms):
 
     If the omitted terms are not yet decreasing at the requested
     truncation, more terms are added internally so the bound is valid.
-    Returns a pair of exact rationals (value, bound).
+    x is an int, a float or a Fraction, read exactly; anything else, a bool
+    included, raises TypeError.  Returns a pair of exact rationals (value,
+    bound).
     """
     return _eval_series_exact(x, terms, True)
 

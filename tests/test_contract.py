@@ -386,6 +386,10 @@ READERS = {
                             "a sample of cosine_sum"),
     "run_bench_lo": (lambda x: bench.run_bench(100, (x, 1.0), functions=("sin",)), "interval[0]"),
     "run_bench_hi": (lambda x: bench.run_bench(100, (-1.0, x), functions=("sin",)), "interval[1]"),
+    "find_q_tol": (find_q, "tol"),
+    "arcsin_quadrature_tol": (lambda x: arcsin_quadrature(0.5, x), "tol"),
+    "quarter_circle_area_tol": (quarter_circle_area, "tol"),
+    "arc_length_tol": (lambda x: arc_length(-0.5, 0.5, x), "tol"),
     "CertifiedValue_value": (lambda x: CertifiedValue(x, 0.0), "value"),
     "CertifiedValue_bound": (lambda x: CertifiedValue(0.5, x), "abs_error_bound"),
 }
@@ -463,6 +467,8 @@ def test_the_other_readers_take_an_int_or_a_numpy_float_as_the_float():
     assert unit_circle_point(0) == unit_circle_point(0.0)
     assert unit_circle_point(half) == unit_circle_point(0.5)
     assert ode_oracle(1, np.float64(0.01)) == ode_oracle(1.0, 0.01)
+    assert quarter_circle_area(np.float64(1e-6)) == quarter_circle_area(1e-6)
+    assert find_q(1) == find_q(1.0) and type(find_q(1).certified_bound) is float
     assert arcsin_derivative_check([0.0], np.float64(1e-3)) == arcsin_derivative_check([0.0], 1e-3)
     for samples in ([1], [half], [(2, half)]):
         name = "cosine_sum" if isinstance(samples[0], tuple) else "sine_double_angle"

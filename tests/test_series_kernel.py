@@ -3,6 +3,8 @@
 import math
 import operator
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -210,6 +212,13 @@ class TestExactEvaluators:
         for evaluate in (sin_eval_exact, cos_eval_exact):
             with pytest.raises(TypeError):
                 evaluate(0.5, terms)
+
+    @pytest.mark.parametrize("x", [True, False, "1/3", None, Decimal("0.5"), 1j], ids=repr)
+    def test_x_must_be_an_int_a_float_or_a_fraction(self, x):
+        for evaluate in (sin_eval_exact, cos_eval_exact):
+            with pytest.raises(TypeError, match=f"^x must be an int, a float or a Fraction, "
+                                                f"got {re.escape(repr(x))}$"):
+                evaluate(x, 2)
 
     def test_an_integer_term_count_sums_as_before(self):
         assert sin_eval_exact(0.5, 3) == (Fraction(1841, 3840), Fraction(1, 645120))
@@ -531,6 +540,30 @@ class TestReflectedArithmetic:
             assert 1.0 - cv == CertifiedValue(1.0, 0.0) - cv == -(cv - 1.0)
             assert 2.0 * cv == cv * 2.0
             assert type(0.5 + cv) is type(1.0 - cv) is type(2.0 * cv) is CertifiedValue
+
+    def test_each_difference_is_the_sum_with_the_negated_operand(self):
+        # +, - and reflected - share one sum rule; a - b rounds as a + (-b) does, and
+        # negation is exact, so the pairs agree bit for bit, signed zeros included
+        rng = random.Random(36)
+
+        def number():
+            return rng.choice([
+                0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1022,
+                rng.uniform(-1.0, 1.0) * 2.0 ** -1030,  # subnormal
+                math.ldexp(rng.uniform(-1.0, 1.0), rng.randint(-1074, 1000)),
+                rng.choice((1, -1)) * rng.randint(2 ** 53 + 1, 2 ** 70),  # converts inexactly
+            ])
+
+        def bits(r):
+            return r.value.hex(), r.abs_error_bound.hex()
+
+        for _ in range(3000):
+            a, b = (CertifiedValue(number(), rng.choice((0.0, 5e-324, rng.uniform(0.0, 1e-9))))
+                    for _ in range(2))
+            w = number()
+            assert bits(a - b) == bits(a + (-b))
+            assert bits(w - a) == bits(w + (-a))
+            assert bits(a - w) == bits(a + (-w))
 
 
 class TestDegreeTable:
