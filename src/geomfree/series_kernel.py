@@ -248,12 +248,9 @@ def ode_coefficients(count):
 
 def _check_tol(tol):
     """The one tolerance rule of the package: tol read by _real's rule, then
-    positive and finite; returns it as a float.
-
-    The kernel and analysis.arcsin_newton run the comparison inline and call
-    this only when it fails, so a tol that passes it there (True, a Decimal)
-    is not read: their bounds do not depend on tol.
-    """
+    positive and finite; returns it as a float.  The kernel and arcsin_newton
+    call this only when their inline comparison fails, so a tol that passes
+    it there (True, a Decimal) is not read: their bounds do not depend on tol."""
     tol = _real(tol, "tol")[0]
     if not 0.0 < tol < math.inf:
         raise InvalidTolerance(f"tolerance must be positive and finite, got {tol!r}")

@@ -551,7 +551,7 @@ class TestReflectedArithmetic:
                 0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1022,
                 rng.uniform(-1.0, 1.0) * 2.0 ** -1030,  # subnormal
                 math.ldexp(rng.uniform(-1.0, 1.0), rng.randint(-1074, 1000)),
-                rng.choice((1, -1)) * rng.randint(2 ** 53 + 1, 2 ** 70),  # converts inexactly
+                rng.choice((1, -1)) * rng.randint(2 ** 53 + 1, 2 ** 70),  # past 2**53
             ])
 
         def bits(r):
