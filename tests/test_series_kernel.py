@@ -540,10 +540,9 @@ class TestReflectedArithmetic:
             assert 1.0 - cv == CertifiedValue(1.0, 0.0) - cv == -(cv - 1.0)
             assert 2.0 * cv == cv * 2.0
             assert type(0.5 + cv) is type(1.0 - cv) is type(2.0 * cv) is CertifiedValue
-
-    def test_each_difference_is_the_sum_with_the_negated_operand(self):
         # +, - and reflected - share one sum rule; a - b rounds as a + (-b) does, and
-        # negation is exact, so the pairs agree bit for bit, signed zeros included
+        # negation is exact, so each difference is the sum with the negated operand,
+        # bit for bit, signed zeros included
         rng = random.Random(36)
 
         def number():
