@@ -102,7 +102,10 @@ def arcsin_newton(x, tol):
     whole for the rest) and u_err/|x| for the error of u, since
     d arcsin(u)/du = 1/sqrt(1 - u^2) ~ 1/|x| <= sqrt(2) there.
     """
-    if not 0.0 < tol < _INF:  # _check_tol's test, so a valid tol costs no call
+    try:
+        if not 0.0 < tol < _INF:  # _check_tol's test, so a valid tol costs no call
+            _check_tol(tol)
+    except TypeError:  # a tol that floats do not order: _check_tol names it
         _check_tol(tol)
     if x.__class__ is not float:
         x = _real(x, "x")[0]  # an int in [-1, 1] is exact

@@ -24,7 +24,6 @@ import functools
 from collections import namedtuple
 
 from .errors import ToleranceTooTight
-from .report import CheckResult
 from .series_kernel import _check_tol_floor, _round_half_even, _scaled, _series_sum, cos_eval_exact
 
 _MAX_TERMS = 100          # series-degree budget: 2*100 = degree 200
@@ -214,6 +213,8 @@ def pi_value():
 def _cos2_certificate():
     """Exact certification that cos 2 <= -131/315 from a 4-term partial sum."""
     from fractions import Fraction
+
+    from .report import CheckResult  # deferred: only verify builds the four checks here
     partial, bound = cos_eval_exact(Fraction(2), 4)
     ok = (partial == Fraction(-19, 45)
           and bound == Fraction(2, 315)
@@ -246,6 +247,7 @@ def _sin_positive_check():
     """sin > 0 on (0, 2], so cos decreases strictly on [0, 2]: with cos 0 = 1
     and cos 2 < 0 (_cos2_certificate), the zero that find_q brackets is the
     only one in (0, 2), the least positive zero Q."""
+    from .report import CheckResult
     x_max = 2
     return CheckResult(
         name="sin_positive_on_0_2",
@@ -258,6 +260,7 @@ def _sin_positive_check():
 
 
 def _q_multiples_check():
+    from .report import CheckResult
     expected = ((0, 0, 1), (1, 1, 0), (2, 0, -1), (3, -1, 0), (4, 0, 1))
     got = q_multiples_table()
     return CheckResult(
@@ -279,6 +282,7 @@ def _period_minimality_check(sin_positive, cos2):
     sin R = sin 0 = 0 and cos R = cos 0 = 1, so none lies in (0, 4Q);
     sin 4Q = 0 and cos 4Q = 1 make 4Q one.  No float is evaluated.
     """
+    from .report import CheckResult
     rows = {k: (s, c) for k, s, c in q_multiples_table()}
     premises = {
         sin_positive.name: sin_positive.passed,

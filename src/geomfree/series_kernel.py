@@ -447,7 +447,10 @@ def _kernel(shift):
     (shift 1).  shift is a closure variable, so a call runs in one frame."""
 
     def evaluate(x, tol):
-        if not 0.0 < tol < _INF:  # _check_tol's test, so a valid tol costs no call
+        try:
+            if not 0.0 < tol < _INF:  # _check_tol's test, so a valid tol costs no call
+                _check_tol(tol)
+        except TypeError:  # a tol that floats do not order: _check_tol names it
             _check_tol(tol)
         if x.__class__ is not float:
             x = _real(x, "x")[0]  # an int in the domain is exact: |x| <= 1e8 < 2**53
@@ -586,6 +589,8 @@ def _eval_series_exact(x, terms, odd):
     from fractions import Fraction
     if isinstance(x, bool) or not isinstance(x, (int, float, Fraction)):
         raise TypeError(f"x must be an int, a float or a Fraction, got {x!r}")
+    if isinstance(x, float) and not math.isfinite(x):  # Fraction(x) cannot read it
+        raise DomainError("exact series evaluation requires |x| <= 4")
     x = Fraction(x)
     num, den, m, _ = _series_sum(x.numerator, x.denominator, terms, odd)
     e = 2 * m + (1 if odd else 0)

@@ -7,6 +7,7 @@ that holds no mathematics."""
 import argparse
 import ast
 import inspect
+import json
 import math
 import pickle
 import re
@@ -54,18 +55,20 @@ def test_every_tolerance_is_positive_and_finite(name, tol):
         ENTRY_POINTS[name](tol)
 
 
-# the kernel writes _check_tol's test out inline; these pin the two to one rule at a
-# tiny, an unreduced and a reduced x, and the tolerance error ahead of the domain's
+# the kernel and arcsin_newton write _check_tol's test out inline; these pin the two to
+# one rule at a tiny, an unreduced and a reduced x, and the tolerance error ahead of the
+# domain's, with _check_tol's own error for a tol that is not a number
 KERNEL_POINTS = [1e-30, 5e-324, -0.0, 0.5, 1e6]
 
 
-@pytest.mark.parametrize("tol", [0.0, -0.0, -1e-300, math.nan, math.inf, -math.inf], ids=repr)
-@pytest.mark.parametrize("f", [sin_eval, cos_eval], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("tol", [0.0, -0.0, -1e-300, math.nan, math.inf, -math.inf,
+                                 "0.5", None, 1j, [1.0]], ids=repr)
+@pytest.mark.parametrize("f", [sin_eval, cos_eval, arcsin_newton], ids=lambda f: f.__name__)
 def test_the_kernel_rejects_each_tolerance_the_one_rule_rejects(f, tol):
-    with pytest.raises(InvalidTolerance):
+    with pytest.raises((InvalidTolerance, TypeError)) as rule:
         _check_tol(tol)
     for x in KERNEL_POINTS + [math.nan, math.inf, -math.inf]:
-        with pytest.raises(InvalidTolerance):
+        with pytest.raises(rule.type, match=f"^{re.escape(str(rule.value))}$"):
             f(x, tol)
 
 
@@ -311,17 +314,63 @@ def test_certified_arithmetic_rejects_an_overflowed_bound(op):
         a + a if op == "add" else a * a
 
 
+DEFERRED_MODULES = ("analysis", "exact_series", "identities", "report")
+
+
 def test_import_leaves_dataclasses_and_inspect_unloaded():
+    # and the modules that evaluating sin, cos and Q does not need, until first use
     src = Path(geomfree.__file__).resolve().parent.parent
+    unloaded = {"dataclasses", "inspect", *(f"geomfree.{m}" for m in DEFERRED_MODULES)}
     code = ("import sys\n"
             "before = set(sys.modules)\n"
             f"sys.path.insert(0, {str(src)!r})\n"
             "import geomfree\n"
             "geomfree.shared_table()\n"
-            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n")
+            f"print(sorted({unloaded!r} & (set(sys.modules) - before)))\n")
     out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
                          check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+# (module, name) for each deferred public name, and (module, None) for the module itself
+DEFERRED = [(m, None) for m in DEFERRED_MODULES] + sorted(
+    (getattr(geomfree, name).__module__.rpartition(".")[2], name) for name in geomfree.__all__
+    if getattr(geomfree, name).__module__.rpartition(".")[2] in DEFERRED_MODULES)
+
+
+@pytest.fixture(scope="module")
+def fresh_import():
+    """What a bare `import geomfree` in a fresh interpreter gives for each DEFERRED
+    entry: its object is geomfree.<module>.<name>, it is in dir(geomfree), and
+    `from geomfree import *`, run in a second fresh interpreter, binds it."""
+    src = Path(geomfree.__file__).resolve().parent.parent
+    code = ("import json, sys\n"
+            f"sys.path.insert(0, {str(src)!r})\n"
+            "import geomfree\n"
+            "listed = set(dir(geomfree))\n"
+            "found = {}\n"
+            f"for module, name in {DEFERRED!r}:\n"
+            "    value = getattr(geomfree, name or module)\n"
+            "    owner = sys.modules[f'geomfree.{module}']\n"
+            "    found[name or module] = [value is (getattr(owner, name) if name else owner),\n"
+            "                             (name or module) in listed]\n"
+            "print(json.dumps(found))\n")
+    star = ("import sys\n"
+            f"sys.path.insert(0, {str(src)!r})\n"
+            "from geomfree import *\n"
+            "import geomfree\n"
+            "print(sorted(n for n in geomfree.__all__\n"
+            "             if globals().get(n, geomfree) is not getattr(geomfree, n)))\n")
+    runs = [subprocess.run([sys.executable, "-I", "-c", c], capture_output=True, text=True,
+                           check=True, timeout=120).stdout for c in (code, star)]
+    return json.loads(runs[0]), ast.literal_eval(runs[1])
+
+
+@pytest.mark.parametrize("module, name", DEFERRED, ids=lambda v: v or "module")
+def test_a_deferred_name_resolves_on_first_access(fresh_import, module, name):
+    found, unbound = fresh_import
+    assert found[name or module] == [True, True]  # geomfree.<module>.<name>; in dir()
+    assert unbound == []  # from geomfree import * binds every name in __all__
 
 
 def test_the_cold_path_to_the_first_evals_loads_no_fractions():

@@ -202,6 +202,10 @@ class TestExactEvaluators:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             sin_eval_exact(Fraction(9, 2), 3)
+        for f in (sin_eval_exact, cos_eval_exact):
+            for x in (math.nan, math.inf, -math.inf):  # the same error as a finite |x| > 4
+                with pytest.raises(DomainError, match=r"^exact series evaluation requires"):
+                    f(x, 2)
 
     def test_terms_must_be_positive(self):
         with pytest.raises(ValueError):
