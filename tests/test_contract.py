@@ -334,8 +334,8 @@ def test_import_leaves_dataclasses_and_inspect_unloaded():
 
 # (module, name) for each deferred public name, and (module, None) for the module itself
 DEFERRED = [(m, None) for m in DEFERRED_MODULES] + sorted(
-    (getattr(geomfree, name).__module__.rpartition(".")[2], name) for name in geomfree.__all__
-    if getattr(geomfree, name).__module__.rpartition(".")[2] in DEFERRED_MODULES)
+    (module, name) for name in geomfree.__all__
+    if (module := getattr(geomfree, name).__module__.rpartition(".")[2]) in DEFERRED_MODULES)
 
 
 @pytest.fixture(scope="module")
