@@ -32,7 +32,7 @@ BenchRecord = namedtuple("BenchRecord", "function interval n max_abs_error_vs_pl
                                         " ns_per_eval_self ns_per_eval_platform")
 
 
-def run_bench(n, interval, seed=0, functions=("sin", "cos", "arcsin")):
+def run_bench(n, interval, seed=0, functions=tuple(_SELF_EVAL)):
     """Max |self - platform| and per-eval timings over n uniform points.
 
     interval None means [-pi, pi]; sin and cos need it within |x| <= 1e8,

@@ -8,7 +8,6 @@ schema_version "1" is documented in report.py and the README.
 
 import argparse
 import contextlib
-import os
 import re
 import sys
 
@@ -20,16 +19,8 @@ class _UsageError(GeomfreeError):
     """A bad argument value, printed by main as its one `error:` line (exit 2)."""
 
 
-def _color_enabled():
-    return sys.stdout.isatty() and not os.environ.get("GEOMFREE_NO_COLOR")
-
-
 def _mark(passed):
-    word = "PASS" if passed else "FAIL"
-    if _color_enabled():
-        code = "32" if passed else "31"
-        return f"\x1b[{code}m{word}\x1b[0m"
-    return word
+    return "PASS" if passed else "FAIL"
 
 
 def _emit(args, payload, lines):
@@ -42,13 +33,15 @@ def _emit(args, payload, lines):
 
 # --- eval ---------------------------------------------------------------
 
+_FUNCTIONS = {  # function -> its certified evaluator of (x, tol)
+    "sin": series_kernel.sin_eval,
+    "cos": series_kernel.cos_eval,
+    "arcsin": analysis.arcsin_newton,
+}
+
+
 def cmd_eval(args):
-    fns = {
-        "sin": series_kernel.sin_eval,
-        "cos": series_kernel.cos_eval,
-        "arcsin": analysis.arcsin_newton,
-    }
-    cv = fns[args.function](args.x, args.tol)
+    cv = _FUNCTIONS[args.function](args.x, args.tol)
     _emit(args, {
         "function": args.function,
         "x": args.x,
@@ -129,18 +122,18 @@ def cmd_verify(args):
         raise _UsageError("--degree must be between 0 and 100")
     if not 1 <= args.samples <= 1_000_000:
         raise _UsageError("--samples must be between 1 and 1e6")
-    # open --out before the suites run, so a bad path costs no work
+    # open --out before the suites run, so a bad path costs no work; a full disk fails later
     try:
-        out = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext()
+        with open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext() as fh:
+            checks = [c for name in _SUITES if args.suite in (name, "all")
+                      for c in _SUITES[name](args)]
+            rep = report.build_report(checks)
+            report.validate_report(rep)
+            if fh:
+                fh.write(report.report_to_json(rep))
+                fh.write("\n")
     except OSError as exc:
         raise _UsageError(f"cannot write --out {args.out}: {exc.strerror}") from None
-    with out as fh:
-        checks = [c for name in _SUITES if args.suite in (name, "all") for c in _SUITES[name](args)]
-        rep = report.build_report(checks)
-        report.validate_report(rep)
-        if fh:
-            fh.write(report.report_to_json(rep))
-            fh.write("\n")
     s = rep["summary"]
     _emit(args, rep, [*(f"{_mark(c.passed)}  {c.name}" for c in checks),
                       f"{s['passed']}/{s['total']} checks passed"])
@@ -217,15 +210,13 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     pe = sub.add_parser("eval", help="evaluate a function with a certified bound")
-    pe.add_argument("function", choices=["sin", "cos", "arcsin"])
+    pe.add_argument("function", choices=list(_FUNCTIONS))
     pe.add_argument("x", type=float)
     pe.add_argument("--tol", type=float, default=1e-15)
-    pe.add_argument("--format", choices=["text", "json"], default="text")
     pe.set_defaults(func=cmd_eval)
 
     pc = sub.add_parser("constants", help="print Q, pi, and the Q-multiples table")
     pc.add_argument("--digits", type=int, default=15)
-    pc.add_argument("--format", choices=["text", "json"], default="text")
     pc.set_defaults(func=cmd_constants)
 
     pv = sub.add_parser("verify", help="run the identity/theorem check suites")
@@ -234,24 +225,23 @@ def build_parser():
     pv.add_argument("--samples", type=int, default=1000)
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--out", type=str, default=None)
-    pv.add_argument("--format", choices=["text", "json"], default="text")
     pv.set_defaults(func=cmd_verify)
 
     pi = sub.add_parser("integrate", help="circle integrals and arc length")
     pi.add_argument("target", choices=list(_TARGETS))
     pi.add_argument("args", type=float, nargs="*")
     pi.add_argument("--tol", type=float, default=1e-10)
-    pi.add_argument("--format", choices=["text", "json"], default="text")
     pi.set_defaults(func=cmd_integrate)
 
     pb = sub.add_parser("bench", help="accuracy/speed vs the platform libm")
     pb.add_argument("--n", type=int, default=10000)
     pb.add_argument("--interval", type=float, nargs=2, default=None)
     pb.add_argument("--seed", type=int, default=0)
-    pb.add_argument("--functions", type=str, default="sin,cos,arcsin")
-    pb.add_argument("--format", choices=["text", "json"], default="text")
+    pb.add_argument("--functions", type=str, default=",".join(bench._SELF_EVAL))
     pb.set_defaults(func=cmd_bench)
 
+    for sp in sub.choices.values():  # last, so each --help lists it last
+        sp.add_argument("--format", choices=["text", "json"], default="text")
     return p
 
 

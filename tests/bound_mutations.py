@@ -103,7 +103,7 @@ KNOWN_MISSED = frozenset({
 
 
 def _run_tests(tree):
-    """True if the three test files pass on the package copy at `tree`."""
+    """True if the TEST_FILES pass on the package copy at `tree`."""
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *TEST_FILES]
     for test in DIGEST_TESTS:
         cmd += ["--deselect", test]

@@ -1,7 +1,11 @@
 """CLI contract tests: exit codes, JSON schema, determinism."""
 
+import ast
 import hashlib
 import json
+import os
+import pathlib
+import sys
 import time
 import types
 from fractions import Fraction
@@ -151,6 +155,25 @@ class TestVerify:
         assert rc == 2
 
 
+
+class TestPlainText:
+    """verify's text is the same bytes at a terminal as in a pipe, and no
+    environment variable changes it."""
+
+    def test_a_terminal_gets_the_piped_text(self, capsys, monkeypatch):
+        argv = ("verify", "--suite", "exact", "--degree", "3")
+        piped = run_cli(capsys, *argv)
+        monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+        assert (cli._mark(True), cli._mark(False)) == ("PASS", "FAIL")
+        assert run_cli(capsys, *argv) == piped
+
+    def test_cli_reads_no_environment_variable(self):
+        tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+        names = {getattr(node, field, None) for node in ast.walk(tree)
+                 for field in ("attr", "id", "name")}
+        assert not names & {"environ", "environb", "getenv", "getenvb"}
+
+
 class TestCoefficientRecursionCheck:
     def test_recursion_matches_the_series(self):
         result = exact_series._coefficient_recursion_check()
@@ -293,6 +316,13 @@ class TestOneErrorLine:
         path = tmp_path / "missing" / "report.json"
         assert run_cli(capsys, "verify", "--out", str(path)) == (
             2, "", f"error: cannot write --out {path}: No such file or directory\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_a_write_that_fails_after_the_checks(self, capsys):
+        # /dev/full opens, and the flush at close fails
+        assert run_cli(capsys, "verify", "--suite", "exact", "--degree", "1",
+                       "--out", "/dev/full") == (
+            2, "", "error: cannot write --out /dev/full: No space left on device\n")
 
 
 class TestNegativeExponentArguments:

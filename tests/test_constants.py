@@ -166,6 +166,44 @@ class TestCertificatePoints:
         assert cos_calls == []
 
 
+
+class TestCertificateFallbacks:
+    """Past an undecided sign at the certificate points, find_q widens both
+    radii by 1024; once the radius passes the bracket it falls back to the
+    bisection midpoint.  The bounds hold on either path."""
+
+    @pytest.mark.parametrize("undecided", [1, None], ids=["one sign", "every sign"])
+    def test_an_undecided_or_zero_sign(self, monkeypatch, undecided):
+        polished = find_q(1e-13)
+        lo, hi, n = _certified_bisection(1e-13)
+        real_sign, calls = constants._certified_sign, []
+
+        def sign(p, q=1, or_zero=False):
+            if or_zero:
+                calls.append(Fraction(p, q))
+                if undecided is None or len(calls) <= undecided:
+                    return 0
+            return real_sign(p, q, or_zero)
+
+        monkeypatch.setattr(constants, "_certified_sign", sign)
+        tbl = find_q(1e-13)
+        if undecided:  # one widening, then both signs decide around the same point
+            assert len(calls) == 3
+            assert tbl.q_exact_num == polished.q_exact_num
+            assert tbl.refined_radius == 1024 / constants._REFINE_DEN
+        else:
+            assert tbl.q_exact_num == (lo + hi) << (constants._POLISH_BITS - n - 1)
+            assert tbl.refined_radius == (hi - lo) / (2 << n)
+        assert tbl.certified_bound == 5e-14
+        with mpmath.workprec(400):
+            q_true = mpmath.pi / 2
+            assert abs(mpmath.ldexp(tbl.q_exact_num, -constants._POLISH_BITS) - q_true) \
+                <= tbl.refined_radius
+            assert abs(tbl.q - q_true) <= tbl.q_float_err
+            assert abs(mpmath.mpf(tbl.four_q_dd[0]) + tbl.four_q_dd[1] - 4 * q_true) \
+                <= tbl.four_q_err
+
+
 class TestBisectionInvariants:
     def test_bracket_signs_every_step(self, monkeypatch):
         signs = []
